@@ -2,8 +2,10 @@
 
 The Haar state of a model's Hopf image is the Cesaro limit of convolution
 powers of the normalized-trace state.  On moment matrices convolution is
-matrix multiplication, so the probe iterates powers of the degree-m moment
-matrix, averages, and compares the limit against exact values.
+matrix multiplication, so the probe takes the Cesaro limit of the powers of
+the degree-m moment matrix and compares it against exact values.  That limit
+is the orthogonal projector onto the fixed space of the matrix: its dimension
+is the fix moment, and the spectral gap below it certifies the dimension.
 
 The outcome is one-sided evidence: agreement with the closed forms supports
 inner faithfulness; a stable deviation refutes it for that model.  Both
@@ -14,9 +16,9 @@ from qperm import convolution_probe as cp
 from qperm import flat_model as fm
 from qperm import magic_bases as mb
 
-cfg = cp.ProbeConfig(max_degree=4, max_iterations=2 ** 62)
+cfg = cp.ProbeConfig(max_degree=4)
 
-# The 4x4 model: every estimate lands on the exact value to ~1e-9.  The
+# The 4x4 model: every estimate lands on the exact value to rounding.  The
 # probe cannot prove inner faithfulness, but it finds no obstruction.
 model4 = fm.model_from_basis(mb.build_pauli_basis_4())
 report4 = cp.inner_faithfulness_report(model4, cfg)
@@ -25,7 +27,7 @@ for d in report4.degrees:
     print(f"  m={d.m}: fix estimate {d.fix_moment_estimate:.9f}"
           f" (target C_{d.m} = {d.catalan_target},"
           f" residual {d.catalan_residual:.1e},"
-          f" averaged {d.iterations} powers)")
+          f" fixed space of dimension {d.fixed_space_dim}, gap {d.spectral_gap:.6f})")
 for tag, info in report4.degrees[-1].class_residuals.items():
     print(f"    {tag}: estimate {info['estimate'][0]:+.9f}"
           f" vs exact {info['exact'][0]}/{info['exact'][1]}"
@@ -40,7 +42,8 @@ report5 = cp.inner_faithfulness_report(model5, cfg)
 print("\nn=5:", report5.verdict)
 for d in report5.degrees:
     print(f"  m={d.m}: fix estimate {d.fix_moment_estimate:.9f}"
-          f" (target C_{d.m} = {d.catalan_target})")
+          f" (target C_{d.m} = {d.catalan_target},"
+          f" fixed space of dimension {d.fixed_space_dim}, gap {d.spectral_gap:.6f})")
 
 # The same happens for n = 6 and 7 (moments 1, 2, 5, 15); the 4x4 model is
 # the only constructed one the probe cannot distinguish from the full

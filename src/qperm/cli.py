@@ -12,28 +12,19 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource limit.
 The environment variable QPG_THREADS caps the worker count of the underlying
-BLAS (set it before heavy probe runs if you need determinism across hosts).
+BLAS (see the ``qperm`` package docstring).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("QPG_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,10 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--n", type=int, required=True)
     p_probe.add_argument("--max-degree", type=int, default=4)
     p_probe.add_argument("--tol", type=float, default=1e-10)
-    p_probe.add_argument("--max-iter", type=int, default=2 ** 62)
     p_probe.add_argument("--memory-cap", type=int, default=2 * 2 ** 30)
-    p_probe.add_argument("--method", choices=("doubling", "literal", "fixed_space"),
-                         default="doubling")
+    p_probe.add_argument("--method", choices=("fixed_space",), default="fixed_space")
     p_probe.add_argument("--out", help="write the report JSON here")
     p_probe.add_argument("--csv", help="write fix-moment estimates as CSV here")
     return parser
@@ -199,7 +188,6 @@ def cmd_probe(args) -> int:
         model = flat_model.model_from_basis(_build_basis(args.n))
         cfg = cp.ProbeConfig(max_degree=args.max_degree,
                              tol_converge=args.tol,
-                             max_iterations=args.max_iter,
                              memory_cap=args.memory_cap,
                              method=args.method)
         report = cp.inner_faithfulness_report(model, cfg)
@@ -221,14 +209,17 @@ def cmd_probe(args) -> int:
     else:
         print(payload)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.fix_moment_csv())
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write(report.fix_moment_csv())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     print(f"verdict: {report.verdict}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     handler = {"basis": cmd_basis, "orbitals": cmd_orbitals,
                "haar": cmd_haar, "probe": cmd_probe}[args.command]

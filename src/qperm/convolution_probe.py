@@ -8,24 +8,19 @@ is matrix multiplication:
     T[(i1..im), (k1..km)] = tr( v_(i1,k1) ... v_(im,km) ) / n
     (phi * psi)[(i..), (j..)] = sum_(k..) phi[(i..),(k..)] psi[(k..),(j..)],
 
-so the probe iterates powers of the degree-m moment matrix of the trace
-state, averages them, and compares the limit against exact values: the
+so the probe takes the Cesaro limit of the powers of the degree-m moment
+matrix of the trace state and compares it against exact values: the
 fix-moment estimates against Catalan numbers, and individual entries against
 the closed-form class values.  Matching values support inner faithfulness of
 the model; a stable deviation refutes it.  The probe reports either way and
 asserts neither.
 
-The Cesaro average A_r = (1/r) sum_(s<=r) T^s is driven by power doubling:
-
-    A_(2r) = (A_r + T^r A_r) / 2,     T^(2r) = (T^r)^2,
-
-which reaches r = 2^k in k doublings while keeping every stored matrix O(1)
-in magnitude.  When the power sequence T^r itself stabilizes (the peripheral
-spectrum is trivial), the remaining tail collapses in closed form to
-T^inf @ A_r, giving limits at machine precision.  Repeated squaring of a
-marginally stable matrix eventually amplifies rounding noise, so the loop
-tracks the best power iterate and collapses early when the sequence starts
-drifting apart instead of contracting.
+T is a state applied entrywise to the unitary u^(tensor m), so ||T|| <= 1.
+For a contraction the mean ergodic theorem makes the Cesaro limit the
+orthogonal projector onto ker(T - I), and Tx = x exactly when Hx = x for the
+Hermitian part H = (T + T*)/2 <= I.  The limit is therefore read off one
+Hermitian eigendecomposition of H; its rank is the fix moment, and the
+distance from 1 of the kept eigenvalues certifies the answer.
 """
 
 from __future__ import annotations
@@ -48,16 +43,16 @@ GIB = 2 ** 30
 class ProbeConfig:
     max_degree: int = 4
     tol_converge: float = 1e-10
-    max_iterations: int = 10 ** 6          # cap on the averaged power count r
-    check_stride: int = 64                 # stride of the literal-mode check
     memory_cap: int = 2 * GIB              # bytes for one moment matrix
-    method: str = "doubling"               # "doubling" | "literal" | "fixed_space"
+    method: str = "fixed_space"            # the only method
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
         if self.tol_converge <= 0:
             raise ValueError("tol_converge must be positive")
+        if self.method != "fixed_space":
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -159,112 +154,30 @@ def convolve(A: StateTensor, B: StateTensor) -> StateTensor:
 @dataclass
 class CesaroResult:
     limit: StateTensor
-    converged: bool
-    iterations: int                        # number of averaged powers r
-    curve: list = field(default_factory=list)   # (r, average diff, power diff)
+    converged: bool                        # every kept eigenvalue within tol of 1
+    fixed_dim: int                         # rank of the limit, i.e. its fix moment
+    gap: float | None                      # 1 - largest eigenvalue of H left out
+    iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
+    curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
 
 
 def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult:
-    """Limit of (1/r) sum_(s<=r) T^s per the configured method.
+    """Limit of (1/r) sum_(s<=r) T^s: the orthogonal projector onto ker(T - I).
 
-    Non-convergence within the iteration cap is reported via the flag, never
-    raised.  The curve of successive differences is kept for diagnostics.
+    T must be a contraction, as every trace-state tensor is.  The eigenvalues
+    of H = (T + T*)/2 above 1 - sqrt(tol) span the fixed space.  The limit is
+    certified (``converged``) when each of them lies within tol of 1;
+    otherwise the fixed space is ambiguous at this tolerance, which is
+    reported, never raised.  ``gap`` is None when every eigenvalue is kept.
     """
     cfg = cfg or ProbeConfig()
-    if cfg.method == "literal":
-        return _cesaro_literal(T, cfg)
-    if cfg.method == "fixed_space":
-        return _cesaro_fixed_space(T, cfg)
-    if cfg.method != "doubling":
-        raise ValueError(f"unknown method {cfg.method!r}")
-    return _cesaro_doubling(T, cfg)
-
-
-def _cesaro_doubling(T: StateTensor, cfg: ProbeConfig) -> CesaroResult:
     M = T.entries
-    A = M.copy()
-    P = M.copy()
-    r = 1
-    curve = []
-    best_P = P
-    best_pdiff = math.inf
-    growth_streak = 0
-    prev_pdiff = None
-    converged = False
-    while r < cfg.max_iterations:
-        P_next = P @ P
-        pdiff = float(np.abs(P_next - P).max())
-        A_next = 0.5 * (A + P @ A)
-        adiff = float(np.abs(A_next - A).max())
-        A = A_next
-        r *= 2
-        curve.append((r, adiff, pdiff))
-        if pdiff < best_pdiff:
-            best_pdiff = pdiff
-            best_P = P_next
-        if pdiff < 1e-13:
-            # power sequence stabilized: the entire remaining tail averages
-            # to P_inf @ A_r, so collapse it
-            A = P_next @ A
-            converged = True
-            break
-        if prev_pdiff is not None and pdiff > prev_pdiff:
-            growth_streak += 1
-            if growth_streak >= 2:
-                # rounding noise is being amplified; collapse with the best
-                # power iterate seen so far
-                A = best_P @ A
-                converged = best_pdiff < cfg.tol_converge
-                break
-        else:
-            growth_streak = 0
-        prev_pdiff = pdiff
-        P = P_next
-        if adiff < cfg.tol_converge:
-            converged = True
-            break
-    return CesaroResult(StateTensor(T.n, T.m, A), converged, r, curve)
-
-
-def _cesaro_literal(T: StateTensor, cfg: ProbeConfig) -> CesaroResult:
-    """One power per step with a running sum; the check compares averages a
-    stride apart.  Kept as the plain reference mode for small tensors."""
-    M = T.entries
-    P = M.copy()
-    S = M.copy()
-    prev = None
-    curve = []
-    converged = False
-    r = 1
-    while r < cfg.max_iterations:
-        P = P @ M
-        S += P
-        r += 1
-        if r % cfg.check_stride == 0:
-            A = S / r
-            if prev is not None:
-                diff = float(np.abs(A - prev).max())
-                curve.append((r, diff, None))
-                if diff < cfg.tol_converge:
-                    converged = True
-                    break
-            prev = A
-    return CesaroResult(StateTensor(T.n, T.m, S / r), converged, r, curve)
-
-
-def _cesaro_fixed_space(T: StateTensor, cfg: ProbeConfig) -> CesaroResult:
-    """Spectral cross-check: project onto the eigenvalue-1 eigenspace.
-
-    The Cesaro average of powers converges to the spectral projection at 1;
-    eigenvectors with |lambda - 1| <= sqrt(tol) are taken as the fixed space.
-    Intended for small tensors as an independent verification path.
-    """
-    M = T.entries
-    lam, V = np.linalg.eig(M)
-    W = np.linalg.inv(V)
-    keep = np.abs(lam - 1.0) < math.sqrt(cfg.tol_converge)
-    proj = V[:, keep] @ W[keep, :]
-    return CesaroResult(StateTensor(T.n, T.m, proj), True, 0, [])
+    lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))       # ascending
+    k = int(np.count_nonzero(lam > 1.0 - math.sqrt(cfg.tol_converge)))
+    Vk = V[:, lam.size - k:]
+    converged = bool(np.all(np.abs(lam[lam.size - k:] - 1.0) <= cfg.tol_converge))
+    gap = float(1.0 - lam[-k - 1]) if k < lam.size else None
+    return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T), converged, k, gap)
 
 
 # --- reports -----------------------------------------------------------------
@@ -273,7 +186,8 @@ def _cesaro_fixed_space(T: StateTensor, cfg: ProbeConfig) -> CesaroResult:
 class DegreeProbe:
     m: int
     converged: bool
-    iterations: int
+    fixed_space_dim: int
+    spectral_gap: float | None
     fix_moment_estimate: float
     fix_moment_imag: float
     catalan_target: int
@@ -282,7 +196,6 @@ class DegreeProbe:
     traciality_residual: float
     invariance_residual: float             # |L*T - L|
     class_residuals: dict
-    curve: list = field(default_factory=list)
 
 
 @dataclass
@@ -292,7 +205,7 @@ class ProbeReport:
     degrees: list
     verdict: str
     tol_converge: float
-    method: str = "doubling"
+    method: str = "fixed_space"
 
     def to_dict(self) -> dict:
         return {
@@ -303,7 +216,8 @@ class ProbeReport:
             "degrees": [{
                 "m": d.m,
                 "converged": d.converged,
-                "iterations": d.iterations,
+                "fixed_space_dim": d.fixed_space_dim,
+                "spectral_gap": d.spectral_gap,
                 "fix_moment_estimate": d.fix_moment_estimate,
                 "fix_moment_imag": d.fix_moment_imag,
                 "catalan_target": d.catalan_target,
@@ -312,7 +226,6 @@ class ProbeReport:
                 "traciality_residual": d.traciality_residual,
                 "invariance_residual": d.invariance_residual,
                 "class_residuals": d.class_residuals,
-                "convergence_curve": [[r, a, p] for r, a, p in d.curve],
             } for d in self.degrees],
             "verdict": self.verdict,
         }
@@ -357,8 +270,10 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
     """Run the probe at degrees 1..max_degree and aggregate the evidence.
 
     The verdict only ever states consistency or deviation of the estimated
-    Hopf-image Haar values relative to the closed forms; it is data about the
-    model, not a proof about the quantum group.
+    Hopf-image Haar values relative to the closed forms, or that the first
+    degree without a certified fixed space leaves them open; it is data about
+    the model, not a proof about the quantum group.  The first degree that
+    deviates or is not certified decides the verdict.
     """
     cfg = cfg or ProbeConfig()
     top = 16 * model.n ** (2 * cfg.max_degree)
@@ -367,7 +282,7 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
                         f"> cap {cfg.memory_cap}; refusing up front")
     degrees = []
     worst_residual = 0.0
-    first_deviation = None
+    verdict = None
     for m in range(1, cfg.max_degree + 1):
         T = trace_state(model, m, cfg.memory_cap)
         result = cesaro_limit(T, cfg)
@@ -379,7 +294,8 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
         degrees.append(DegreeProbe(
             m=m,
             converged=result.converged,
-            iterations=result.iterations,
+            fixed_space_dim=result.fixed_dim,
+            spectral_gap=result.gap,
             fix_moment_estimate=est,
             fix_moment_imag=imag,
             catalan_target=target,
@@ -389,18 +305,18 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             invariance_residual=float(
                 np.abs(L.entries @ T.entries - L.entries).max()),
             class_residuals=_class_residuals(L, model.n),
-            curve=result.curve,
         ))
         worst_residual = max(worst_residual, residual)
-        if first_deviation is None and residual > 1e-6:
-            first_deviation = (m, residual)
-    if first_deviation is None:
+        if verdict is None and not result.converged:
+            verdict = (f"inconclusive at degree {m}: not every eigenvalue of the "
+                       f"{result.fixed_dim}-dimensional fixed space lies within "
+                       f"{cfg.tol_converge:.2e} of 1")
+        elif verdict is None and residual > 1e-6:
+            verdict = (f"deviates at degree {m} by {residual:.6g} "
+                       f"(fix-moment estimate vs Catalan target)")
+    if verdict is None:
         verdict = (f"consistent with inner faithfulness up to degree "
                    f"{cfg.max_degree} at tolerance {max(worst_residual, cfg.tol_converge):.2e}")
-    else:
-        m, delta = first_deviation
-        verdict = (f"deviates at degree {m} by {delta:.6g} "
-                   f"(fix-moment estimate vs Catalan target)")
     return ProbeReport(n=model.n, basis_kind=model.basis.kind,
                        degrees=degrees, verdict=verdict,
                        tol_converge=cfg.tol_converge, method=cfg.method)

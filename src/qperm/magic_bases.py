@@ -262,19 +262,20 @@ def basis_to_dict(basis: MagicBasis) -> dict:
 
 
 def basis_from_dict(data: dict) -> MagicBasis:
-    n = int(data["n"])
+    """Parse the JSON layout above; raise ValueError for any other layout."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object with keys 'n' and 'xi'")
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    try:
+        pairs = np.array(data["xi"])
+    except ValueError:                     # ragged nesting
+        pairs = None
+    if pairs is None or pairs.shape != (n, n, n, 2) or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"xi must hold {n} x {n} x {n} numeric [re, im] pairs")
     xi = np.empty((n, n, n), dtype=complex)
-    rows = data["xi"]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-    for i in range(n):
-        if len(rows[i]) != n:
-            raise ValueError(f"row {i + 1}: expected {n} columns")
-        for j in range(n):
-            coords = rows[i][j]
-            if len(coords) != n:
-                raise ValueError(f"entry ({i + 1},{j + 1}): expected {n} coordinates")
-            xi[i, j] = [complex(re, im) for re, im in coords]
+    xi.real, xi.imag = pairs[..., 0], pairs[..., 1]
     return MagicBasis(n=n, xi=xi, kind=str(data.get("kind", "custom")))
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import qperm
 from qperm import cli
 
 
@@ -41,6 +46,18 @@ class TestBasisCommands:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert run(["basis", "verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("data", [
+        {"n": 3, "xi": [[0.5, 0.5, 0.5]] * 3},       # numbers where [re, im] pairs belong
+        {"n": 0, "xi": []},
+        {"n": 2, "xi": [[[[1, 0], [0, "x"]]] * 2] * 2},
+        [1, 2, 3],
+    ])
+    def test_verify_malformed_file(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["basis", "verify", str(path)]) == 2
+        assert "error: cannot read basis" in capsys.readouterr().err
 
     def test_round_trip_bit_for_bit(self, tmp_path):
         path = tmp_path / "b6.json"
@@ -115,6 +132,19 @@ class TestProbeCommand:
                     "--out", str(out_path), "--csv", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("m,estimate")
 
+    def test_csv_into_missing_directory(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "m.csv"
+        assert run(["probe", "--n", "4", "--max-degree", "1",
+                    "--csv", str(csv_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_spectral_fields(self, capsys):
+        assert run(["probe", "--n", "4", "--max-degree", "4"]) == 0
+        degrees = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
+        assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 14]
+        assert abs(degrees[3]["spectral_gap"] - 8 / 27) < 1e-9
+        assert all(d["converged"] for d in degrees)
+
     def test_memory_cap_exit(self):
         assert run(["probe", "--n", "5", "--max-degree", "6"]) == 3
 
@@ -127,3 +157,31 @@ class TestProbeCommand:
 def test_unknown_command_is_argparse_error():
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+def test_qpg_threads_caps_blas():
+    # numpy's bundled OpenBLAS reads its thread count once, when it loads;
+    # the cap only works if importing qperm sets it first
+    script = textwrap.dedent("""
+        import ctypes, glob, os
+        import qperm
+        import numpy
+        libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                      "numpy.libs", "libscipy_openblas64_*.so"))
+        if libs:
+            get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+            get.argtypes = []
+            get.restype = ctypes.c_int
+            print(get())
+        else:
+            print(os.environ["OPENBLAS_NUM_THREADS"])
+    """)
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")}
+    env["QPG_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(qperm.__file__)),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "1"

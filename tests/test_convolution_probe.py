@@ -1,17 +1,17 @@
 import json
-import warnings
-from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cesaro_oracle
 from qperm import convolution_probe as cp
 from qperm import flat_model as fm
 from qperm import haar_exact as hx
 from qperm import magic_bases as mb
 from qperm.errors import MemoryCap, ShapeMismatch
-
-BIG = cp.ProbeConfig(max_iterations=2 ** 62)
 
 
 @pytest.fixture(scope="module")
@@ -95,72 +95,138 @@ class TestConvolve:
 class TestCesaroLimit:
     def test_degree_one_immediate(self, model4):
         T = cp.trace_state(model4, 1)
-        res = cp.cesaro_limit(T, BIG)
+        res = cp.cesaro_limit(T)
         assert res.converged
         assert np.abs(res.limit.entries - 0.25).max() < 1e-12
 
     def test_idempotent_input_is_fixed(self, model4):
         T = cp.trace_state(model4, 1)
-        res = cp.cesaro_limit(T, BIG)
+        res = cp.cesaro_limit(T)
         assert res.iterations <= 4
+        assert res.fixed_dim == 1
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_limit_invariance(self, model4, m):
         T = cp.trace_state(model4, m)
-        res = cp.cesaro_limit(T, BIG)
+        res = cp.cesaro_limit(T)
         assert res.converged
         L = res.limit.entries
         assert np.abs(L @ T.entries - L).max() < 1e-8
         assert np.abs(L.sum(axis=1) - 1).max() < 1e-10
 
     def test_traciality_of_limit(self, model5):
-        res = cp.cesaro_limit(cp.trace_state(model5, 3), BIG)
+        res = cp.cesaro_limit(cp.trace_state(model5, 3))
         rot = res.limit.rotated()
         assert np.abs(res.limit.entries - rot.entries).max() < 1e-8
 
-    def test_iteration_cap_reports_not_converged(self, model4):
-        T = cp.trace_state(model4, 2)
-        res = cp.cesaro_limit(T, cp.ProbeConfig(max_iterations=1))
-        assert not res.converged
+    def test_iteration_cap_reports_not_converged(self):
+        # an eigenvalue 1e-7 below 1 is kept (within sqrt(tol)) but not
+        # certified (further than tol): the fixed space is ambiguous
+        res = cp.cesaro_limit(tiny_gap_tensor(4, 2))
+        assert res.converged is False
+        assert res.fixed_dim == 2
 
     def test_label_permutation_covariance(self, model4):
         act = hx.LabelAction(sigma=(2, 1, 4, 3), tau=(3, 4, 1, 2))
         T = cp.trace_state(model4, 2)
-        limit_then_permute = cp.cesaro_limit(T, BIG).limit.permuted(act)
-        permute_then_limit = cp.cesaro_limit(T.permuted(act), BIG).limit
+        limit_then_permute = cp.cesaro_limit(T).limit.permuted(act)
+        permute_then_limit = cp.cesaro_limit(T.permuted(act)).limit
         assert np.abs(limit_then_permute.entries
                       - permute_then_limit.entries).max() < 1e-8
 
     def test_fixed_space_mode_agrees(self, model4):
         T = cp.trace_state(model4, 2)
-        doubling = cp.cesaro_limit(T, BIG)
+        doubling = cesaro_oracle.doubling_limit(T.entries)
         spectral = cp.cesaro_limit(T, cp.ProbeConfig(method="fixed_space"))
-        assert np.abs(doubling.limit.entries - spectral.limit.entries).max() < 1e-10
+        assert np.abs(doubling - spectral.limit.entries).max() < 1e-10
 
     def test_literal_mode_agrees(self, model4):
+        # the eigenvalues of T other than 1 lie in [-1/3, 1/3], so the
+        # average of r powers is within 1/(2r) of the limit
         T = cp.trace_state(model4, 2)
-        cfg = cp.ProbeConfig(method="literal", tol_converge=1e-9,
-                             max_iterations=300_000)
-        res = cp.cesaro_limit(T, cfg)
+        res = cp.cesaro_limit(T)
         assert res.converged
-        reference = cp.cesaro_limit(T, BIG).limit.entries
-        assert np.abs(res.limit.entries - reference).max() < 1e-4
+        literal = cesaro_oracle.literal_average(T.entries, 10_000)
+        assert np.abs(literal - res.limit.entries).max() < 1e-4
 
     def test_unstable_squaring_is_guarded(self):
         # n = 6 has a power sequence whose repeated squaring amplifies noise;
-        # the guard must still deliver an accurate limit
+        # the spectral limit takes no powers and must stay accurate
         model6 = fm.model_from_basis(mb.build_fourier_basis(6))
         T = cp.trace_state(model6, 2)
-        res = cp.cesaro_limit(T, BIG)
+        res = cp.cesaro_limit(T)
         L = res.limit.entries
         assert res.converged
         assert np.abs(L @ T.entries - L).max() < 1e-8
         assert np.isfinite(L).all()
 
 
+def tiny_gap_tensor(n, m, eps=1e-7):
+    """Hermitian row-stochastic tensor with spectrum 1, 1 - eps, 1/2, 0, ...
+
+    The constant vector spans the eigenvalue-1 line, so rows sum to 1."""
+    size = n ** m
+    rng = np.random.default_rng(0)
+    basis = np.column_stack([np.ones(size), rng.standard_normal((size, size - 1))])
+    Q, _ = np.linalg.qr(basis)
+    spectrum = np.zeros(size)
+    spectrum[:3] = (1.0, 1.0 - eps, 0.5)
+    return cp.StateTensor(n, m, ((Q * spectrum) @ Q.T).astype(complex))
+
+
+_PROPERTY_MODELS = {4: fm.model_from_basis(mb.build_pauli_basis_4()),
+                    5: fm.model_from_basis(mb.build_fourier_basis(5))}
+_PROPERTY_CASES = [(n, m) for n in (4, 5) for m in (1, 2, 3)]
+
+
+@st.composite
+def probe_cases(draw):
+    """A model size, a degree m <= 3 and a random label action."""
+    n, m = draw(st.sampled_from(_PROPERTY_CASES))
+    sigma = tuple(draw(st.permutations(range(1, n + 1))))
+    tau = tuple(draw(st.permutations(range(1, n + 1))))
+    return n, m, hx.LabelAction(sigma=sigma, tau=tau)
+
+
+class TestFixedSpaceProperties:
+    """The limit is the orthogonal projector onto the fixed space of T."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(probe_cases())
+    def test_projector_properties(self, case):
+        n, m, act = case
+        T = cp.trace_state(_PROPERTY_MODELS[n], m).permuted(act)
+        res = cp.cesaro_limit(T)
+        P = res.limit.entries
+        assert res.converged
+        assert np.abs(P - P.conj().T).max() < 1e-12
+        assert np.abs(P @ P - P).max() < 1e-12
+        assert round(np.trace(P).real) == res.fixed_dim == hx.catalan(m)
+        assert np.abs(P.sum(axis=1) - 1).max() < 1e-12
+        assert np.abs(P @ T.entries - P).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(probe_cases())
+    def test_label_covariance(self, case):
+        n, m, act = case
+        T = cp.trace_state(_PROPERTY_MODELS[n], m)
+        limit_then_permute = cp.cesaro_limit(T).limit.permuted(act)
+        permute_then_limit = cp.cesaro_limit(T.permuted(act)).limit
+        assert np.abs(limit_then_permute.entries
+                      - permute_then_limit.entries).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(probe_cases())
+    def test_matches_doubling_oracle(self, case):
+        n, m, act = case
+        T = cp.trace_state(_PROPERTY_MODELS[n], m).permuted(act)
+        reference = cesaro_oracle.doubling_limit(T.entries)
+        assert np.abs(cp.cesaro_limit(T).limit.entries - reference).max() < 1e-10
+
+
 class TestFixMomentEstimates:
     def test_degree_one_estimate(self, model5):
-        limit = cp.cesaro_limit(cp.trace_state(model5, 1), BIG).limit
+        limit = cp.cesaro_limit(cp.trace_state(model5, 1)).limit
         est, imag = cp.estimate_fix_moments(limit)
         assert abs(est - 1.0) < 1e-12
         assert imag < 1e-12
@@ -169,14 +235,12 @@ class TestFixMomentEstimates:
 
 @pytest.fixture(scope="module")
 def report4(model4):
-    return cp.inner_faithfulness_report(model4, cp.ProbeConfig(
-        max_degree=4, max_iterations=2 ** 62))
+    return cp.inner_faithfulness_report(model4, cp.ProbeConfig(max_degree=4))
 
 
 @pytest.fixture(scope="module")
 def report5(model5):
-    return cp.inner_faithfulness_report(model5, cp.ProbeConfig(
-        max_degree=4, max_iterations=2 ** 62))
+    return cp.inner_faithfulness_report(model5, cp.ProbeConfig(max_degree=4))
 
 
 class TestProbeReport:
@@ -210,7 +274,8 @@ class TestProbeReport:
             assert d.row_sum_error < 1e-10
             assert d.traciality_residual < 1e-8
             assert d.invariance_residual < 1e-8
-            assert d.curve, "convergence curve must be exposed"
+        assert [d.fixed_space_dim for d in report5.degrees] == [1, 2, 5, 15]
+        assert abs(report5.degrees[3].spectral_gap - (1 - 1 / math.sqrt(5))) < 1e-9
 
     def test_json_round_trip(self, report4):
         payload = json.dumps(report4.to_dict())
@@ -224,10 +289,16 @@ class TestProbeReport:
         assert lines[0] == "m,estimate,imag,catalan,residual"
         assert len(lines) == 5
 
-    def test_max_iterations_one_is_data_not_error(self, model4):
-        report = cp.inner_faithfulness_report(model4, cp.ProbeConfig(
-            max_degree=2, max_iterations=1))
+    def test_max_iterations_one_is_data_not_error(self, model4, monkeypatch):
+        real_trace_state = cp.trace_state
+
+        def trace_state(model, m, memory_cap):
+            return tiny_gap_tensor(4, 2) if m == 2 else real_trace_state(model, m, memory_cap)
+
+        monkeypatch.setattr(cp, "trace_state", trace_state)
+        report = cp.inner_faithfulness_report(model4, cp.ProbeConfig(max_degree=2))
         assert report.degrees[-1].converged is False
+        assert report.verdict.startswith("inconclusive at degree 2")
 
 
 class TestConfig:
