@@ -6,6 +6,8 @@ matrix multiplication, so the probe takes the Cesaro limit of the powers of
 the degree-m moment matrix and compares it against exact values.  That limit
 is the orthogonal projector onto the fixed space of the matrix: its dimension
 is the fix moment, and the spectral gap below it certifies the dimension.
+For grids with a shift symmetry the probe solves a block of side n^(m-1)
+and reads the same answer off it.
 
 The outcome is one-sided evidence: agreement with the closed forms supports
 inner faithfulness; a stable deviation refutes it for that model.  Both
@@ -45,10 +47,28 @@ for d in report5.degrees:
           f" (target C_{d.m} = {d.catalan_target},"
           f" fixed space of dimension {d.fixed_space_dim}, gap {d.spectral_gap:.6f})")
 
-# The same happens for n = 6 and 7 (moments 1, 2, 5, 15); the 4x4 model is
-# the only constructed one the probe cannot distinguish from the full
-# quantum permutation group.
-for n in (6, 7):
+# The root-of-unity Gram tables are unchanged by shifting row indices
+# together and column indices together, so the probe solves a block of side
+# n^(m-1) in place of the n^m x n^m moment matrix; the report says which.
+# That makes n = 8 at degree 4 cheap, and the same moments 1, 2, 5, 15 show
+# up for n = 6, 7 and 8.  The 4x4 model is the only constructed one the
+# probe cannot distinguish from the full quantum permutation group.
+print("\nreduction at degree 4: n=4", report4.degrees[-1].reduction,
+      report4.degrees[-1].block_size, "| n=5", report5.degrees[-1].reduction,
+      report5.degrees[-1].block_size)
+for n in (6, 7, 8):
     model = fm.model_from_basis(mb.build_fourier_basis(n))
     report = cp.inner_faithfulness_report(model, cfg)
-    print(f"n={n}:", report.verdict)
+    print(f"n={n}: dimensions {[d.fixed_space_dim for d in report.degrees]},"
+          f" block side {report.degrees[-1].block_size}"
+          f" (full side {n ** 4}), gap {report.degrees[-1].spectral_gap:.6f}:"
+          f" {report.verdict}")
+
+# Degree 5 at n = 5: the fixed space has dimension 52, the number of set
+# partitions of 5 points into at most 5 blocks, i.e. the S_n count, where
+# the quantum permutation group would give C_5 = 42.
+report = cp.inner_faithfulness_report(model5, cp.ProbeConfig(max_degree=5))
+d5 = report.degrees[-1]
+print(f"\nn=5, degree 5: fixed space of dimension {d5.fixed_space_dim}"
+      f" (C_5 = {d5.catalan_target}), block side {d5.block_size},"
+      f" gap {d5.spectral_gap:.6f}")

@@ -21,6 +21,13 @@ orthogonal projector onto ker(T - I), and Tx = x exactly when Hx = x for the
 Hermitian part H = (T + T*)/2 <= I.  The limit is therefore read off one
 Hermitian eigendecomposition of H; its rank is the fix moment, and the
 distance from 1 of the kept eigenvalues certifies the answer.
+
+When the Gram table is unchanged by shifting row indices together, and
+column indices together (the root-of-unity grids), so is T: shifting every
+row index, or every column index, of a tuple leaves an entry unchanged.  T
+then vanishes off the shift-invariant vectors, and the probe solves the block
+B = n T[i1=1, k1=1] of side n^(m-1) in place of T; every report field is
+read off B exactly (see ``StateTensor``).  Other grids keep the full tensor.
 """
 
 from __future__ import annotations
@@ -37,20 +44,27 @@ from .errors import MemoryCap, ShapeMismatch
 from .flat_model import FlatModel
 
 GIB = 2 ** 30
+WORKING_SET = 7                            # see ProbeConfig.memory_cap
 
 
 @dataclass
 class ProbeConfig:
     max_degree: int = 4
     tol_converge: float = 1e-10
-    memory_cap: int = 2 * GIB              # bytes for one moment matrix
+    # Bytes.  A probe is refused up front when WORKING_SET matrices of the
+    # side s it solves at max_degree (n^m, or n^(m-1) on shift blocks), 16 s^2
+    # bytes each, exceed the cap: at its peak a degree holds T, its Hermitian
+    # part, the eigenvectors, the limit, L @ T and the rotated limit.  Peak
+    # RSS over the baseline, read with resource.getrusage in a subprocess,
+    # came to 6.1-6.4 such matrices on both paths (n = 4..8, s = 512..2401).
+    memory_cap: int = 2 * GIB
     method: str = "fixed_space"            # the only method
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        if self.tol_converge <= 0:
-            raise ValueError("tol_converge must be positive")
+        if not 0 < self.tol_converge < 1:
+            raise ValueError("tol_converge must lie in (0, 1)")
         if self.method != "fixed_space":
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -61,15 +75,46 @@ class StateTensor:
 
     Entry ((i1..im), (k1..km)) in lexicographic tuple order holds the state's
     value at u_(i1,k1)...u_(im,km); every row sums to 1.
+
+    A state that is unchanged when every row index, or every column index, of
+    a tuple is shifted by the same amount mod n (see ``shift_invariant``) can
+    be stored as its shift block (``shift=True``).  Then ``entries`` is
+    B = n T[i1=1, k1=1], of side n^(m-1), indexed by the remaining entries of
+    the tuples, and T[x, y] = B[X, Y] / n, where X is x shifted so that its
+    first index is 1.  In the orthonormal basis of shift orbits B is T
+    restricted to the shift-invariant vectors, and T vanishes on their
+    complement, so row sums, trace, products and the fixed space carry over.
+    ``permuted`` and ``marginalized`` need the full tensor.
     """
 
     n: int
     m: int
     entries: np.ndarray = field(repr=False)
+    shift: bool = False
+
+    @property
+    def scale(self) -> int:
+        """Ratio of a stored entry to the tensor entry it stands for."""
+        return self.n if self.shift else 1
+
+    def index(self, tuples: np.ndarray) -> np.ndarray:
+        """Row (or column) of ``entries`` holding each 0-based index tuple
+        along the last axis of ``tuples``."""
+        if self.shift:
+            tuples = (tuples[..., 1:] - tuples[..., :1]) % self.n
+        return tuples @ self.n ** np.arange(tuples.shape[-1] - 1, -1, -1)
+
+    def tuples(self) -> np.ndarray:
+        """The 0-based m-tuple stored at each row of ``entries``, shape
+        (rows, m); a shift block stores the tuples whose first index is 0."""
+        size = self.entries.shape[0]
+        free = self.m - 1 if self.shift else self.m
+        digits = np.arange(size)[:, None] // self.n ** np.arange(free - 1, -1, -1) % self.n
+        return np.hstack([np.zeros((size, self.m - free), dtype=int), digits])
 
     def entry(self, itup: tuple[int, ...], ktup: tuple[int, ...]) -> complex:
-        return complex(self.entries[_tuple_index(itup, self.n),
-                                    _tuple_index(ktup, self.n)])
+        row, col = self.index(np.array([itup, ktup]) - 1)
+        return complex(self.entries[row, col]) / self.scale
 
     def row_sum_error(self) -> float:
         return float(np.abs(self.entries.sum(axis=1) - 1.0).max())
@@ -81,11 +126,8 @@ class StateTensor:
     def rotated(self) -> "StateTensor":
         """Tensor with both index tuples cyclically rotated by one position;
         traciality of a state makes this a fixed point."""
-        axes_shape = (self.n,) * (2 * self.m)
-        arr = self.entries.reshape(axes_shape)
-        rot = [(t + 1) % self.m for t in range(self.m)]
-        arr = arr.transpose(tuple(rot) + tuple(self.m + t for t in rot))
-        return StateTensor(self.n, self.m, arr.reshape(self.entries.shape).copy())
+        pi = self.index(np.roll(self.tuples(), 1, axis=1))
+        return StateTensor(self.n, self.m, self.entries[np.ix_(pi, pi)], self.shift)
 
     def permuted(self, action: haar_exact.LabelAction) -> "StateTensor":
         """Entrywise relabeling T[(sigma i..), (tau k..)]."""
@@ -112,41 +154,62 @@ class StateTensor:
         return StateTensor(self.n, self.m - 1, arr.reshape(size, size).copy())
 
 
-def _tuple_index(tup: tuple[int, ...], n: int) -> int:
-    idx = 0
-    for t in tup:
-        idx = idx * n + (t - 1)
-    return idx
+def shift_invariant(gram: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether <xi_ij, xi_kl> is unchanged, within tol, by shifting i and k
+    together, and j and l together (indices mod n).
+
+    Every trace-state entry is a cyclic product of Gram entries, so such a
+    model's trace states can be stored as shift blocks."""
+    return bool(np.abs(np.roll(gram, 1, axis=(0, 2)) - gram).max() <= tol
+                and np.abs(np.roll(gram, 1, axis=(1, 3)) - gram).max() <= tol)
+
+
+def _cyclic_products(model: FlatModel, m: int, memory_cap: int,
+                     pinned: bool) -> np.ndarray:
+    """n times the degree-m trace state in row-tuple x column-tuple order,
+    from the closed-form cyclic Gram product
+    tr(v_(p1)...v_(pm)) = ( prod_t <xi_(pt), xi_(p(t+1))> ) <xi_(pm), xi_(p1)>.
+
+    ``pinned`` fixes the first pair p1 at (1, 1), which leaves the shift
+    block B = n T[i1=1, k1=1] over the other m - 1 pairs.
+    """
+    n = model.n
+    free = m - 1 if pinned else m
+    size = n ** free
+    if 16 * size ** 2 > memory_cap:
+        raise MemoryCap(f"degree {m} tensor needs {16 * size ** 2} bytes "
+                        f"> cap {memory_cap}")
+    if m == 1:
+        return np.ones((size, size), dtype=complex)
+    G = model.gram.reshape(n * n, n * n)
+    letters = "abcdefghij"[:m]
+    terms = [letters[t] + letters[(t + 1) % m] for t in range(m)]
+    operands = [G] * m
+    if pinned:
+        terms[0], terms[-1] = terms[0][1], terms[-1][0]
+        operands[0], operands[-1] = G[0], G[:, 0]
+    cyc = np.einsum(",".join(terms) + "->" + letters[m - free:], *operands)
+    cyc = cyc.reshape((n, n) * free)
+    perm = tuple(range(0, 2 * free, 2)) + tuple(range(1, 2 * free, 2))
+    return cyc.transpose(perm).reshape(size, size)
 
 
 def trace_state(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
-    """Degree-m moment matrix of tr(.)/n composed with the model.
+    """Degree-m moment matrix of tr(.)/n composed with the model."""
+    return StateTensor(model.n, m, _cyclic_products(model, m, memory_cap, False) / model.n)
 
-    Uses the closed-form cyclic Gram product
-    tr(v_(p1)...v_(pm))/n = ( prod_t <xi_(pt), xi_(p(t+1))> ) <xi_(pm), xi_(p1)> / n.
-    """
-    n = model.n
-    if 16 * n ** (2 * m) > memory_cap:
-        raise MemoryCap(f"degree {m} tensor needs {16 * n ** (2 * m)} bytes "
-                        f"> cap {memory_cap}")
-    if m == 1:
-        return StateTensor(n, 1, np.full((n, n), 1.0 / n, dtype=complex))
-    n2 = n * n
-    G = model.gram.reshape(n2, n2)
-    letters = "abcdefghij"[:m]
-    spec = ",".join(letters[t] + letters[(t + 1) % m] for t in range(m))
-    cyc = np.einsum(spec + "->" + letters, *([G] * m)) / n
-    cyc = cyc.reshape((n, n) * m)
-    perm = tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2))
-    size = n ** m
-    return StateTensor(n, m, cyc.transpose(perm).reshape(size, size).copy())
+
+def shift_block(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
+    """``trace_state`` of a model whose Gram table passes ``shift_invariant``,
+    stored as its shift block of side n^(m-1)."""
+    return StateTensor(model.n, m, _cyclic_products(model, m, memory_cap, True), shift=True)
 
 
 def convolve(A: StateTensor, B: StateTensor) -> StateTensor:
     """Convolution of states = product of their moment matrices."""
-    if (A.n, A.m) != (B.n, B.m):
-        raise ShapeMismatch(f"({A.n},{A.m}) vs ({B.n},{B.m})")
-    return StateTensor(A.n, A.m, A.entries @ B.entries)
+    if (A.n, A.m, A.shift) != (B.n, B.m, B.shift):
+        raise ShapeMismatch(f"({A.n},{A.m},shift={A.shift}) vs ({B.n},{B.m},shift={B.shift})")
+    return StateTensor(A.n, A.m, A.entries @ B.entries, A.shift)
 
 
 # --- Cesaro limits -----------------------------------------------------------
@@ -169,6 +232,8 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     certified (``converged``) when each of them lies within tol of 1;
     otherwise the fixed space is ambiguous at this tolerance, which is
     reported, never raised.  ``gap`` is None when every eigenvalue is kept.
+    A shift block gives the limit as a shift block; the eigenvalue 0 of the
+    complement it leaves out counts towards the gap.
     """
     cfg = cfg or ProbeConfig()
     M = T.entries
@@ -176,8 +241,12 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     k = int(np.count_nonzero(lam > 1.0 - math.sqrt(cfg.tol_converge)))
     Vk = V[:, lam.size - k:]
     converged = bool(np.all(np.abs(lam[lam.size - k:] - 1.0) <= cfg.tol_converge))
-    gap = float(1.0 - lam[-k - 1]) if k < lam.size else None
-    return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T), converged, k, gap)
+    rest = lam[:lam.size - k]
+    if lam.size < T.n ** T.m:
+        rest = np.append(rest, 0.0)
+    gap = float(1.0 - rest.max()) if rest.size else None
+    return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T, T.shift),
+                        converged, k, gap)
 
 
 # --- reports -----------------------------------------------------------------
@@ -185,6 +254,8 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 @dataclass
 class DegreeProbe:
     m: int
+    reduction: str                         # "shift" or "none"
+    block_size: int                        # side of the matrix passed to eigh
     converged: bool
     fixed_space_dim: int
     spectral_gap: float | None
@@ -215,6 +286,8 @@ class ProbeReport:
             "method": self.method,
             "degrees": [{
                 "m": d.m,
+                "reduction": d.reduction,
+                "block_size": d.block_size,
                 "converged": d.converged,
                 "fixed_space_dim": d.fixed_space_dim,
                 "spectral_gap": d.spectral_gap,
@@ -274,17 +347,25 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
     degree without a certified fixed space leaves them open; it is data about
     the model, not a proof about the quantum group.  The first degree that
     deviates or is not certified decides the verdict.
+
+    A model whose Gram table passes ``shift_invariant`` is probed on shift
+    blocks, of side n^(m-1) in place of n^m; every field of the report is
+    the same as on the full tensors.
     """
     cfg = cfg or ProbeConfig()
-    top = 16 * model.n ** (2 * cfg.max_degree)
-    if top > cfg.memory_cap:
-        raise MemoryCap(f"degree {cfg.max_degree} tensor needs {top} bytes "
-                        f"> cap {cfg.memory_cap}; refusing up front")
+    shift = shift_invariant(model.gram)
+    side = model.n ** (cfg.max_degree - 1 if shift else cfg.max_degree)
+    need = WORKING_SET * 16 * side ** 2
+    if need > cfg.memory_cap:
+        raise MemoryCap(f"degree {cfg.max_degree} needs about {need} bytes for "
+                        f"{WORKING_SET} matrices of side {side} > cap "
+                        f"{cfg.memory_cap}; refusing up front")
     degrees = []
     worst_residual = 0.0
     verdict = None
     for m in range(1, cfg.max_degree + 1):
-        T = trace_state(model, m, cfg.memory_cap)
+        T = shift_block(model, m, cfg.memory_cap) if shift \
+            else trace_state(model, m, cfg.memory_cap)
         result = cesaro_limit(T, cfg)
         L = result.limit
         est, imag = estimate_fix_moments(L)
@@ -293,6 +374,8 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
         rot = L.rotated()
         degrees.append(DegreeProbe(
             m=m,
+            reduction="shift" if T.shift else "none",
+            block_size=T.entries.shape[0],
             converged=result.converged,
             fixed_space_dim=result.fixed_dim,
             spectral_gap=result.gap,
@@ -301,9 +384,9 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             catalan_target=target,
             catalan_residual=residual,
             row_sum_error=L.row_sum_error(),
-            traciality_residual=float(np.abs(L.entries - rot.entries).max()),
+            traciality_residual=float(np.abs(L.entries - rot.entries).max()) / L.scale,
             invariance_residual=float(
-                np.abs(L.entries @ T.entries - L.entries).max()),
+                np.abs(L.entries @ T.entries - L.entries).max()) / L.scale,
             class_residuals=_class_residuals(L, model.n),
         ))
         worst_residual = max(worst_residual, residual)

@@ -144,9 +144,30 @@ class TestProbeCommand:
         assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 14]
         assert abs(degrees[3]["spectral_gap"] - 8 / 27) < 1e-9
         assert all(d["converged"] for d in degrees)
+        # the 4x4 grid's Gram table is not shift-invariant
+        assert degrees[3]["reduction"] == "none"
+        assert degrees[3]["block_size"] == 256
+
+    def test_n8_degree4_on_shift_blocks(self, capsys):
+        # a structural guard: the full path would solve a 4096 x 4096 matrix
+        assert run(["probe", "--n", "8", "--max-degree", "4"]) == 0
+        degrees = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
+        assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 15]
+        assert [d["reduction"] for d in degrees] == ["shift"] * 4
+        assert degrees[3]["block_size"] == 512
+        assert all(d["converged"] for d in degrees)
+
+    def test_n5_degree5(self, capsys):
+        assert run(["probe", "--n", "5", "--max-degree", "5"]) == 0
+        degrees = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
+        assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 15, 52]
+        assert degrees[4]["block_size"] == 625
 
     def test_memory_cap_exit(self):
-        assert run(["probe", "--n", "5", "--max-degree", "6"]) == 3
+        # beyond the default cap on each path: the full 4^8 side and the
+        # 5^7 side of the shift blocks
+        assert run(["probe", "--n", "4", "--max-degree", "8"]) == 3
+        assert run(["probe", "--n", "5", "--max-degree", "8"]) == 3
 
     def test_verdict_printed(self, capsys):
         assert run(["probe", "--n", "5", "--max-degree", "4"]) == 0

@@ -48,6 +48,18 @@ class TestTraceState:
         with pytest.raises(MemoryCap):
             cp.trace_state(model5, 6, memory_cap=2 * 2 ** 30)
 
+    @pytest.mark.parametrize("n,m", [(5, 1), (5, 2), (5, 3), (5, 4), (6, 3)])
+    def test_shift_block_lifts_to_trace_state(self, n, m):
+        model = _fourier_model(n)
+        T = cp.trace_state(model, m)
+        B = cp.shift_block(model, m)
+        assert B.shift and B.entries.shape == (n ** (m - 1),) * 2
+        rows = B.index(T.tuples())
+        lifted = B.entries[np.ix_(rows, rows)] / n
+        assert np.abs(lifted - T.entries).max() < 1e-15
+        assert abs(B.entry((2,) * m, (3,) + (1,) * (m - 1))
+                   - T.entry((2,) * m, (3,) + (1,) * (m - 1))) < 1e-15
+
     def test_matches_literal_traces(self, model4):
         T = cp.trace_state(model4, 2)
         for itup in [(1, 2), (3, 4), (2, 2)]:
@@ -118,6 +130,15 @@ class TestCesaroLimit:
         res = cp.cesaro_limit(cp.trace_state(model5, 3))
         rot = res.limit.rotated()
         assert np.abs(res.limit.entries - rot.entries).max() < 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rotated_matches_transpose(self, model4, m):
+        # reference: move every tuple axis one place, as np.roll does to a tuple
+        T = cp.trace_state(model4, m)
+        arr = T.entries.reshape((4,) * (2 * m))
+        rot = [(t + 1) % m for t in range(m)]
+        arr = arr.transpose(tuple(rot) + tuple(m + t for t in rot))
+        assert np.array_equal(T.rotated().entries, arr.reshape(T.entries.shape))
 
     def test_iteration_cap_reports_not_converged(self):
         # an eigenvalue 1e-7 below 1 is kept (within sqrt(tol)) but not
@@ -307,8 +328,137 @@ class TestConfig:
             cp.ProbeConfig(max_degree=0)
         with pytest.raises(ValueError):
             cp.ProbeConfig(tol_converge=0.0)
+        # at tol >= 1 the complement's eigenvalue 0 would count as fixed
+        with pytest.raises(ValueError):
+            cp.ProbeConfig(tol_converge=1.0)
 
     def test_unknown_method(self, model4):
         T = cp.trace_state(model4, 1)
         with pytest.raises(ValueError):
             cp.cesaro_limit(T, cp.ProbeConfig(method="nope"))
+
+
+_FOURIER_MODELS = {}
+
+
+def _fourier_model(n):
+    if n not in _FOURIER_MODELS:
+        _FOURIER_MODELS[n] = fm.model_from_basis(mb.build_fourier_basis(n))
+    return _FOURIER_MODELS[n]
+
+
+def _full_path_report(model, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "shift_invariant", lambda gram, tol=1e-12: False)
+        return cp.inner_faithfulness_report(model, cfg)
+
+
+def _assert_reports_agree(reduced, full):
+    assert reduced.verdict == full.verdict
+    for r, f in zip(reduced.degrees, full.degrees, strict=True):
+        assert (r.reduction, f.reduction) == ("shift", "none")
+        assert (r.fixed_space_dim, r.converged) == (f.fixed_space_dim, f.converged)
+        for name in ("spectral_gap", "fix_moment_estimate", "fix_moment_imag",
+                     "catalan_residual", "row_sum_error", "traciality_residual",
+                     "invariance_residual"):
+            assert abs(getattr(r, name) - getattr(f, name)) < 1e-12, (r.m, name)
+        assert r.class_residuals.keys() == f.class_residuals.keys()
+        for tag, info in r.class_residuals.items():
+            other = f.class_residuals[tag]
+            assert info["exact"] == other["exact"]
+            assert abs(complex(*info["estimate"]) - complex(*other["estimate"])) < 1e-12
+            assert abs(info["residual"] - other["residual"]) < 1e-12
+
+
+class TestShiftReduction:
+    """Shift-invariant Gram tables are probed on blocks of side n^(m-1)."""
+
+    def test_gate(self, model4):
+        assert not cp.shift_invariant(model4.gram)
+        for n in (5, 6, 7, 8):
+            assert cp.shift_invariant(_fourier_model(n).gram)
+
+    def test_4x4_grid_keeps_full_path(self, report4):
+        assert [d.reduction for d in report4.degrees] == ["none"] * 4
+        assert [d.block_size for d in report4.degrees] == [4, 16, 64, 256]
+
+    def test_gate_declines_perturbed_grid(self):
+        xi = mb.build_fourier_basis(5).xi.copy()
+        xi[0, 1, 2] += 1e-9
+        model = fm.model_from_basis(mb.MagicBasis(n=5, xi=xi), tol_construct=1e-8)
+        assert not cp.shift_invariant(model.gram)
+        report = cp.inner_faithfulness_report(
+            model, cp.ProbeConfig(max_degree=4, tol_converge=1e-8))
+        assert [d.reduction for d in report.degrees] == ["none"] * 4
+        assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15]
+        assert all(d.converged for d in report.degrees)
+        assert abs(report.degrees[3].spectral_gap - (1 - 1 / math.sqrt(5))) < 1e-8
+        assert abs(report.degrees[3].fix_moment_estimate - 15) < 1e-8
+        assert report.verdict.startswith("deviates at degree 4")
+
+    @pytest.mark.parametrize("n,max_degree", [(5, 4), (6, 3), (7, 3)])
+    def test_reduced_matches_full(self, n, max_degree):
+        cfg = cp.ProbeConfig(max_degree=max_degree)
+        model = _fourier_model(n)
+        reduced = cp.inner_faithfulness_report(model, cfg)
+        assert [d.block_size for d in reduced.degrees] == [n ** (m - 1) for m in
+                                                            range(1, max_degree + 1)]
+        _assert_reports_agree(reduced, _full_path_report(model, cfg))
+
+    def test_paths_agree_off_states(self, model5):
+        # a perturbed uniform block: its residuals are far from 0, so a wrong
+        # block-to-tensor scale would show
+        n, m = 5, 2
+        E = np.random.default_rng(1).standard_normal((n, n))
+        block = np.full((n, n), 1 / n) + 1e-3 * (E - E.mean(axis=1, keepdims=True))
+        B = cp.StateTensor(n, m, block.astype(complex), shift=True)
+        rows = B.index(cp.trace_state(model5, m).tuples())
+        T = cp.StateTensor(n, m, B.entries[np.ix_(rows, rows)] / n)
+        real_block, real_state = cp.shift_block, cp.trace_state
+        cfg = cp.ProbeConfig(max_degree=m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cp, "shift_block", lambda model, d, cap:
+                       B if d == m else real_block(model, d, cap))
+            mp.setattr(cp, "trace_state", lambda model, d, cap:
+                       T if d == m else real_state(model, d, cap))
+            reduced = cp.inner_faithfulness_report(model5, cfg)
+            full = _full_path_report(model5, cfg)
+        assert reduced.degrees[1].invariance_residual > 1e-6
+        assert reduced.degrees[1].traciality_residual > 1e-6
+        _assert_reports_agree(reduced, full)
+
+    def test_degree_five_at_n5(self, monkeypatch):
+        def full_tensor(*args):
+            raise AssertionError("the reduced path built a full tensor")
+
+        monkeypatch.setattr(cp, "trace_state", full_tensor)
+        report = cp.inner_faithfulness_report(_fourier_model(5),
+                                              cp.ProbeConfig(max_degree=5))
+        assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15, 52]
+        assert report.degrees[4].block_size == 625
+        assert all(d.converged for d in report.degrees)
+
+    def test_degree_one_gap_on_both_paths(self, report4, report5):
+        assert report5.degrees[0].block_size == 1
+        assert report4.degrees[0].spectral_gap == 1.0
+        assert report5.degrees[0].spectral_gap == 1.0
+
+    def test_working_set_gate(self, model4):
+        # refused up front when WORKING_SET matrices of the solved side
+        # exceed the cap: side 5^2 on shift blocks, 4^2 on the 4x4 grid
+        for model, max_degree, side in ((_fourier_model(5), 3, 25), (model4, 2, 16)):
+            need = cp.WORKING_SET * 16 * side ** 2
+            with pytest.raises(MemoryCap):
+                cp.inner_faithfulness_report(
+                    model, cp.ProbeConfig(max_degree=max_degree, memory_cap=need - 1))
+            report = cp.inner_faithfulness_report(
+                model, cp.ProbeConfig(max_degree=max_degree, memory_cap=need))
+            assert report.degrees[-1].block_size == side
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=5, max_value=7), st.integers(min_value=1, max_value=3))
+    def test_paths_agree_property(self, n, max_degree):
+        cfg = cp.ProbeConfig(max_degree=max_degree)
+        model = _fourier_model(n)
+        _assert_reports_agree(cp.inner_faithfulness_report(model, cfg),
+                              _full_path_report(model, cfg))

@@ -124,6 +124,32 @@ class TestVerification:
         with pytest.raises(NotMagic):
             mb.require_magic(broken)
 
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_matches_loop_reference(self, n):
+        # the vectorised check must list the violations of the pairwise
+        # loop over rows then columns, in the same order, with the same values
+        rng = np.random.default_rng(n)
+        xi = make_basis(n).xi.copy()
+        xi[0, 0] = xi[0, 1]
+        for _ in range(3):
+            xi[tuple(rng.integers(0, n, 3))] += 1e-6 * rng.standard_normal()
+        basis = mb.MagicBasis(n=n, xi=xi)
+        G = mb.gram_table(basis)
+        violations, worst = [], 0.0
+        for axis in ("row", "column"):
+            for s, u, v in itertools.product(range(1, n + 1), repeat=3):
+                a, b = ((s, u), (s, v)) if axis == "row" else ((u, s), (v, s))
+                g = complex(G[a[0] - 1, a[1] - 1, b[0] - 1, b[1] - 1])
+                resid = abs(g - (1.0 if a == b else 0.0))
+                worst = max(worst, resid)
+                if resid > mb.TOL_CONSTRUCT:
+                    violations.append((a, b, g, f"{axis} gram"))
+        report = mb.verify_magic(basis)
+        assert report.violations == violations
+        assert abs(report.max_residual - worst) <= 1e-15 * worst
+        with pytest.raises(NotMagic, match=rf"first violation \({violations[0][0][0]}, "):
+            mb.require_magic(basis)
+
     def test_gram_conjugate_symmetry(self):
         basis = mb.build_fourier_basis(6)
         for a, b in [((1, 2), (3, 4)), ((2, 5), (6, 1)), ((4, 4), (5, 2))]:
