@@ -36,8 +36,9 @@ pattern = fm.commutation_pattern(model)
 print("commutation pattern == [i=k or j=l]:",
       bool(np.array_equal(pattern, fm.expected_commutation_pattern(4))))
 
-# Classical contrast.  Length-3 words can vanish for a non-trivial reason:
-# two constraints on the same point of the permuted set conflict.
+# Classical contrast.  A word is nonzero on S_n exactly when its constraints
+# sigma(j) = i form a partial bijection, so length-3 words can vanish for a
+# non-trivial reason: two non-adjacent constraints on the same point conflict.
 cm = fm.classical_model(4)
 print("classical m=1 free:", fm.check_free_orbitals_classical(cm, 1).passed)
 print("classical m=2 free:", fm.check_free_orbitals_classical(cm, 2).passed)

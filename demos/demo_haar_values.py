@@ -43,8 +43,8 @@ print("\nfix moments at n=6:", [str(hx.fix_moment(6, k)) for k in range(5)])
 print("double sum identity:", hx.double_sum_identity(6))
 word = ((1, 1), (2, 2), (1, 1), (2, 2))
 print("quantum  h(u11 u22 u11 u22) at n=5:", hx.haar_value_snplus(word, 5))
-print("classical value (word reduces to u11 u22):",
-      hx.brute_force_classical_haar(5, word))
+# On S_n the word is the partial bijection {1 -> 1, 2 -> 2}: (n-2)!/n!.
+print("classical value (word reduces to u11 u22):", hx.classical_haar(5, word))
 
 # n = 4 sits on the boundary of the bounds range; the diagnostic compares
 # the solved value against the exact trace in the 4x4 rank-one model.

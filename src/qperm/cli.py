@@ -109,19 +109,19 @@ def cmd_basis(args) -> int:
 
 def cmd_orbitals(args) -> int:
     from . import flat_model
-    from .errors import BudgetExceeded, DimensionTooLarge, DimensionTooSmall
+    from .errors import BudgetExceeded, DimensionTooSmall
+    budget = args.budget if args.budget is not None else flat_model.DEFAULT_BUDGET
     try:
         if args.model == "classical":
             cm = flat_model.classical_model(args.n)
-            report = flat_model.check_free_orbitals_classical(cm, args.m)
+            report = flat_model.check_free_orbitals_classical(cm, args.m, budget=budget)
         else:
             model = flat_model.model_from_basis(_build_basis(args.n))
-            budget = args.budget if args.budget is not None else flat_model.DEFAULT_BUDGET
             report = flat_model.check_free_orbitals(model, args.m, budget=budget)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DimensionTooLarge, DimensionTooSmall, ValueError) as exc:
+    except (DimensionTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:

@@ -9,10 +9,6 @@ class DimensionTooSmall(QpermError):
     """Requested dimension is below the smallest supported one."""
 
 
-class DimensionTooLarge(QpermError):
-    """Requested dimension exceeds the brute-force oracle cap."""
-
-
 class IndexOutOfRange(QpermError):
     """A 1-based row/column index is outside 1..n."""
 

@@ -10,9 +10,11 @@ so zero/nonzero questions reduce to products of Gram factors.  The module
 evaluates words in this closed form, scans all index tuples of a given length
 for the free-orbital property (words vanish only when two consecutive factors
 share exactly one of row/column), and checks the commutation pattern
-[v_ij, v_kl] = 0 <=> i = k or j = l.  A brute-force classical model over S_n
-is included as a contrast oracle: there the generators are the indicator
-functions 1_(j -> i) on permutations.
+[v_ij, v_kl] = 0 <=> i = k or j = l.  The classical model over S_n is the
+contrast: there the generators are the indicator functions 1_(j -> i) on
+permutations, and a word u_(i1,j1)...u_(im,jm) is nonzero exactly when
+{j_t -> i_t} is a partial bijection, with Haar value (n-d)!/n! for d distinct
+constraints.
 
 Monomials are tuples of 1-based ``(row, column)`` pairs; the text form is
 comma-separated ``row:column`` items, e.g. ``"1:1,2:2,1:1,2:2"``.
@@ -20,15 +22,15 @@ comma-separated ``row:column`` items, e.g. ``"1:1,2:2,1:1,2:2"``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import magic_bases
-from .errors import (BudgetExceeded, DimensionTooLarge, EmptyMonomial,
-                     IndexOutOfRange, NotMagic)
+from .errors import (BudgetExceeded, DimensionTooSmall, EmptyMonomial,
+                     IndexOutOfRange)
 
 TOL_ZERO = 1e-12      # |coefficient| below this counts as a vanished word
 TOL_NONZERO = 1e-9    # |coefficient| above this counts as a surviving word
@@ -99,7 +101,6 @@ class FlatModel:
     basis: magic_bases.MagicBasis
     n: int
     gram: np.ndarray = field(repr=False)       # (n, n, n, n) complex
-    gram_abs: np.ndarray = field(repr=False)   # same shape, magnitudes
 
     def projection(self, i: int, j: int) -> np.ndarray:
         v = self.basis.vector(i, j)
@@ -114,7 +115,7 @@ def model_from_basis(basis: magic_bases.MagicBasis,
     """Build the flat model after checking the grid really is magic."""
     magic_bases.require_magic(basis, tol_construct)
     G = magic_bases.gram_table(basis)
-    return FlatModel(basis=basis, n=basis.n, gram=G, gram_abs=np.abs(G))
+    return FlatModel(basis=basis, n=basis.n, gram=G)
 
 
 def magic_law_residual(model: FlatModel) -> float:
@@ -242,10 +243,9 @@ def check_free_orbitals(model: FlatModel, m: int,
                                  tol_zero=tol_zero, tol_nonzero=tol_nonzero)
 
     n2 = n * n
-    M = model.gram_abs.reshape(n2, n2)
-    rows = np.repeat(np.arange(n), n)
-    cols = np.tile(np.arange(n), n)
-    clash = (rows[:, None] == rows[None, :]) ^ (cols[:, None] == cols[None, :])
+    M = np.abs(model.gram).reshape(n2, n2)
+    same_row, same_col = _shared_index(n)
+    clash = same_row ^ same_col
 
     min_nonzero = math.inf
     max_zero = 0.0
@@ -305,7 +305,7 @@ def commutation_pattern(model: FlatModel, tol: float = 1e-10) -> np.ndarray:
     is exactly |g| in {0, 1}.
     """
     n = model.n
-    mags = model.gram_abs.reshape(n * n, n * n)
+    mags = np.abs(model.gram).reshape(n * n, n * n)
     comm_norm = math.sqrt(2.0) * mags * np.sqrt(np.clip(1.0 - mags ** 2, 0.0, None))
     # v_ij commutes with itself exactly; the closed form amplifies the one-ulp
     # noise in |<xi, xi>| = 1 to sqrt size, so pin the diagonal
@@ -315,59 +315,105 @@ def commutation_pattern(model: FlatModel, tol: float = 1e-10) -> np.ndarray:
 
 def expected_commutation_pattern(n: int) -> np.ndarray:
     """The pattern [i = k or j = l] in the same (n^2, n^2) layout."""
-    rows = np.repeat(np.arange(n), n)
-    cols = np.tile(np.arange(n), n)
-    return (rows[:, None] == rows[None, :]) | (cols[:, None] == cols[None, :])
+    same_row, same_col = _shared_index(n)
+    return same_row | same_col
+
+
+def _shared_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (n^2, n^2) matrices [i = k] and [j = l] over pairs (i, j),
+    (k, l) in row-major order.  Their XOR marks the pairs that clash: a
+    product of the two generators vanishes in every magic unitary."""
+    pairs = np.arange(n * n)
+    rows, cols = pairs // n, pairs % n
+    return rows[:, None] == rows[None, :], cols[:, None] == cols[None, :]
 
 
 # --- classical contrast model --------------------------------------------------
 
 @dataclass(frozen=True)
 class ClassicalModel:
-    """All of S_n, kept as explicit permutation tuples (sigma[j-1] = sigma(j))."""
+    """S_n acting on 1..n; the generator u_ij is the indicator 1_(sigma(j) = i)."""
 
     n: int
-    permutations: tuple
-
-    def __post_init__(self):
-        if self.n > 8:
-            raise DimensionTooLarge("classical oracle capped at n <= 8")
 
 
 def classical_model(n: int) -> ClassicalModel:
-    if n > 8:
-        raise DimensionTooLarge(f"classical oracle capped at n <= 8, got {n}")
-    perms = tuple(itertools.permutations(range(1, n + 1)))
-    return ClassicalModel(n=n, permutations=perms)
+    if n < 1:
+        raise DimensionTooSmall(f"the classical model needs n >= 1, got {n}")
+    return ClassicalModel(n=n)
+
+
+def classical_haar(n: int, mono: Monomial) -> Fraction:
+    """Uniform average over S_n of prod_t 1_(sigma(j_t) = i_t), in O(m).
+
+    The constraints sigma(j_t) = i_t hold together for some permutation iff
+    {j_t -> i_t} is a partial bijection: equal columns carry equal rows and
+    equal rows carry equal columns.  Then d distinct constraints leave (n-d)!
+    permutations, so the value is (n-d)!/n!; otherwise it is 0."""
+    validate_monomial(mono, n)
+    sigma: dict[int, int] = {}
+    preimage: dict[int, int] = {}
+    for i, j in mono:
+        if sigma.setdefault(j, i) != i or preimage.setdefault(i, j) != j:
+            return Fraction(0)
+    return Fraction(math.factorial(n - len(sigma)), math.factorial(n))
 
 
 def classical_zero(cm: ClassicalModel, mono: Monomial) -> bool:
     """True iff no sigma in S_n satisfies sigma(j_t) = i_t for every factor."""
-    validate_monomial(mono, cm.n)
-    for sigma in cm.permutations:
-        if all(sigma[j - 1] == i for i, j in mono):
-            return False
-    return True
+    return classical_haar(cm.n, mono) == 0
 
 
 def check_free_orbitals_classical(cm: ClassicalModel, m: int,
+                                  budget: int = DEFAULT_BUDGET,
                                   max_violations: int = 32) -> OrbitalScanReport:
-    """Classical analogue of the exhaustive scan: a word survives iff some
-    permutation satisfies all its constraints.  Gap statistics degenerate to
+    """Classical analogue of the exhaustive scan over all n^(2m) words.
+
+    A word is classically zero iff some two of its factors clash (share
+    exactly one of row/column), and trivially zero iff two adjacent ones do;
+    the violations are the words that are zero without being trivially zero,
+    listed in lexicographic word order.  Words are organized by leading pair
+    as in ``check_free_orbitals``, with the clashes among the remaining m-1
+    factors held as (n^2)^(m-1) boolean arrays.  Gap statistics degenerate to
     1.0 / 0.0 since indicator products are 0/1-valued."""
     n = cm.n
     total = n ** (2 * m)
-    violations = []
-    any_zero_nontrivial = False
-    for word in itertools.product(
-            itertools.product(range(1, n + 1), repeat=2), repeat=m):
-        triv = is_trivially_zero(word)
-        zero = classical_zero(cm, word)
-        if zero != triv:
-            any_zero_nontrivial = True
-            if len(violations) < max_violations:
-                violations.append(word)
-    return OrbitalScanReport(n=n, m=m, total=total,
-                             passed=not any_zero_nontrivial,
-                             min_nonzero=1.0, max_zero=0.0 if m > 1 else None,
-                             violations=violations)
+    if total > budget:
+        raise BudgetExceeded(f"scan touches {total} words > budget {budget}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m == 1:
+        return OrbitalScanReport(n=n, m=m, total=total, passed=True,
+                                 min_nonzero=1.0, max_zero=None)
+
+    n2 = n * n
+    same_row, same_col = _shared_index(n)
+    clash = same_row ^ same_col
+    # factor t + 1 of the word runs along axis t of the tail arrays
+    axes = [np.arange(n2).reshape((1,) * t + (n2,) + (1,) * (m - 2 - t))
+            for t in range(m - 1)]
+    tail_adjacent = np.zeros((n2,) * (m - 1), dtype=bool)
+    tail_any = tail_adjacent.copy()
+    for t in range(m - 1):
+        for s in range(t + 1, m - 1):
+            tail_any |= clash[axes[t], axes[s]]
+        if t + 1 < m - 1:
+            tail_adjacent |= clash[axes[t], axes[t + 1]]
+
+    passed = True
+    violations: list = []
+    for lead in range(n2):
+        lead_clash = clash[lead]
+        zero = tail_any.copy()
+        for ax in axes:
+            zero |= lead_clash[ax]
+        bad = np.flatnonzero(zero & ~(tail_adjacent | lead_clash[axes[0]]))
+        if not bad.size:
+            continue
+        passed = False
+        for flat in bad[:max_violations - len(violations)]:
+            violations.append(_unflatten_word(lead, int(flat), n, m))
+        if len(violations) >= max_violations:
+            break
+    return OrbitalScanReport(n=n, m=m, total=total, passed=passed,
+                             min_nonzero=1.0, max_zero=0.0, violations=violations)

@@ -37,15 +37,15 @@ parameter, and pinning a4 with the moment identity.  All arithmetic is exact
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegreeTooHigh, DimensionTooLarge, DimensionTooSmall,
-                     EmptyMonomial, NotClassifiable)
-from .flat_model import (Monomial, is_trivially_zero, reduce_monomial,
-                         validate_monomial)
+from .errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
+                     NotClassifiable)
+from .flat_model import Monomial, reduce_monomial, validate_monomial
+# the S_n Haar value of a word, the classical contrast to haar_value_snplus
+from .flat_model import classical_haar  # noqa: F401
 
 ZERO = "zero"
 DEGREE_CLASS_TAGS = {1: ("d1",), 2: ("d2",), 3: ("d3",),
@@ -371,24 +371,18 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _affine_moment_sum(affine, n: int, k: int, distinct_only_pairs: bool):
-    """sum over diagonal index tuples of h(u_(t,t) products) as an affine
-    function (const, slope) of a4, by dense-pattern counting."""
-    const = Fraction(0)
-    slope = Fraction(0)
+def _diagonal_sum(n: int, k: int, value, distinct_only_pairs: bool = False) -> Fraction:
+    """Sum of value(tag) over the n^k diagonal words u_(t1,t1)...u_(tk,tk),
+    tag being the word's class; words in the ZERO class contribute nothing.
+    The sum runs over dense patterns: a pattern with d distinct symbols
+    stands for n(n-1)...(n-d+1) index tuples.  ``distinct_only_pairs`` keeps
+    only t1 != t2 and t3 != t4.  Needs 1 <= k <= 4."""
+    total = Fraction(0)
     for pattern in _dense_patterns(k, distinct_only_pairs):
-        word = tuple((t, t) for t in pattern)
-        cls = canonicalize(word, max(4, k))
-        mult = _falling(n, len(set(pattern)))
-        if cls.tag == ZERO:
-            continue
-        if cls.tag in _A_TAGS:
-            c, s = affine[cls.tag]
-            const += mult * c
-            slope += mult * s
-        else:
-            const += mult * class_value(cls.tag, n)
-    return const, slope
+        tag = canonicalize(tuple((t, t) for t in pattern), 4).tag
+        if tag != ZERO:
+            total += _falling(n, len(set(pattern))) * value(tag)
+    return total
 
 
 def solve_degree4_system(n: int) -> Degree4Solution:
@@ -404,7 +398,10 @@ def solve_degree4_system(n: int) -> Degree4Solution:
                       BoundaryDimensionWarning, stacklevel=2)
     equations = assemble_expansion_equations(n)
     affine = _row_reduce_affine(equations, n)
-    const, slope = _affine_moment_sum(affine, n, 4, distinct_only_pairs=False)
+    # h(fix^4) as an affine function const + slope * a4
+    const = _diagonal_sum(n, 4, lambda tag: affine[tag][0] if tag in _A_TAGS
+                          else class_value(tag, n))
+    slope = _diagonal_sum(n, 4, lambda tag: affine[tag][1] if tag in _A_TAGS else 0)
     if slope == 0:
         raise ValueError("moment identity does not determine a4")
     alpha4 = (Fraction(catalan(4)) - const) / slope
@@ -453,25 +450,15 @@ def fix4_exotic_bound(n: int) -> Fraction:
     upper endpoints of their intervals; the result is a strict bound.
     """
     bounds = exotic_bounds(n)
-    total = Fraction(0)
-    for pattern in _dense_patterns(4, distinct_only_pairs=False):
-        word = tuple((t, t) for t in pattern)
-        cls = canonicalize(word, 4)
-        mult = _falling(n, len(set(pattern)))
-        if cls.tag == ZERO:
-            continue
-        if cls.tag in _A_TAGS:
-            total += mult * bounds.intervals[cls.tag][1]
-        else:
-            total += mult * class_value(cls.tag, n)
-    return total
+    return _diagonal_sum(n, 4, lambda tag: bounds.intervals[tag][1] if tag in _A_TAGS
+                         else class_value(tag, n))
 
 
 # --- moments -----------------------------------------------------------------
 
 def fix_moment(n: int, k: int) -> Fraction:
-    """h(fix^k) by literal enumeration of all n^k diagonal index tuples,
-    each reduced, classified and summed with its exact class value."""
+    """h(fix^k) = sum over the n^k diagonal index tuples of
+    h(u_(t1,t1)...u_(tk,tk)), summed by dense pattern in O(1) in n."""
     if k > 4:
         raise DegreeTooHigh("moments available for k <= 4")
     if k < 0:
@@ -483,66 +470,13 @@ def fix_moment(n: int, k: int) -> Fraction:
                       BoundaryDimensionWarning, stacklevel=2)
     elif n < 4:
         raise DimensionTooSmall("fix moments need n >= 4")
-    cache: dict[Monomial, Fraction] = {}
-    total = Fraction(0)
-    for tup in itertools.product(range(1, n + 1), repeat=k):
-        seen: dict[int, int] = {}
-        dense = tuple(seen.setdefault(v, len(seen) + 1) for v in tup)
-        word = tuple((t, t) for t in dense)
-        if word not in cache:
-            cls = canonicalize(word, max(4, n))
-            cache[word] = class_value(cls.tag, n)
-        total += cache[word]
-    return total
-
-
-def fix_moment_by_class_count(n: int, k: int) -> Fraction:
-    """h(fix^k) by dense-pattern counting (equivalent to ``fix_moment`` but
-    O(1) in n), used for sweeps over large n."""
-    if k > 4:
-        raise DegreeTooHigh("moments available for k <= 4")
-    total = Fraction(0)
-    for pattern in _dense_patterns(k, distinct_only_pairs=False):
-        word = tuple((t, t) for t in pattern)
-        cls = canonicalize(word, max(4, k))
-        total += _falling(n, len(set(pattern))) * class_value(cls.tag, n)
-    return total
+    return _diagonal_sum(n, k, lambda tag: class_value(tag, n))
 
 
 def double_sum_identity(n: int) -> Fraction:
     """sum_(i != j) sum_(k != l) h(u_ii u_jj u_kk u_ll), exactly."""
-    total = Fraction(0)
-    for pattern in _dense_patterns(4, distinct_only_pairs=True):
-        word = tuple((t, t) for t in pattern)
-        cls = canonicalize(word, 4)
-        total += _falling(n, len(set(pattern))) * class_value(cls.tag, n)
-    return total
-
-
-# --- classical oracle --------------------------------------------------------
-
-_PERM_TABLE: dict[int, "np.ndarray"] = {}
-
-
-def brute_force_classical_haar(n: int, mono: Monomial) -> Fraction:
-    """Uniform average over S_n of the indicator product: the fraction of
-    permutations with sigma(j_t) = i_t for every factor.
-
-    The full permutation table is enumerated once per n and the constraints
-    are checked against every row; the count stays exact."""
-    import numpy as np
-    if n > 8:
-        raise DimensionTooLarge("classical oracle capped at n <= 8")
-    validate_monomial(mono, n)
-    perms = _PERM_TABLE.get(n)
-    if perms is None:
-        perms = np.array(list(itertools.permutations(range(1, n + 1))),
-                         dtype=np.int8)
-        _PERM_TABLE[n] = perms
-    mask = np.ones(len(perms), dtype=bool)
-    for i, j in mono:
-        mask &= perms[:, j - 1] == i
-    return Fraction(int(mask.sum()), math.factorial(n))
+    return _diagonal_sum(n, 4, lambda tag: class_value(tag, n),
+                         distinct_only_pairs=True)
 
 
 # --- n = 4 boundary diagnostic -------------------------------------------------

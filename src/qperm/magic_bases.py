@@ -169,7 +169,8 @@ def verify_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> Gra
     ``max_residual`` is the largest distance of a row or column Gram entry
     from the identity; violations list the entries off by more than
     ``tol_construct``, rows before columns, each in (s, u, v) order for the
-    pair ((s, u), (s, v)) of row s or ((u, s), (v, s)) of column s.
+    pair ((s, u), (s, v)) of row s or ((u, s), (v, s)) of column s.  A NaN
+    entry is a violation and makes ``max_residual`` NaN.
     """
     n = basis.n
     G = gram_table(basis)
@@ -178,8 +179,8 @@ def verify_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> Gra
     blocks = (("row", np.einsum("iuiv->iuv", G)), ("column", np.einsum("usvs->suv", G)))
     for axis, block in blocks:
         resid = np.abs(block - np.eye(n))
-        worst = float(np.fmax.reduce(resid, axis=None, initial=worst))  # NaN-blind, as max()
-        for s, u, v in (np.argwhere(resid > tol_construct) + 1).tolist():
+        worst = float(np.maximum(worst, resid.max(initial=0.0)))   # NaN propagates
+        for s, u, v in (np.argwhere(~(resid <= tol_construct)) + 1).tolist():
             a, b = ((s, u), (s, v)) if axis == "row" else ((u, s), (v, s))
             report.violations.append((a, b, complex(block[s - 1, u - 1, v - 1]),
                                       f"{axis} gram"))
@@ -196,6 +197,9 @@ def verify_suitably_noncommutative(basis: MagicBasis,
     For the root-of-unity grids the two off-orbit regimes are additionally
     pinned to their windows: resonant values must be real in [1 - 4/n, 1) and
     generic magnitudes must fall in (0, 4/n], each within ``tol_construct``.
+    Each pair gets at most one violation, the magnitude check first, listed
+    in (i, j, k, l) order; a NaN entry fails every check.  The checks run on
+    one row index i at a time, as masks over the (j, k, l) slice G[i].
     """
     report = verify_magic(basis, tol_construct)
     if not report.magic_ok:
@@ -203,33 +207,29 @@ def verify_suitably_noncommutative(basis: MagicBasis,
         return report
     n = basis.n
     G = gram_table(basis)
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if i == k or j == l:
-                        continue
-                    a, b = (i, j), (k, l)
-                    g = complex(G[i - 1, j - 1, k - 1, l - 1])
-                    mag = abs(g)
-                    if not (tol_strict < mag < 1.0 - tol_strict):
-                        ok = False
-                        report.violations.append((a, b, g, "magnitude not strictly inside (0,1)"))
-                        continue
-                    if basis.kind != "fourier":
-                        continue
-                    case = fourier_case(a, b, n)
-                    if case == "resonant":
-                        if abs(g.imag) > tol_construct or not (
-                                1.0 - 4.0 / n - tol_construct <= g.real < 1.0):
-                            ok = False
-                            report.violations.append((a, b, g, "resonant value outside [1-4/n, 1)"))
-                    elif case == "generic":
-                        if not (0.0 < mag <= 4.0 / n + tol_construct):
-                            ok = False
-                            report.violations.append((a, b, g, "generic magnitude outside (0, 4/n]"))
-    report.suitably_noncommutative_ok = ok
+    idx = np.arange(n)
+    k_axis = idx[None, :, None]                                     # (1, k, 1)
+    j_minus_l = idx[:, None, None] - idx[None, None, :]              # (j, 1, l)
+    reasons = (None, "magnitude not strictly inside (0,1)",
+               "resonant value outside [1-4/n, 1)",
+               "generic magnitude outside (0, 4/n]")
+    for i in range(n):
+        g = G[i]
+        mag = np.abs(g)
+        # reason code per (j, k, l): 0 none, else an index into ``reasons``
+        code = np.where((tol_strict < mag) & (mag < 1.0 - tol_strict), 0, 1)
+        if basis.kind == "fourier":
+            resonant = (k_axis - i + j_minus_l) % n == 0
+            bad_resonant = (np.abs(g.imag) > tol_construct) | ~(
+                (1.0 - 4.0 / n - tol_construct <= g.real) & (g.real < 1.0))
+            bad_generic = ~((0.0 < mag) & (mag <= 4.0 / n + tol_construct))
+            window = np.where(resonant, 2 * bad_resonant, 3 * bad_generic)
+            code = np.where(code == 0, window, code)
+        code = np.where((k_axis != i) & (j_minus_l != 0), code, 0)
+        for j, k, l in np.argwhere(code).tolist():
+            report.violations.append(((i + 1, j + 1), (k + 1, l + 1), complex(g[j, k, l]),
+                                      reasons[code[j, k, l]]))
+    report.suitably_noncommutative_ok = not report.violations
     return report
 
 
@@ -261,6 +261,8 @@ def basis_from_dict(data: dict) -> MagicBasis:
         pairs = None
     if pairs is None or pairs.shape != (n, n, n, 2) or pairs.dtype.kind not in "iuf":
         raise ValueError(f"xi must hold {n} x {n} x {n} numeric [re, im] pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError("xi coordinates must be finite numbers")
     xi = np.empty((n, n, n), dtype=complex)
     xi.real, xi.imag = pairs[..., 0], pairs[..., 1]
     return MagicBasis(n=n, xi=xi, kind=str(data.get("kind", "custom")))

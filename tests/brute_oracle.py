@@ -1,0 +1,92 @@
+"""Brute-force references for the closed forms and array scans of the package.
+
+Each function computes its answer from the definition by plain enumeration
+and shares no code with ``qperm``:
+
+* ``brute_force_classical_haar`` and ``classical_zero`` enumerate all of S_n;
+  ``classical_scan`` runs ``classical_zero`` over every word of length m;
+* ``fix_moment_literal`` sums the Haar values of all n^k diagonal words,
+  taken from the noncrossing-partition integrator in ``nc_oracle``;
+* ``noncommutativity_violations`` loops over every quadruple (i, j, k, l).
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+import nc_oracle
+
+
+@lru_cache(maxsize=None)
+def _permutations(n):
+    """All of S_n as rows sigma with sigma[j-1] = sigma(j)."""
+    return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+
+
+def brute_force_classical_haar(n, mono):
+    """Fraction of the permutations sigma of 1..n with sigma(j) = i for
+    every factor (i, j) of the word."""
+    perms = _permutations(n)
+    mask = np.ones(len(perms), dtype=bool)
+    for i, j in mono:
+        mask &= perms[:, j - 1] == i
+    return Fraction(int(mask.sum()), math.factorial(n))
+
+
+def classical_zero(n, mono):
+    """True iff no permutation satisfies all the constraints of the word."""
+    return brute_force_classical_haar(n, mono) == 0
+
+
+def _adjacent_clash(word):
+    return any((i1 == i2) != (j1 == j2)
+               for (i1, j1), (i2, j2) in zip(word, word[1:]))
+
+
+def classical_scan(n, m, max_violations=32):
+    """(passed, violations) of the classical free-orbital scan: the words
+    that vanish on S_n without an adjacent row/column clash, in
+    ``itertools.product`` order, the first ``max_violations`` of them."""
+    passed = True
+    violations = []
+    for word in itertools.product(
+            itertools.product(range(1, n + 1), repeat=2), repeat=m):
+        if classical_zero(n, word) != _adjacent_clash(word):
+            passed = False
+            if len(violations) < max_violations:
+                violations.append(word)
+    return passed, violations
+
+
+def fix_moment_literal(n, k):
+    """h(fix^k) as the sum of h(u_(t1,t1)...u_(tk,tk)) over all n^k tuples."""
+    return sum((nc_oracle.haar_value(tuple((t, t) for t in tup), n)
+                for tup in itertools.product(range(1, n + 1), repeat=k)),
+               Fraction(0))
+
+
+def noncommutativity_violations(G, n, fourier, tol_strict=1e-9, tol_construct=1e-12):
+    """Violations (a, b, value, reason) of 0 < |G| < 1 off the row/column
+    orbit, and for ``fourier`` grids of the resonant and generic windows,
+    over 1-based quadruples in lexicographic order."""
+    out = []
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        if i == k or j == l:
+            continue
+        g = complex(G[i - 1, j - 1, k - 1, l - 1])
+        mag = abs(g)
+        reason = None
+        if not (tol_strict < mag < 1.0 - tol_strict):
+            reason = "magnitude not strictly inside (0,1)"
+        elif fourier and ((k - i) + (j - l)) % n == 0:
+            if abs(g.imag) > tol_construct or not (
+                    1.0 - 4.0 / n - tol_construct <= g.real < 1.0):
+                reason = "resonant value outside [1-4/n, 1)"
+        elif fourier and not (0.0 < mag <= 4.0 / n + tol_construct):
+            reason = "generic magnitude outside (0, 4/n]"
+        if reason is not None:
+            out.append(((i, j), (k, l), g, reason))
+    return out

@@ -41,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brute_oracle
 import nc_oracle
 from qperm import convolution_probe as cp
 from qperm import flat_model as fm
@@ -137,11 +138,12 @@ def test_criterion_5_degree_le3_oracle_equality():
             for itup in itertools.permutations(range(1, n + 1), m):
                 for jtup in itertools.permutations(range(1, n + 1), m):
                     mono = tuple(zip(itup, jtup))
-                    assert hx.brute_force_classical_haar(n, mono) == \
-                        hx.haar_value_snplus(mono, n), mono
+                    value = hx.haar_value_snplus(mono, n)
+                    assert brute_oracle.brute_force_classical_haar(n, mono) == value, mono
+                    assert hx.classical_haar(n, mono) == value, mono
     elapsed = time.perf_counter() - start
     check(5, elapsed < 60.0,
-          f"classical oracle == 1/N, 1/(N(N-1)), 1/(N(N-1)(N-2)) for all "
+          f"S_N enumeration == closed form == 1/N, 1/(N(N-1)), 1/(N(N-1)(N-2)) for all "
           f"distinct-index words, N=5..7, exact, {elapsed:.1f}s")
 
 
@@ -293,7 +295,7 @@ def test_criterion_6e_values_strictly_inside_bounds():
 
 def test_criterion_6f_moment_identities():
     for n in range(5, 31):
-        assert hx.fix_moment_by_class_count(n, 4) == 14, n
+        assert hx.fix_moment(n, 4) == 14, n
         assert hx.double_sum_identity(n) == 6, n
     check("6f", True, "h(fix^4) = 14 by class counting and the double-sum "
                       "identity = 6, exactly, for N=5..30")

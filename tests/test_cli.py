@@ -59,6 +59,15 @@ class TestBasisCommands:
         assert run(["basis", "verify", str(path)]) == 2
         assert "error: cannot read basis" in capsys.readouterr().err
 
+    def test_verify_non_finite_file(self, tmp_path, capsys):
+        from qperm import magic_bases as mb
+        data = mb.basis_to_dict(mb.build_fourier_basis(5))
+        data["xi"][1][2][0][0] = float("nan")        # json writes the NaN literal
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert run(["basis", "verify", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_round_trip_bit_for_bit(self, tmp_path):
         path = tmp_path / "b6.json"
         assert run(["basis", "gen", "--n", "6", "--out", str(path)]) == 0
@@ -77,6 +86,16 @@ class TestOrbitalsCommand:
 
     def test_budget_exit(self):
         assert run(["orbitals", "--n", "6", "--m", "6"]) == 3
+
+    def test_classical_budget_exit(self, capsys):
+        assert run(["orbitals", "--n", "40", "--m", "4", "--model", "classical"]) == 3
+        assert run(["orbitals", "--n", "5", "--m", "3", "--model", "classical",
+                    "--budget", "1000"]) == 3
+        assert "budget" in capsys.readouterr().err
+
+    def test_classical_without_dimension_cap(self, capsys):
+        assert run(["orbitals", "--n", "9", "--m", "2", "--model", "classical"]) == 0
+        assert "classical model n=9 m=2: pass (6561 words)" in capsys.readouterr().out
 
     def test_json_output(self, capsys):
         assert run(["orbitals", "--n", "5", "--m", "2", "--json"]) == 0

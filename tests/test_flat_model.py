@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import brute_oracle
 from qperm import flat_model as fm
 from qperm import magic_bases as mb
-from qperm.errors import (BudgetExceeded, DimensionTooLarge, EmptyMonomial,
+from qperm.errors import (BudgetExceeded, DimensionTooSmall, EmptyMonomial,
                           NotMagic)
 
 
@@ -214,11 +217,20 @@ class TestCommutationPattern:
 
 class TestClassicalModel:
     def test_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            fm.classical_model(9)
+        # no dimension cap: n = 9 scans, and only the word budget refuses
+        assert fm.check_free_orbitals_classical(fm.classical_model(9), 2).passed
+        with pytest.raises(BudgetExceeded):
+            fm.check_free_orbitals_classical(fm.classical_model(40), 4)
+        with pytest.raises(DimensionTooSmall):
+            fm.classical_model(0)
+        with pytest.raises(ValueError):
+            fm.check_free_orbitals_classical(fm.classical_model(3), 0)
 
     def test_counts(self):
-        assert len(fm.classical_model(5).permutations) == 120
+        # a word that pins a whole permutation holds on one of the 5! = 120
+        word = ((2, 1), (3, 2), (1, 3), (5, 4), (4, 5))
+        assert fm.classical_haar(5, word) == Fraction(1, 120)
+        assert fm.classical_haar(5, ()) == 1
 
     def test_classical_zero_examples(self):
         cm = fm.classical_model(4)
@@ -239,3 +251,44 @@ class TestClassicalModel:
         witness = fm.parse_monomial("1:3,2:2,1:1")
         assert fm.classical_zero(cm, witness)
         assert not fm.is_trivially_zero(witness)
+
+    def test_partial_bijection_needs_both_directions(self):
+        # equal columns with different rows, and equal rows with different
+        # columns, are each unsatisfiable
+        assert fm.classical_haar(5, ((1, 2), (3, 2))) == 0
+        assert fm.classical_haar(5, ((1, 2), (1, 3))) == 0
+        assert fm.classical_haar(5, ((1, 2), (3, 4), (1, 2))) == Fraction(1, 20)
+
+
+def _words(n, max_len):
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    return st.lists(pair, max_size=max_len).map(tuple)
+
+
+class TestClassicalAgainstOracle:
+    """The partial-bijection closed form and the array scan against the
+    enumeration of S_n in ``brute_oracle``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), _words(n, 5))))
+    def test_classical_haar_matches_enumeration(self, case):
+        n, word = case
+        assert fm.classical_haar(n, word) == brute_oracle.brute_force_classical_haar(n, word)
+        assert fm.classical_zero(fm.classical_model(n), word) == \
+            brute_oracle.classical_zero(n, word)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scan_matches_loop(self, n, m):
+        report = fm.check_free_orbitals_classical(fm.classical_model(n), m)
+        passed, violations = brute_oracle.classical_scan(n, m)
+        assert (report.passed, report.violations) == (passed, violations)
+        assert report.total == n ** (2 * m)
+        assert report.max_zero == (None if m == 1 else 0.0)
+
+    @pytest.mark.parametrize("max_violations", [0, 1, 7, 10 ** 6])
+    def test_scan_violation_cap_matches_loop(self, max_violations):
+        report = fm.check_free_orbitals_classical(fm.classical_model(4), 3,
+                                                  max_violations=max_violations)
+        passed, violations = brute_oracle.classical_scan(4, 3, max_violations)
+        assert (report.passed, report.violations) == (passed, violations)

@@ -5,11 +5,15 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import brute_oracle
 import nc_oracle
+from qperm import flat_model as fm
 from qperm import haar_exact as hx
-from qperm.errors import (DegreeTooHigh, DimensionTooLarge, DimensionTooSmall,
-                          EmptyMonomial, IndexOutOfRange)
+from qperm.errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
+                          IndexOutOfRange)
 
 
 @contextlib.contextmanager
@@ -242,8 +246,16 @@ class TestMoments:
     def test_class_count_agrees_with_enumeration(self, n):
         for k in (2, 3, 4):
             if n <= 10:
-                assert hx.fix_moment(n, k) == hx.fix_moment_by_class_count(n, k)
-            assert hx.fix_moment_by_class_count(n, k) == hx.catalan(k)
+                assert hx.fix_moment(n, k) == brute_oracle.fix_moment_literal(n, k)
+            assert hx.fix_moment(n, k) == hx.catalan(k)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_literal_enumeration(self, n, k):
+        with quiet_boundary():
+            got = hx.fix_moment(n, k)
+        assert isinstance(got, Fraction)
+        assert got == brute_oracle.fix_moment_literal(n, k)
 
     @pytest.mark.parametrize("n", [5, 6, 12, 30])
     def test_double_sum_is_six(self, n):
@@ -256,15 +268,18 @@ class TestMoments:
 
 class TestClassicalOracle:
     def test_values(self):
-        assert hx.brute_force_classical_haar(5, ((1, 1),)) == Fraction(1, 5)
-        assert hx.brute_force_classical_haar(
-            5, ((1, 1), (2, 2), (3, 3))) == Fraction(1, 60)
+        for word, value in ((((1, 1),), Fraction(1, 5)),
+                            (((1, 1), (2, 2), (3, 3)), Fraction(1, 60))):
+            assert hx.classical_haar(5, word) == value
+            assert brute_oracle.brute_force_classical_haar(5, word) == value
 
     def test_classical_reduces_the_alternating_word(self):
         # classically u11 u22 u11 u22 = u11 u22; differs from the quantum value
-        classical = hx.brute_force_classical_haar(5, ((1, 1), (2, 2), (1, 1), (2, 2)))
+        word = ((1, 1), (2, 2), (1, 1), (2, 2))
+        classical = hx.classical_haar(5, word)
         assert classical == Fraction(1, 20)
-        assert classical != hx.haar_value_snplus(((1, 1), (2, 2), (1, 1), (2, 2)), 5)
+        assert classical == brute_oracle.brute_force_classical_haar(5, word)
+        assert classical != hx.haar_value_snplus(word, 5)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_degree_le3_agreement(self, n):
@@ -272,12 +287,16 @@ class TestClassicalOracle:
             for itup in itertools.permutations(range(1, n + 1), m):
                 for jtup in itertools.permutations(range(1, n + 1), m):
                     mono = tuple(zip(itup, jtup))
-                    assert hx.brute_force_classical_haar(n, mono) == \
-                        hx.haar_value_snplus(mono, n)
+                    value = hx.haar_value_snplus(mono, n)
+                    assert brute_oracle.brute_force_classical_haar(n, mono) == value
+                    assert hx.classical_haar(n, mono) == value
 
     def test_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            hx.brute_force_classical_haar(9, ((1, 1),))
+        # the closed form has no dimension cap
+        assert hx.classical_haar(9, ((1, 1),)) == Fraction(1, 9)
+        word = tuple((t, t) for t in range(1, 10))
+        assert hx.classical_haar(9, word) == Fraction(1, 362880)
+        assert hx.classical_haar(30, ((1, 2), (2, 1))) == Fraction(1, 30 * 29)
 
 
 class TestLabelAction:
@@ -309,3 +328,33 @@ class TestTableDump:
         lo = Fraction(*entry["bounds"][0])
         hi = Fraction(*entry["bounds"][1])
         assert lo < value < hi
+
+
+def _word(n, max_len):
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    return st.lists(pair, min_size=1, max_size=max_len).map(tuple)
+
+
+def _perm(n):
+    return st.permutations(list(range(1, n + 1))).map(tuple)
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(word=_word(8, 4), sigma=_perm(8), tau=_perm(8),
+           rot=st.integers(0, 3), flip=st.booleans())
+    def test_canonicalize_invariant_under_orbit_moves(self, word, sigma, tau, rot, flip):
+        moved = hx.LabelAction(sigma, tau).apply(word)
+        rot %= len(word)
+        moved = moved[rot:] + moved[:rot]
+        if flip:
+            moved = hx.antipode(moved)
+        assert hx.canonicalize(moved, 8).tag == hx.canonicalize(word, 8).tag
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(5, 12).flatmap(lambda n: st.tuples(st.just(n), _word(n, 4))))
+    def test_haar_value_matches_nc_oracle(self, case):
+        n, word = case
+        reduced = fm.reduce_monomial(word)
+        assume(reduced)
+        assert hx.haar_value_snplus(reduced, n) == nc_oracle.haar_value(reduced, n)

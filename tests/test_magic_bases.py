@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brute_oracle
 from qperm import magic_bases as mb
 from qperm.errors import DimensionTooSmall, IndexOutOfRange, NotMagic
 
@@ -165,6 +166,82 @@ class TestVerification:
             mb.gram(basis, (0, 1), (1, 1))
         with pytest.raises(IndexOutOfRange):
             mb.gram(basis, (1, 1), (1, 5))
+
+
+def _latin_grid(n):
+    """xi_ij = e_(i+j mod n): magic, with every off-orbit overlap 0 or 1."""
+    xi = np.zeros((n, n, n), dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        xi[i, j, (i + j) % n] = 1.0
+    return xi
+
+
+def _noncommutativity_cases():
+    """(name, basis, reasons the loop oracle must find) for the array check."""
+    cases = [(f"fourier{n}", mb.build_fourier_basis(n), set()) for n in range(5, 10)]
+    cases.append(("pauli4", mb.build_pauli_basis_4(), set()))
+    # magic grids that fail: overlaps 0 and 1 off the orbits; rows permuted,
+    # which moves values across the resonant and generic windows; phases,
+    # which take the resonant values off the real axis
+    cases.append(("latin6", mb.MagicBasis(n=6, xi=_latin_grid(6), kind="fourier"),
+                  {"magnitude not strictly inside (0,1)"}))
+    perm = mb.build_fourier_basis(7).xi[[0, 2, 4, 6, 1, 3, 5]]
+    cases.append(("rows7", mb.MagicBasis(n=7, xi=perm, kind="fourier"),
+                  {"resonant value outside [1-4/n, 1)",
+                   "generic magnitude outside (0, 4/n]"}))
+    rng = np.random.default_rng(5)
+    phased = mb.build_fourier_basis(5).xi * np.exp(2j * np.pi * rng.random((5, 5)))[..., None]
+    cases.append(("phases5", mb.MagicBasis(n=5, xi=phased, kind="fourier"),
+                  {"resonant value outside [1-4/n, 1)"}))
+    return cases
+
+
+class TestNoncommutativityArrayCheck:
+    @pytest.mark.parametrize("basis,reasons", [
+        pytest.param(basis, reasons, id=name)
+        for name, basis, reasons in _noncommutativity_cases()])
+    def test_matches_loop_oracle(self, basis, reasons):
+        report = mb.verify_suitably_noncommutative(basis)
+        assert report.magic_ok
+        want = brute_oracle.noncommutativity_violations(
+            mb.gram_table(basis), basis.n, basis.kind == "fourier")
+        assert report.violations == want
+        assert report.suitably_noncommutative_ok == (not want)
+        assert {reason for *_, reason in want} == reasons
+
+    def test_nan_entries_are_violations(self, monkeypatch):
+        # NaN off the row/column orbits leaves the magic check passing; the
+        # noncommutativity check must still flag it, as the loop does
+        basis = mb.build_fourier_basis(6)
+        G = mb.gram_table(basis)
+        G[0, 0, 1, 1] = G[2, 3, 4, 5] = complex("nan")
+        monkeypatch.setattr(mb, "gram_table", lambda b: G)
+        report = mb.verify_suitably_noncommutative(basis)
+        assert report.magic_ok and not report.suitably_noncommutative_ok
+        want = brute_oracle.noncommutativity_violations(G, 6, True)
+        assert [(a, b, r) for a, b, _, r in report.violations] == \
+            [(a, b, r) for a, b, _, r in want] == \
+            [((1, 1), (2, 2), "magnitude not strictly inside (0,1)"),
+             ((3, 4), (5, 6), "magnitude not strictly inside (0,1)")]
+
+
+class TestNonFinite:
+    def test_verify_magic_fails_on_nan(self):
+        xi = mb.build_fourier_basis(5).xi.copy()
+        xi[1, 2, 0] = complex("nan")
+        report = mb.verify_magic(mb.MagicBasis(n=5, xi=xi))
+        assert not report.magic_ok
+        assert math.isnan(report.max_residual)
+        assert report.violations
+        assert all((2, 3) in (a, b) for a, b, _, _ in report.violations)
+        assert any(np.isnan(value) for _, _, value, _ in report.violations)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_basis_from_dict_rejects(self, bad):
+        data = mb.basis_to_dict(mb.build_fourier_basis(5))
+        data["xi"][1][2][0][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mb.basis_from_dict(data)
 
 
 class TestJsonFormat:
