@@ -8,6 +8,8 @@ structure of the pairwise inner products.
 """
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 
@@ -55,6 +57,8 @@ print(f"generic magnitudes in (0, 4/n] = (0, {4 / n:.4f}]:",
       f"min {min(generic):.4f}, max {max(generic):.4f}")
 
 # Bases round-trip through a JSON file format at full precision.
-mb.write_basis(fourier, "/tmp/basis7.json")
-again = mb.read_basis("/tmp/basis7.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "basis7.json")
+    mb.write_basis(fourier, path)
+    again = mb.read_basis(path)
 print("json round trip exact:", bool(np.all(again.xi == fourier.xi)))

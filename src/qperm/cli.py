@@ -11,6 +11,8 @@ Subcommands:
     qperm probe --n 5 --max-degree 4 --out r.json
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource limit.
+Handlers only compute and print; ``main`` maps the exceptions they let
+through to codes 2 and 3.
 The environment variable QPG_THREADS caps the worker count of the underlying
 BLAS (see the ``qperm`` package docstring).
 """
@@ -20,6 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+from .errors import (BudgetExceeded, DegreeTooHigh, DimensionTooSmall,
+                     IndexOutOfRange, MemoryCap)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_ver = basis_sub.add_parser("verify", help="verify a basis JSON file")
     p_ver.add_argument("path")
-    p_ver.add_argument("--tol", type=float, default=1e-12)
 
     p_orb = sub.add_parser("orbitals", help="exhaustive m-orbital scan")
     p_orb.add_argument("--n", type=int, required=True)
@@ -76,24 +80,15 @@ def _build_basis(n: int):
 
 def cmd_basis(args) -> int:
     from . import magic_bases
-    from .errors import DimensionTooSmall
     if args.basis_command == "gen":
-        try:
-            basis = _build_basis(args.n)
-        except DimensionTooSmall as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            magic_bases.write_basis(basis, args.out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        basis = _build_basis(args.n)
+        magic_bases.write_basis(basis, args.out)
         print(f"wrote n={basis.n} basis ({basis.kind}) to {args.out}")
         return EXIT_OK
 
     try:
         basis = magic_bases.read_basis(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read basis: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = magic_bases.verify_suitably_noncommutative(basis)
@@ -109,21 +104,13 @@ def cmd_basis(args) -> int:
 
 def cmd_orbitals(args) -> int:
     from . import flat_model
-    from .errors import BudgetExceeded, DimensionTooSmall
     budget = args.budget if args.budget is not None else flat_model.DEFAULT_BUDGET
-    try:
-        if args.model == "classical":
-            cm = flat_model.classical_model(args.n)
-            report = flat_model.check_free_orbitals_classical(cm, args.m, budget=budget)
-        else:
-            model = flat_model.model_from_basis(_build_basis(args.n))
-            report = flat_model.check_free_orbitals(model, args.m, budget=budget)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DimensionTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.model == "classical":
+        cm = flat_model.classical_model(args.n)
+        report = flat_model.check_free_orbitals_classical(cm, args.m, budget=budget)
+    else:
+        model = flat_model.model_from_basis(_build_basis(args.n))
+        report = flat_model.check_free_orbitals(model, args.m, budget=budget)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -143,31 +130,19 @@ def cmd_orbitals(args) -> int:
 
 def cmd_haar(args) -> int:
     import warnings
-    from fractions import Fraction
     from . import haar_exact, flat_model
-    from .errors import DegreeTooHigh, IndexOutOfRange
     if args.mode == "table":
         if args.n < 5:
-            print("error: the class table needs --n >= 5", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("the class table needs --n >= 5")
         print(json.dumps(haar_exact.haar_table_dict(args.n)))
         return EXIT_OK
     if not args.mono:
-        print("error: provide --mono or the 'table' mode", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        mono = flat_model.parse_monomial(args.mono)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", haar_exact.BoundaryDimensionWarning)
-            cls = haar_exact.canonicalize(mono, args.n)
-            value = haar_exact.haar_value_snplus(mono, args.n)
-    except (DegreeTooHigh, IndexOutOfRange, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("provide --mono or the 'table' mode")
+    mono = flat_model.parse_monomial(args.mono)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", haar_exact.BoundaryDimensionWarning)
+        cls = haar_exact.canonicalize(mono, args.n)
+        value = haar_exact.haar_value_snplus(mono, args.n)
     print(f"{cls.tag.upper()} = {value}")
     if args.n >= 5 and cls.tag in haar_exact.DEGREE_CLASS_TAGS[4]:
         lo, hi = haar_exact.exotic_bounds(args.n).intervals[cls.tag]
@@ -183,38 +158,22 @@ def cmd_haar(args) -> int:
 
 def cmd_probe(args) -> int:
     from . import convolution_probe as cp, flat_model
-    from .errors import DimensionTooSmall, MemoryCap
-    try:
-        model = flat_model.model_from_basis(_build_basis(args.n))
-        cfg = cp.ProbeConfig(max_degree=args.max_degree,
-                             tol_converge=args.tol,
-                             memory_cap=args.memory_cap,
-                             method=args.method)
-        report = cp.inner_faithfulness_report(model, cfg)
-    except MemoryCap as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DimensionTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    model = flat_model.model_from_basis(_build_basis(args.n))
+    cfg = cp.ProbeConfig(max_degree=args.max_degree,
+                         tol_converge=args.tol,
+                         memory_cap=args.memory_cap,
+                         method=args.method)
+    report = cp.inner_faithfulness_report(model, cfg)
     payload = json.dumps(report.to_dict())
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with open(args.out, "w") as fh:
+            fh.write(payload + "\n")
         print(f"wrote probe report to {args.out}")
     else:
         print(payload)
     if args.csv:
-        try:
-            with open(args.csv, "w") as fh:
-                fh.write(report.fix_moment_csv())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with open(args.csv, "w") as fh:
+            fh.write(report.fix_moment_csv())
     print(f"verdict: {report.verdict}")
     return EXIT_OK
 
@@ -223,7 +182,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"basis": cmd_basis, "orbitals": cmd_orbitals,
                "haar": cmd_haar, "probe": cmd_probe}[args.command]
-    return handler(args)
+    # the one place exceptions become exit codes; any other exception is a bug
+    try:
+        return handler(args)
+    except (BudgetExceeded, MemoryCap) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (DimensionTooSmall, IndexOutOfRange, DegreeTooHigh, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import haar_exact
-from .errors import MemoryCap, ShapeMismatch
+from .errors import MemoryCap
 from .flat_model import FlatModel
 
 GIB = 2 ** 30
@@ -84,7 +84,6 @@ class StateTensor:
     first index is 1.  In the orthonormal basis of shift orbits B is T
     restricted to the shift-invariant vectors, and T vanishes on their
     complement, so row sums, trace, products and the fixed space carry over.
-    ``permuted`` and ``marginalized`` need the full tensor.
     """
 
     n: int
@@ -128,30 +127,6 @@ class StateTensor:
         traciality of a state makes this a fixed point."""
         pi = self.index(np.roll(self.tuples(), 1, axis=1))
         return StateTensor(self.n, self.m, self.entries[np.ix_(pi, pi)], self.shift)
-
-    def permuted(self, action: haar_exact.LabelAction) -> "StateTensor":
-        """Entrywise relabeling T[(sigma i..), (tau k..)]."""
-        sig = np.argsort(np.array(action.sigma) - 1)   # position of preimage
-        tau = np.argsort(np.array(action.tau) - 1)
-        axes_shape = (self.n,) * (2 * self.m)
-        arr = self.entries.reshape(axes_shape)
-        for axis in range(self.m):
-            arr = np.take(arr, sig, axis=axis)
-        for axis in range(self.m, 2 * self.m):
-            arr = np.take(arr, tau, axis=axis)
-        return StateTensor(self.n, self.m, arr.reshape(self.entries.shape).copy())
-
-    def marginalized(self) -> "StateTensor":
-        """Degree m-1 tensor obtained by summing the last column index with
-        the last row index fixed at 1 (any value gives the same result for a
-        genuine state tensor)."""
-        if self.m < 2:
-            raise ValueError("cannot marginalize a degree-1 tensor")
-        axes_shape = (self.n,) * (2 * self.m)
-        arr = self.entries.reshape(axes_shape)
-        arr = arr.take(0, axis=self.m - 1).sum(axis=2 * self.m - 2)
-        size = self.n ** (self.m - 1)
-        return StateTensor(self.n, self.m - 1, arr.reshape(size, size).copy())
 
 
 def shift_invariant(gram: np.ndarray, tol: float = 1e-12) -> bool:
@@ -203,13 +178,6 @@ def shift_block(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTen
     """``trace_state`` of a model whose Gram table passes ``shift_invariant``,
     stored as its shift block of side n^(m-1)."""
     return StateTensor(model.n, m, _cyclic_products(model, m, memory_cap, True), shift=True)
-
-
-def convolve(A: StateTensor, B: StateTensor) -> StateTensor:
-    """Convolution of states = product of their moment matrices."""
-    if (A.n, A.m, A.shift) != (B.n, B.m, B.shift):
-        raise ShapeMismatch(f"({A.n},{A.m},shift={A.shift}) vs ({B.n},{B.m},shift={B.shift})")
-    return StateTensor(A.n, A.m, A.entries @ B.entries, A.shift)
 
 
 # --- Cesaro limits -----------------------------------------------------------
@@ -284,22 +252,7 @@ class ProbeReport:
             "basis": self.basis_kind,
             "tol_converge": self.tol_converge,
             "method": self.method,
-            "degrees": [{
-                "m": d.m,
-                "reduction": d.reduction,
-                "block_size": d.block_size,
-                "converged": d.converged,
-                "fixed_space_dim": d.fixed_space_dim,
-                "spectral_gap": d.spectral_gap,
-                "fix_moment_estimate": d.fix_moment_estimate,
-                "fix_moment_imag": d.fix_moment_imag,
-                "catalan_target": d.catalan_target,
-                "catalan_residual": d.catalan_residual,
-                "row_sum_error": d.row_sum_error,
-                "traciality_residual": d.traciality_residual,
-                "invariance_residual": d.invariance_residual,
-                "class_residuals": d.class_residuals,
-            } for d in self.degrees],
+            "degrees": [asdict(d) for d in self.degrees],
             "verdict": self.verdict,
         }
 
@@ -309,12 +262,6 @@ class ProbeReport:
             lines.append(f"{d.m},{d.fix_moment_estimate!r},{d.fix_moment_imag!r},"
                          f"{d.catalan_target},{d.catalan_residual!r}")
         return "\n".join(lines) + "\n"
-
-
-def estimate_fix_moments(limit: StateTensor) -> tuple[float, float]:
-    """Diagonal-tuple sum of the limit tensor: (real estimate, |imag part|)."""
-    val = limit.fix_moment()
-    return float(val.real), abs(float(val.imag))
 
 
 def _class_residuals(limit: StateTensor, n: int) -> dict:
@@ -368,7 +315,8 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             else trace_state(model, m, cfg.memory_cap)
         result = cesaro_limit(T, cfg)
         L = result.limit
-        est, imag = estimate_fix_moments(L)
+        fix = L.fix_moment()
+        est, imag = fix.real, abs(fix.imag)
         target = haar_exact.catalan(m)
         residual = abs(est - target)
         rot = L.rotated()

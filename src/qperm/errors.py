@@ -33,9 +33,5 @@ class NotClassifiable(QpermError):
     """A reduced word matched no known class orbit (should never happen)."""
 
 
-class ShapeMismatch(QpermError):
-    """Two state tensors have incompatible (n, degree) shapes."""
-
-
 class MemoryCap(QpermError):
     """A state tensor would exceed the configured memory cap."""

@@ -113,8 +113,7 @@ class FlatModel:
 def model_from_basis(basis: magic_bases.MagicBasis,
                      tol_construct: float = magic_bases.TOL_CONSTRUCT) -> FlatModel:
     """Build the flat model after checking the grid really is magic."""
-    magic_bases.require_magic(basis, tol_construct)
-    G = magic_bases.gram_table(basis)
+    G = magic_bases.require_magic(basis, tol_construct).gram
     return FlatModel(basis=basis, n=basis.n, gram=G)
 
 

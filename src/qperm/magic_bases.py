@@ -81,7 +81,8 @@ class GramReport:
     """Outcome of the orthonormality / noncommutativity checks.
 
     ``violations`` holds tuples ``(a, b, value, reason)`` with 1-based index
-    pairs a, b.
+    pairs a, b.  ``gram`` is the ``gram_table`` the checks ran on, kept so
+    that callers reuse it instead of building it again.
     """
 
     n: int
@@ -89,6 +90,7 @@ class GramReport:
     suitably_noncommutative_ok: bool | None = None
     violations: list = field(default_factory=list)
     max_residual: float = 0.0
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _check_index(n: int, a: IndexPair) -> None:
@@ -174,7 +176,7 @@ def verify_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> Gra
     """
     n = basis.n
     G = gram_table(basis)
-    report = GramReport(n=n)
+    report = GramReport(n=n, gram=G)
     worst = 0.0
     blocks = (("row", np.einsum("iuiv->iuv", G)), ("column", np.einsum("usvs->suv", G)))
     for axis, block in blocks:
@@ -206,7 +208,7 @@ def verify_suitably_noncommutative(basis: MagicBasis,
         report.suitably_noncommutative_ok = False
         return report
     n = basis.n
-    G = gram_table(basis)
+    G = report.gram
     idx = np.arange(n)
     k_axis = idx[None, :, None]                                     # (1, k, 1)
     j_minus_l = idx[:, None, None] - idx[None, None, :]              # (j, 1, l)
@@ -243,14 +245,13 @@ def basis_to_dict(basis: MagicBasis) -> dict:
     return {
         "n": basis.n,
         "kind": basis.kind,
-        "xi": [[[[float(z.real), float(z.imag)] for z in basis.xi[i, j]]
-                for j in range(basis.n)] for i in range(basis.n)],
+        "xi": np.stack([basis.xi.real, basis.xi.imag], axis=-1).tolist(),
     }
 
 
 def basis_from_dict(data: dict) -> MagicBasis:
     """Parse the JSON layout above; raise ValueError for any other layout."""
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or "n" not in data or "xi" not in data:
         raise ValueError("expected a JSON object with keys 'n' and 'xi'")
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -269,9 +270,9 @@ def basis_from_dict(data: dict) -> MagicBasis:
 
 
 def write_basis(basis: MagicBasis, path: str) -> None:
+    text = json.dumps(basis_to_dict(basis))      # one call: the C encoder
     with open(path, "w") as fh:
-        json.dump(basis_to_dict(basis), fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_basis(path: str) -> MagicBasis:

@@ -52,6 +52,8 @@ class TestBasisCommands:
         {"n": 0, "xi": []},
         {"n": 2, "xi": [[[[1, 0], [0, "x"]]] * 2] * 2},
         [1, 2, 3],
+        {"xi": []},                                  # no n
+        {"n": 3},                                    # no xi
     ])
     def test_verify_malformed_file(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"
@@ -192,6 +194,38 @@ class TestProbeCommand:
         assert run(["probe", "--n", "5", "--max-degree", "4"]) == 0
         out = capsys.readouterr().out
         assert "verdict: deviates at degree 4" in out
+
+
+# Bad inputs of every subcommand, with the exit code and a stderr fragment:
+# 2 for input errors, 3 for resource limits.  ``{tmp}/missing`` is a
+# directory that does not exist.  The test classes above hold more cases.
+EXIT_CODE_CASES = [
+    ("basis gen --n 5 --out {tmp}/missing/b.json", 2, "error:"),
+    ("basis verify {tmp}/missing/b.json", 2, "error: cannot read basis"),
+    ("basis verify --tol 1e-6 {tmp}/b.json", 2, "unrecognized arguments: --tol"),
+    ("orbitals --n 5 --m 0", 2, "error: m must be >= 1"),
+    ("orbitals --n 3 --m 2", 2, "error: the root-of-unity grid needs n >= 5"),
+    ("orbitals --n 5 --m 3 --budget 10", 3, "budget"),
+    ("haar --n 3 --mono 1:1", 2, "error: degree-4 Haar values need n >= 4"),
+    ("haar --n 1 --mono 1:1", 2, "error: degree-4 Haar values need n >= 4"),
+    ("haar --n 5 --mono 0:1", 2, "error: pair (0, 1) outside 1..5"),
+    ("haar --n 5", 2, "error: provide --mono or the 'table' mode"),
+    ("haar table --n 4", 2, "error: the class table needs --n >= 5"),
+    ("probe --n 3", 2, "error: the root-of-unity grid needs n >= 5"),
+    ("probe --n 5 --tol 1.5", 2, "error: tol_converge must lie in (0, 1)"),
+    ("probe --n 4 --max-degree 2 --memory-cap 1000", 3, "error: degree 2 needs about"),
+    ("probe --n 4 --max-degree 1 --out {tmp}/missing/r.json", 2, "error:"),
+]
+
+
+@pytest.mark.parametrize("argv,code,fragment", EXIT_CODE_CASES)
+def test_exit_code_contract(tmp_path, capsys, argv, code, fragment):
+    try:
+        got = run(argv.format(tmp=tmp_path).split())
+    except SystemExit as exc:                    # argparse rejects the usage
+        got = exc.code
+    assert got == code
+    assert fragment in capsys.readouterr().err
 
 
 def test_unknown_command_is_argparse_error():

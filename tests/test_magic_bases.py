@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import brute_oracle
+from qperm import flat_model as fm
 from qperm import magic_bases as mb
 from qperm.errors import DimensionTooSmall, IndexOutOfRange, NotMagic
 
@@ -225,6 +227,21 @@ class TestNoncommutativityArrayCheck:
              ((3, 4), (5, 6), "magnitude not strictly inside (0,1)")]
 
 
+class TestGramReuse:
+    def test_gram_table_built_once(self, monkeypatch):
+        # the magic check hands its table on; neither caller builds another
+        calls = []
+        build = mb.gram_table
+        monkeypatch.setattr(mb, "gram_table", lambda b: calls.append(b) or build(b))
+        basis = mb.build_fourier_basis(7)
+        model = fm.model_from_basis(basis)
+        assert len(calls) == 1
+        assert np.array_equal(model.gram, build(basis))
+        report = mb.verify_suitably_noncommutative(basis)
+        assert len(calls) == 2
+        assert report.suitably_noncommutative_ok
+
+
 class TestNonFinite:
     def test_verify_magic_fails_on_nan(self):
         xi = mb.build_fourier_basis(5).xi.copy()
@@ -270,3 +287,16 @@ class TestJsonFormat:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             mb.basis_from_dict({"n": 3, "xi": [[[[1.0, 0.0]]]]})
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_bytes_match_nested_list_encoding(self, tmp_path, n):
+        # the earlier encoder: per-coordinate floats, streamed by json.dump
+        basis = make_basis(n)
+        expected = io.StringIO()
+        json.dump({"n": n, "kind": basis.kind,
+                   "xi": [[[[float(z.real), float(z.imag)] for z in basis.xi[i, j]]
+                           for j in range(n)] for i in range(n)]}, expected)
+        expected.write("\n")
+        path = tmp_path / "b.json"
+        mb.write_basis(basis, str(path))
+        assert path.read_text() == expected.getvalue()
