@@ -7,7 +7,9 @@ the degree-m moment matrix and compares it against exact values.  That limit
 is the orthogonal projector onto the fixed space of the matrix: its dimension
 is the fix moment, and the spectral gap below it certifies the dimension.
 For grids with a shift symmetry the probe solves a block of side n^(m-1)
-and reads the same answer off it.
+and reads the same answer off it.  Because the trace is a trace, rotating
+index tuples leaves the matrix unchanged, so it splits further into m
+rotation sectors, each solved on its own.
 
 The outcome is one-sided evidence: agreement with the closed forms supports
 inner faithfulness; a stable deviation refutes it for that model.  Both
@@ -53,16 +55,20 @@ for d in report5.degrees:
 # That makes n = 8 at degree 4 cheap, and the same moments 1, 2, 5, 15 show
 # up for n = 6, 7 and 8.  The 4x4 model is the only constructed one the
 # probe cannot distinguish from the full quantum permutation group.
+# Beneath that, each solved matrix splits into one sector per character of
+# the cyclic group Z_m rotating the tuples, of side about (block side)/m.
 print("\nreduction at degree 4: n=4", report4.degrees[-1].reduction,
       report4.degrees[-1].block_size, "| n=5", report5.degrees[-1].reduction,
       report5.degrees[-1].block_size)
+print("rotation sectors at degree 4: n=4", report4.degrees[-1].sectors,
+      "| n=5", report5.degrees[-1].sectors)
 for n in (6, 7, 8):
     model = fm.model_from_basis(mb.build_fourier_basis(n))
     report = cp.inner_faithfulness_report(model, cfg)
     print(f"n={n}: dimensions {[d.fixed_space_dim for d in report.degrees]},"
           f" block side {report.degrees[-1].block_size}"
-          f" (full side {n ** 4}), gap {report.degrees[-1].spectral_gap:.6f}:"
-          f" {report.verdict}")
+          f" (full side {n ** 4}), sectors {report.degrees[-1].sectors},"
+          f" gap {report.degrees[-1].spectral_gap:.6f}: {report.verdict}")
 
 # Degree 5 at n = 5: the fixed space has dimension 52, the number of set
 # partitions of 5 points into at most 5 blocks, i.e. the S_n count, where
@@ -71,4 +77,4 @@ report = cp.inner_faithfulness_report(model5, cp.ProbeConfig(max_degree=5))
 d5 = report.degrees[-1]
 print(f"\nn=5, degree 5: fixed space of dimension {d5.fixed_space_dim}"
       f" (C_5 = {d5.catalan_target}), block side {d5.block_size},"
-      f" gap {d5.spectral_gap:.6f}")
+      f" sectors {d5.sectors}, gap {d5.spectral_gap:.6f}")

@@ -28,6 +28,21 @@ row index, or every column index, of a tuple leaves an entry unchanged.  T
 then vanishes off the shift-invariant vectors, and the probe solves the block
 B = n T[i1=1, k1=1] of side n^(m-1) in place of T; every report field is
 read off B exactly (see ``StateTensor``).  Other grids keep the full tensor.
+
+Beneath that choice the solved matrix splits further.  The trace is a
+trace, so T is unchanged when both index tuples are rotated by one position
+(the permutation pi of ``StateTensor.rotation``), on the full tensor and on
+the shift block alike.  Then H commutes with pi, which has order m, and H is
+block diagonal over the characters chi^s of Z_m, chi = exp(2 pi i / m).
+Sector s has one basis vector per pi-orbit X whose size |X| satisfies
+m | s |X|, namely chi^(s d) / sqrt(|X|) at the orbit's d-th element, so its
+side is about side / m, and its matrix is
+
+    B_s[a, b] = sqrt(|a| |b|) / m  sum_(d < m) chi^(s d) H[a, pi^d b]
+
+over orbit representatives a and b.  ``cesaro_limit`` solves one ``eigh``
+per sector and lifts the kept eigenvectors back.  The split is gated on the
+input: a matrix that rotation changes by more than 1e-12 is solved whole.
 """
 
 from __future__ import annotations
@@ -45,6 +60,7 @@ from .flat_model import FlatModel
 
 GIB = 2 ** 30
 WORKING_SET = 7                            # see ProbeConfig.memory_cap
+TRACIAL_TOL = 1e-12                        # gate of the rotation-sector split
 
 
 @dataclass
@@ -53,10 +69,12 @@ class ProbeConfig:
     tol_converge: float = 1e-10
     # Bytes.  A probe is refused up front when WORKING_SET matrices of the
     # side s it solves at max_degree (n^m, or n^(m-1) on shift blocks), 16 s^2
-    # bytes each, exceed the cap: at its peak a degree holds T, its Hermitian
-    # part, the eigenvectors, the limit, L @ T and the rotated limit.  Peak
-    # RSS over the baseline, read with resource.getrusage in a subprocess,
-    # came to 6.1-6.4 such matrices on both paths (n = 4..8, s = 512..2401).
+    # bytes each, exceed the cap: at its peak a degree holds T and the
+    # rotated copy the traciality gate compares it with, or T, the limit and
+    # Vk (Vk* T); the rotation sectors are about s/m wide.  Peak RSS over the
+    # baseline, read with resource.getrusage in a subprocess, came to 3.9-5.0
+    # such matrices on both paths (n = 4..8, s = 512..2401), against 6.1-6.9
+    # before the sector split; the gate keeps its margin.
     memory_cap: int = 2 * GIB
     method: str = "fixed_space"            # the only method
 
@@ -122,10 +140,15 @@ class StateTensor:
         """sum over diagonal tuples: the state's value on fix^m."""
         return complex(np.trace(self.entries))
 
+    def rotation(self) -> np.ndarray:
+        """pi: the row of ``entries`` holding each stored tuple rotated
+        cyclically by one position; pi^m is the identity."""
+        return self.index(np.roll(self.tuples(), 1, axis=1))
+
     def rotated(self) -> "StateTensor":
         """Tensor with both index tuples cyclically rotated by one position;
         traciality of a state makes this a fixed point."""
-        pi = self.index(np.roll(self.tuples(), 1, axis=1))
+        pi = self.rotation()
         return StateTensor(self.n, self.m, self.entries[np.ix_(pi, pi)], self.shift)
 
 
@@ -188,6 +211,9 @@ class CesaroResult:
     converged: bool                        # every kept eigenvalue within tol of 1
     fixed_dim: int                         # rank of the limit, i.e. its fix moment
     gap: float | None                      # 1 - largest eigenvalue of H left out
+    vectors: np.ndarray = field(repr=False)   # orthonormal Vk with limit Vk Vk*
+    sectors: list                          # side of each eigh, one per rotation sector
+    traciality_residual: float             # |M - M[pi][:, pi]| / scale: the split's gate
     iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
     curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
 
@@ -202,19 +228,50 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     reported, never raised.  ``gap`` is None when every eigenvalue is kept.
     A shift block gives the limit as a shift block; the eigenvalue 0 of the
     complement it leaves out counts towards the gap.
+
+    When rotating both tuples leaves T unchanged within ``TRACIAL_TOL``, H is
+    solved in its m rotation sectors (see the module docstring); otherwise
+    whole, as one sector.
     """
     cfg = cfg or ProbeConfig()
     M = T.entries
-    lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))       # ascending
-    k = int(np.count_nonzero(lam > 1.0 - math.sqrt(cfg.tol_converge)))
-    Vk = V[:, lam.size - k:]
-    converged = bool(np.all(np.abs(lam[lam.size - k:] - 1.0) <= cfg.tol_converge))
-    rest = lam[:lam.size - k]
-    if lam.size < T.n ** T.m:
+    side = M.shape[0]
+    pi = T.rotation()
+    tracial = float(np.abs(M - M[pi][:, pi]).max()) / T.scale
+    order = T.m if tracial <= TRACIAL_TOL else 1
+    powers = [np.arange(side)]                     # powers[d][x] = pi^d x
+    for _ in range(order - 1):
+        powers.append(pi[powers[-1]])
+    powers = np.array(powers)
+    reps = np.flatnonzero(powers.min(axis=0) == powers[0])   # least of each orbit
+    orbits = powers[:, reps]                       # orbits[d, a] = pi^d a
+    sizes = order // np.count_nonzero(orbits == reps, axis=0)
+    H = 0.5 * (M[reps] + M[:, reps].conj().T)      # rows of H at the reps
+    chi = np.exp(2j * np.pi / order * np.outer(np.arange(order), np.arange(order)))
+    C = np.einsum("sd,adb->sab", chi, H[:, orbits])   # sum_d chi^(sd) H[a, pi^d b]
+    root = np.sqrt(sizes)
+    cut = 1.0 - math.sqrt(cfg.tol_converge)
+    blocks, kept, rest, sectors = [], [], [], []
+    for s in range(order):
+        inside = np.flatnonzero(sizes * s % order == 0)
+        r = root[inside]
+        lam, W = np.linalg.eigh(C[s][inside][:, inside] * (r[:, None] * r / order))
+        k = int(np.count_nonzero(lam > cut))             # lam ascends
+        sectors.append(int(lam.size))
+        kept.append(lam[lam.size - k:])
+        rest.append(lam[:lam.size - k])
+        U = np.zeros((side, k), dtype=complex)     # chi^(sd) / sqrt(|a|) at pi^d a
+        U[orbits[:, inside]] = chi[s][:, None, None] / r[:, None] * W[:, lam.size - k:]
+        blocks.append(U)
+    Vk = np.hstack(blocks)
+    kept, rest = np.concatenate(kept), np.concatenate(rest)
+    converged = bool(np.all(np.abs(kept - 1.0) <= cfg.tol_converge))
+    if side < T.n ** T.m:
         rest = np.append(rest, 0.0)
     gap = float(1.0 - rest.max()) if rest.size else None
     return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T, T.shift),
-                        converged, k, gap)
+                        converged, kept.size, gap, vectors=Vk, sectors=sectors,
+                        traciality_residual=tracial)
 
 
 # --- reports -----------------------------------------------------------------
@@ -223,7 +280,8 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 class DegreeProbe:
     m: int
     reduction: str                         # "shift" or "none"
-    block_size: int                        # side of the matrix passed to eigh
+    block_size: int                        # side of the solved matrix
+    sectors: list                          # side of each rotation sector's eigh
     converged: bool
     fixed_space_dim: int
     spectral_gap: float | None
@@ -232,7 +290,7 @@ class DegreeProbe:
     catalan_target: int
     catalan_residual: float
     row_sum_error: float
-    traciality_residual: float
+    traciality_residual: float             # |T - T rotated|, on the input
     invariance_residual: float             # |L*T - L|
     class_residuals: dict
 
@@ -319,11 +377,12 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
         est, imag = fix.real, abs(fix.imag)
         target = haar_exact.catalan(m)
         residual = abs(est - target)
-        rot = L.rotated()
+        Vk = result.vectors
         degrees.append(DegreeProbe(
             m=m,
             reduction="shift" if T.shift else "none",
             block_size=T.entries.shape[0],
+            sectors=result.sectors,
             converged=result.converged,
             fixed_space_dim=result.fixed_dim,
             spectral_gap=result.gap,
@@ -332,9 +391,9 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             catalan_target=target,
             catalan_residual=residual,
             row_sum_error=L.row_sum_error(),
-            traciality_residual=float(np.abs(L.entries - rot.entries).max()) / L.scale,
+            traciality_residual=result.traciality_residual,
             invariance_residual=float(
-                np.abs(L.entries @ T.entries - L.entries).max()) / L.scale,
+                np.abs(Vk @ (Vk.conj().T @ T.entries) - L.entries).max()) / L.scale,
             class_residuals=_class_residuals(L, model.n),
         ))
         worst_residual = max(worst_residual, residual)

@@ -43,9 +43,7 @@ from fractions import Fraction
 
 from .errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
                      NotClassifiable)
-from .flat_model import Monomial, reduce_monomial, validate_monomial
-# the S_n Haar value of a word, the classical contrast to haar_value_snplus
-from .flat_model import classical_haar  # noqa: F401
+from .flat_model import Monomial, classical_haar, reduce_monomial, validate_monomial
 
 ZERO = "zero"
 DEGREE_CLASS_TAGS = {1: ("d1",), 2: ("d2",), 3: ("d3",),
@@ -221,17 +219,18 @@ def haar_value_snplus(mono: Monomial, n: int) -> Fraction:
     """Exact Haar value of a generator word of reduced degree <= 4.
 
     n = 4 is allowed but sits on the boundary of the degree-4 analysis
-    (the exotic bounds require n >= 5), so it emits a warning.
+    (the exotic bounds require n >= 5), so it emits a warning.  For n <= 3,
+    S_n^+ = S_n, and the value is the classical one.
     """
-    if n < 4:
-        raise DimensionTooSmall("degree-4 Haar values need n >= 4")
     if not mono:
         return Fraction(1)
+    cls = canonicalize(mono, n)                # reduced degree > 4 raises
+    if n < 4:
+        return classical_haar(n, mono)
     if n == 4:
         warnings.warn(
             "n = 4 degree-4 evaluation: outside the n >= 5 bounds range; "
             "see n4_boundary_report()", BoundaryDimensionWarning, stacklevel=2)
-    cls = canonicalize(mono, n)
     return class_value(cls.tag, n)
 
 

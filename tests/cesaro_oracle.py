@@ -1,8 +1,11 @@
 """Independent references for the Cesaro limit of a moment matrix.
 
-``convolution_probe.cesaro_limit`` reads the limit off one eigendecomposition.
-The two references here compute it from the definition instead, averaging
-powers of the matrix, and share no code with the package:
+``convolution_probe.cesaro_limit`` reads the limit off one eigendecomposition
+per rotation sector.  ``unsplit_limit`` is the same solve without the split:
+one ``eigh`` of the whole Hermitian part, returned as a ``CesaroResult`` so
+that a probe report can run on it.  The other two references compute the
+limit from the definition instead, averaging powers of the matrix, and share
+no code with the package:
 
 * ``literal_average`` keeps a running sum of the first r powers;
 * ``doubling_limit`` doubles the number of averaged powers with
@@ -14,7 +17,31 @@ powers of the matrix, and share no code with the package:
   power has not settled, instead of guessing.
 """
 
+import math
+
 import numpy as np
+
+from qperm.convolution_probe import CesaroResult, ProbeConfig, StateTensor
+
+
+def unsplit_limit(T, cfg=None):
+    """Projector onto the eigenvalues of (T + T*)/2 above 1 - sqrt(tol), from
+    one ``eigh`` of the whole matrix; ``sectors`` is ``[side]`` and the
+    traciality residual is measured on ``T.rotated()``."""
+    cfg = cfg or ProbeConfig()
+    M = T.entries
+    lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))       # ascending
+    k = int(np.count_nonzero(lam > 1.0 - math.sqrt(cfg.tol_converge)))
+    Vk = V[:, lam.size - k:]
+    converged = bool(np.all(np.abs(lam[lam.size - k:] - 1.0) <= cfg.tol_converge))
+    rest = lam[:lam.size - k]
+    if lam.size < T.n ** T.m:
+        rest = np.append(rest, 0.0)
+    gap = float(1.0 - rest.max()) if rest.size else None
+    tracial = float(np.abs(M - T.rotated().entries).max()) / T.scale
+    return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T, T.shift),
+                        converged, k, gap, vectors=Vk, sectors=[lam.size],
+                        traciality_residual=tracial)
 
 
 def literal_average(M, r):

@@ -1,0 +1,41 @@
+"""The benchmark's traced run reads a few hooks of the package.
+
+``bench/tracing.py`` wraps ``cesaro_limit`` and reads its ``cfg.method`` and
+the result's ``iterations``, ``curve`` and ``converged``; it also wraps
+``StateTensor.rotated``.  This test runs two probes under the tracer, so a
+refactor that breaks a traced benchmark run fails here first.
+"""
+
+import importlib.util
+import os
+
+from qperm import cli
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(BENCH, "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_probes_converge(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        for n in (6, 4):
+            tracer.job = n
+            assert cli.main(["probe", "--n", str(n), "--max-degree", "4"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    spans = [s for s in tracer.spans if s.name == "convolution_probe.cesaro_limit"]
+    assert len(spans) == 8
+    assert all(s.attrs is not None and s.attrs["unconverged"] == 0 for s in spans)
+    metrics = tracing.layer_metrics(tracer.spans, jobs=2, job_seconds=1.0,
+                                    span_cost=0.0)
+    assert metrics["convolution_probe.cesaro_limit.unconverged"][0] == 0

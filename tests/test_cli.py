@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
+import brute_oracle
 import qperm
 from qperm import cli
 
@@ -206,8 +208,7 @@ EXIT_CODE_CASES = [
     ("orbitals --n 5 --m 0", 2, "error: m must be >= 1"),
     ("orbitals --n 3 --m 2", 2, "error: the root-of-unity grid needs n >= 5"),
     ("orbitals --n 5 --m 3 --budget 10", 3, "budget"),
-    ("haar --n 3 --mono 1:1", 2, "error: degree-4 Haar values need n >= 4"),
-    ("haar --n 1 --mono 1:1", 2, "error: degree-4 Haar values need n >= 4"),
+    ("haar --n 3 --mono 1:1,2:2,3:3,1:1,2:2,3:3", 2, "error: reduced degree 6 > 4"),
     ("haar --n 5 --mono 0:1", 2, "error: pair (0, 1) outside 1..5"),
     ("haar --n 5", 2, "error: provide --mono or the 'table' mode"),
     ("haar table --n 4", 2, "error: the class table needs --n >= 5"),
@@ -226,6 +227,20 @@ def test_exit_code_contract(tmp_path, capsys, argv, code, fragment):
         got = exc.code
     assert got == code
     assert fragment in capsys.readouterr().err
+
+
+# S_n^+ = S_n for n <= 3, so haar answers there with the classical value
+@pytest.mark.parametrize("argv", ["haar --n 3 --mono 1:1", "haar --n 1 --mono 1:1",
+                                  "haar --n 3 --mono 1:1,2:2",
+                                  "haar --n 3 --mono 1:2,2:1,1:2,3:3",
+                                  "haar --n 2 --mono 1:1,2:2,1:1,2:2",
+                                  "haar --n 3 --mono 1:1,1:2"])
+def test_haar_below_four_is_classical(capsys, argv):
+    assert run(argv.split()) == 0
+    value = capsys.readouterr().out.splitlines()[0].partition(" = ")[2]
+    n, mono = int(argv.split()[2]), argv.split()[4]
+    word = tuple(tuple(int(x) for x in pair.split(":")) for pair in mono.split(","))
+    assert Fraction(value) == brute_oracle.brute_force_classical_haar(n, word)
 
 
 def test_unknown_command_is_argparse_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -235,6 +236,20 @@ class TestFixedSpaceProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(probe_cases())
+    def test_matches_unsplit_oracle(self, case):
+        # label actions commute with the rotation, so T stays tracial and
+        # is solved in m sectors
+        n, m, act = case
+        T = tensor_ops.permuted(cp.trace_state(_PROPERTY_MODELS[n], m), act)
+        res, ref = cp.cesaro_limit(T), cesaro_oracle.unsplit_limit(T)
+        assert len(res.sectors) == m and sum(res.sectors) == T.entries.shape[0]
+        assert (res.fixed_dim, res.converged) == (ref.fixed_dim, ref.converged)
+        assert abs(res.gap - ref.gap) < 1e-12
+        assert abs(res.traciality_residual - ref.traciality_residual) < 1e-12
+        assert np.abs(res.limit.entries - ref.limit.entries).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(probe_cases())
     def test_matches_doubling_oracle(self, case):
         n, m, act = case
         T = tensor_ops.permuted(cp.trace_state(_PROPERTY_MODELS[n], m), act)
@@ -350,21 +365,32 @@ def _full_path_report(model, cfg):
         return cp.inner_faithfulness_report(model, cfg)
 
 
+def _assert_degrees_agree(a, b, differ=()):
+    """Every DegreeProbe field but those in ``differ`` agrees: exactly for
+    flags, counts and None, to 1e-12 for numbers."""
+    for field in dataclasses.fields(cp.DegreeProbe):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name in differ:
+            continue
+        if field.name == "class_residuals":
+            assert x.keys() == y.keys()
+            for tag, info in x.items():
+                other = y[tag]
+                assert info["exact"] == other["exact"]
+                assert abs(complex(*info["estimate"])
+                           - complex(*other["estimate"])) < 1e-12, (a.m, tag)
+                assert abs(info["residual"] - other["residual"]) < 1e-12
+        elif isinstance(x, float) and y is not None:
+            assert abs(x - y) < 1e-12, (a.m, field.name)
+        else:
+            assert x == y, (a.m, field.name)
+
+
 def _assert_reports_agree(reduced, full):
     assert reduced.verdict == full.verdict
     for r, f in zip(reduced.degrees, full.degrees, strict=True):
         assert (r.reduction, f.reduction) == ("shift", "none")
-        assert (r.fixed_space_dim, r.converged) == (f.fixed_space_dim, f.converged)
-        for name in ("spectral_gap", "fix_moment_estimate", "fix_moment_imag",
-                     "catalan_residual", "row_sum_error", "traciality_residual",
-                     "invariance_residual"):
-            assert abs(getattr(r, name) - getattr(f, name)) < 1e-12, (r.m, name)
-        assert r.class_residuals.keys() == f.class_residuals.keys()
-        for tag, info in r.class_residuals.items():
-            other = f.class_residuals[tag]
-            assert info["exact"] == other["exact"]
-            assert abs(complex(*info["estimate"]) - complex(*other["estimate"])) < 1e-12
-            assert abs(info["residual"] - other["residual"]) < 1e-12
+        _assert_degrees_agree(r, f, differ=("reduction", "block_size", "sectors"))
 
 
 class TestShiftReduction:
@@ -422,6 +448,8 @@ class TestShiftReduction:
             full = _full_path_report(model5, cfg)
         assert reduced.degrees[1].invariance_residual > 1e-6
         assert reduced.degrees[1].traciality_residual > 1e-6
+        # not tracial: the gate declines the rotation split on both paths
+        assert (reduced.degrees[1].sectors, full.degrees[1].sectors) == ([5], [25])
         _assert_reports_agree(reduced, full)
 
     def test_degree_five_at_n5(self, monkeypatch):
@@ -459,3 +487,39 @@ class TestShiftReduction:
         model = _fourier_model(n)
         _assert_reports_agree(cp.inner_faithfulness_report(model, cfg),
                               _full_path_report(model, cfg))
+
+
+def _unsplit_report(model, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "cesaro_limit", cesaro_oracle.unsplit_limit)
+        return cp.inner_faithfulness_report(model, cfg)
+
+
+class TestRotationSectors:
+    """Tracial tensors are solved in the m sectors of the rotation."""
+
+    @pytest.mark.parametrize("n,max_degree", [(4, 5), (5, 5), (6, 4), (7, 4)])
+    def test_matches_unsplit_oracle(self, model4, n, max_degree):
+        model = model4 if n == 4 else _fourier_model(n)
+        cfg = cp.ProbeConfig(max_degree=max_degree)
+        split, whole = cp.inner_faithfulness_report(model, cfg), _unsplit_report(model, cfg)
+        assert split.verdict == whole.verdict
+        assert [d.fixed_space_dim for d in split.degrees] == \
+            ([1, 2, 5, 14, 42] if n == 4 else [1, 2, 5, 15, 52])[:max_degree]
+        for s, w in zip(split.degrees, whole.degrees, strict=True):
+            assert len(s.sectors) == s.m and sum(s.sectors) == s.block_size
+            assert w.sectors == [w.block_size]
+            _assert_degrees_agree(s, w, differ=("sectors",))
+
+    def test_sector_sides(self, report4):
+        assert report4.degrees[3].sectors == [70, 60, 66, 60]
+        report6 = cp.inner_faithfulness_report(_fourier_model(6))
+        assert report6.degrees[3].sectors == [58, 51, 56, 51]
+        assert report6.degrees[3].fixed_space_dim == 15
+
+    def test_gate_declines_non_tracial_input(self):
+        T = tiny_gap_tensor(4, 2)
+        res = cp.cesaro_limit(T)
+        assert res.traciality_residual > 1e-12
+        assert res.sectors == [16]
+        assert res.fixed_dim == cesaro_oracle.unsplit_limit(T).fixed_dim == 2

@@ -143,9 +143,15 @@ class TestClosedForms:
         with pytest.warns(hx.BoundaryDimensionWarning):
             hx.haar_value_snplus(((1, 1), (2, 2), (1, 1), (2, 2)), 4)
 
-    def test_small_n_rejected(self):
-        with pytest.raises(DimensionTooSmall):
-            hx.haar_value_snplus(((1, 1),), 3)
+    def test_small_n_is_classical(self):
+        # S_n^+ = S_n for n <= 3
+        for mono in (((1, 1),), ((1, 1), (2, 2)), ((1, 2), (2, 1)),
+                     ((1, 1), (2, 2), (1, 1), (2, 2))):
+            for n in (2, 3):
+                assert hx.haar_value_snplus(mono, n) == \
+                    brute_oracle.brute_force_classical_haar(n, mono)
+        with pytest.raises(DegreeTooHigh):
+            hx.haar_value_snplus(((1, 1), (2, 2), (3, 3)) * 2, 3)
 
 
 class TestDegree4System:
