@@ -2,12 +2,11 @@
 
 Traciality, the antipode and independent row/column relabelings cut the
 reduced words of degree <= 4 down to ten orbit classes.  Degree <= 3 values
-follow from row-sum expansions alone; the seven degree-4 values come out of
-a rank-six linear system plus the fourth Catalan moment of the main
-character.  Everything is exact rational arithmetic.
+are the S_n values; each degree-4 value is its S_n value plus a slope times
+one free parameter a4, which the fourth Catalan moment of the main character
+pins at a4 = -1/r(n).  Everything is exact rational arithmetic.
 """
 
-import warnings
 from fractions import Fraction
 
 from qperm import haar_exact as hx
@@ -23,12 +22,12 @@ for word in examples:
     cls = hx.canonicalize(word, 8)
     print(f"{word} -> {cls.tag}")
 
-# The solved system at n = 5: one free parameter, pinned by h(fix^4) = 14.
-sol = hx.solve_degree4_system(5)
-print("\npinned a4 at n=5:", sol.alpha4)
-for tag in ("a1", "a2", "a3", "a4", "a5", "a6", "a7"):
-    const, slope = sol.affine[tag]
-    print(f"  {tag} = {const} + ({slope}) * a4  ->  {sol.table[tag]}")
+# The degree-4 table at n = 5: S_5 value + slope * a4, and h(fix^4) = 14
+# pins a4 = -1/r(5) for S_5^+.
+a4 = Fraction(-1, hx.degree4_denominator(5))
+print("\na4 = -1/r(5) =", a4)
+for tag, (const, slope) in hx.degree4_affine(5).items():
+    print(f"  {tag} = {const} + ({slope}) * a4  ->  {hx.class_value(tag, 5)}")
 
 # Values sit strictly inside the bounds that hold for any quantum
 # permutation group with free three-orbitals.
@@ -47,11 +46,9 @@ print("quantum  h(u11 u22 u11 u22) at n=5:", hx.haar_value_snplus(word, 5))
 print("classical value (word reduces to u11 u22):", hx.classical_haar(5, word))
 
 # n = 4 sits on the boundary of the bounds range; the diagnostic compares
-# the solved value against the exact trace in the 4x4 rank-one model.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", hx.BoundaryDimensionWarning)
-    report = hx.n4_boundary_report()
-print(f"\nn=4 boundary: system value {report.formula_value},"
+# the table value against the exact trace in the 4x4 rank-one model.
+report = hx.n4_boundary_report()
+print(f"\nn=4 boundary: table value {report.formula_value},"
       f" model trace {report.model_trace},"
       f" both positive: {report.consistent}")
 assert hx.haar_value_snplus(word, 5) == Fraction(1, 44)

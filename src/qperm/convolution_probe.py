@@ -48,7 +48,6 @@ input: a matrix that rotation changes by more than 1e-12 is solved whole.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -332,9 +331,7 @@ def _class_residuals(limit: StateTensor, n: int) -> dict:
         ktup = tuple(j for _, j in rep)
         if max(itup + ktup) > n:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", haar_exact.BoundaryDimensionWarning)
-            exact = haar_exact.class_value(tag, n)
+        exact = haar_exact.class_value(tag, n)
         est = limit.entry(itup, ktup)
         out[tag] = {
             "estimate": [est.real, est.imag],

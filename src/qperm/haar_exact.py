@@ -16,21 +16,27 @@ nonvanishing words are represented by
 and every other reduced word of degree <= 4 has h = 0 because some cyclic
 rotation meets the row/column orthogonality of a magic unitary.
 
-Degree <= 3 values follow from expanding against row sums:
+Degree d <= 3 values are the S_n values (n-d)!/n!:
 h(d1) = 1/n, h(d2) = 1/(n(n-1)), h(d3) = 1/(n(n-1)(n-2)).  The degree-4
-values are pinned by six independent row/column completion identities plus
-the fourth moment of the main character fix = sum_i u_ii being the Catalan
-number C4 = 14.  With r(n) = n(n-1)(n^2 - 3n + 1) the solution is
+values satisfy six independent row/column completion identities in seven
+unknowns, with a4 free, and S_n satisfies them at a4 = 0.  So each degree-4
+value is S_n value + slope * a4 (``degree4_affine``):
+
+    a1 = 1/(n(n-1)) + (n-2)(n-3) a4       a5 = (n-3)/(n-2) a4
+    a2 = -(n-3) a4                       a6 = -a4/(n-2)
+    a3 = 1/(n(n-1)(n-2)) + (n-3)/(n-2) a4  a7 = (n-4)!/n! + a4/((n-2)(n-3))
+
+For S_n^+ the fourth moment of the main character fix = sum_i u_ii is the
+Catalan number C4 = 14, which pins a4 = -1/r(n) with r(n) = n(n-1)(n^2-3n+1):
 
     a1 = (2n-5)/r(n)            a5 = -(n-3)/((n-2) r(n))
     a2 = (n-3)/r(n)             a6 = 1/((n-2) r(n))
     a3 = (n-2)/r(n)             a7 = n/((n-2) r(n))
     a4 = -1/r(n)
 
-``solve_degree4_system`` re-derives this table at any n by assembling the
-completion identities (classifying every expansion term with the module's own
-canonicalizer), row-reducing over exact rationals with a4 as the free
-parameter, and pinning a4 with the moment identity.  All arithmetic is exact
+The derivation itself (assembling the completion identities with this
+module's canonicalizer, row-reducing them and pinning a4 by the moment) is
+the test oracle in ``tests/degree4_oracle.py``.  All arithmetic is exact
 (``fractions.Fraction``); floats never enter this module.
 """
 
@@ -42,13 +48,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
-                     NotClassifiable)
+                     IndexOutOfRange, NotClassifiable)
 from .flat_model import Monomial, classical_haar, reduce_monomial, validate_monomial
 
 ZERO = "zero"
 DEGREE_CLASS_TAGS = {1: ("d1",), 2: ("d2",), 3: ("d3",),
                      4: ("a1", "a2", "a3", "a4", "a5", "a6", "a7")}
 CLASS_TAGS = ("d1", "d2", "d3", "a1", "a2", "a3", "a4", "a5", "a6", "a7")
+_A_TAGS = DEGREE_CLASS_TAGS[4]
 
 REPRESENTATIVES: dict[str, Monomial] = {
     "d1": ((1, 1),),
@@ -165,24 +172,6 @@ def canonicalize(mono: Monomial, n: int) -> MonomialClass:
     return MonomialClass(tag=tag, representative=REPRESENTATIVES[tag])
 
 
-@dataclass(frozen=True)
-class LabelAction:
-    """Row permutation sigma and column permutation tau acting by
-    u_ij -> u_(sigma(i), tau(j));  sigma[k-1] = sigma(k)."""
-
-    sigma: tuple[int, ...]
-    tau: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, n + 1)) or \
-           sorted(self.tau) != list(range(1, len(self.tau) + 1)):
-            raise ValueError("sigma and tau must be permutations of 1..n")
-
-    def apply(self, mono: Monomial) -> Monomial:
-        return tuple((self.sigma[i - 1], self.tau[j - 1]) for i, j in mono)
-
-
 # --- exact values ------------------------------------------------------------
 
 def degree4_denominator(n: int) -> int:
@@ -190,29 +179,44 @@ def degree4_denominator(n: int) -> int:
     return n * (n - 1) * (n * n - 3 * n + 1)
 
 
+def degree4_affine(n: int) -> dict[str, tuple[Fraction, Fraction]]:
+    """Each degree-4 class as an affine function of a4: tag -> (const, slope)
+    with h(tag) = const + slope * a4, for n >= 4.
+
+    The constant is the S_n value of the class representative, since S_n
+    solves the completion identities at a4 = 0; S_n^+ has a4 = -1/r(n).
+    Raises IndexOutOfRange for n < 4."""
+    return {tag: _affine_row(tag, n) for tag in _A_TAGS}
+
+
+def _affine_row(tag: str, n: int) -> tuple[Fraction, Fraction]:
+    """One row of ``degree4_affine``; ``class_value`` needs only its own,
+    and building all seven would cost it several times as much per call."""
+    if n < 4:
+        raise IndexOutOfRange(f"degree-4 classes are tabulated for n >= 4, not {n}")
+    num, den = {
+        "a1": ((n - 2) * (n - 3), 1),
+        "a2": (-(n - 3), 1),
+        "a3": (n - 3, n - 2),
+        "a4": (1, 1),
+        "a5": (n - 3, n - 2),
+        "a6": (-1, n - 2),
+        "a7": (1, (n - 2) * (n - 3)),
+    }[tag]
+    return classical_haar(n, REPRESENTATIVES[tag]), Fraction(num, den)
+
+
 def class_value(tag: str, n: int) -> Fraction:
-    """Exact Haar value of a class representative at dimension n."""
+    """Exact Haar value of a class representative at dimension n: the S_n
+    value for d1..d3, and S_n value + slope * a4 with a4 = -1/r(n) for
+    a1..a7.  Raises IndexOutOfRange when the representative needs more than
+    n labels, and for a1..a7 at n < 4."""
     if tag == ZERO:
         return Fraction(0)
-    if tag == "d1":
-        return Fraction(1, n)
-    if tag == "d2":
-        return Fraction(1, n * (n - 1))
-    if tag == "d3":
-        return Fraction(1, n * (n - 1) * (n - 2))
-    r = degree4_denominator(n)
-    table = {
-        "a1": Fraction(2 * n - 5, r),
-        "a2": Fraction(n - 3, r),
-        "a3": Fraction(n - 2, r),
-        "a4": Fraction(-1, r),
-        "a5": Fraction(-(n - 3), (n - 2) * r),
-        "a6": Fraction(1, (n - 2) * r),
-        "a7": Fraction(n, (n - 2) * r),
-    }
-    if tag not in table:
-        raise KeyError(f"unknown class tag {tag!r}")
-    return table[tag]
+    if tag not in _A_TAGS:
+        return classical_haar(n, REPRESENTATIVES[tag])
+    const, slope = _affine_row(tag, n)
+    return const + slope * Fraction(-1, degree4_denominator(n))
 
 
 def haar_value_snplus(mono: Monomial, n: int) -> Fraction:
@@ -244,109 +248,7 @@ def catalan(k: int) -> int:
     return cs[k]
 
 
-# --- the degree-4 linear system ----------------------------------------------
-
-# Completion identities h(w * sum_k u_(row,k)) = h(w), resp. sum_k u_(k,col):
-# each expands into class multiples because the appended factor either reuses
-# a symbol of w or introduces a fresh one.
-_EXPANSIONS = (
-    (((1, 1), (2, 2), (1, 1)), "row", 2),
-    (((1, 1), (2, 2), (1, 1)), "row", 3),
-    (((1, 1), (2, 2), (1, 3)), "row", 2),
-    (((1, 1), (2, 2), (1, 3)), "col", 2),
-    (((1, 1), (2, 2), (1, 3)), "row", 3),
-    (((1, 1), (2, 2), (3, 3)), "row", 4),
-)
-
-_A_TAGS = DEGREE_CLASS_TAGS[4]
-
-
-def _degree_le3_value(word: Monomial, n: int) -> Fraction:
-    cls = canonicalize(word, n)
-    if cls.tag in _A_TAGS:
-        raise ValueError("expected a word of reduced degree <= 3")
-    return class_value(cls.tag, n)
-
-
-def assemble_expansion_equations(n: int) -> list[tuple[dict[str, Fraction], Fraction]]:
-    """The six completion identities as equations sum_tag coeff*alpha_tag = rhs.
-
-    Every expansion term is classified by ``canonicalize``; terms of reduced
-    degree <= 3 move into the right-hand side with their exact values."""
-    equations = []
-    for base, mode, fixed in _EXPANSIONS:
-        symbols = {j for _, j in base} if mode == "row" else {i for i, _ in base}
-        fresh = min(set(range(1, len(symbols) + 2)) - symbols)
-        coeffs: dict[str, Fraction] = {}
-        rhs = _degree_le3_value(base, n)
-        for k, mult in [(s, 1) for s in sorted(symbols)] + [(fresh, n - len(symbols))]:
-            if mult == 0:
-                continue
-            pair = (fixed, k) if mode == "row" else (k, fixed)
-            cls = canonicalize(base + (pair,), n)
-            if cls.tag == ZERO:
-                continue
-            if cls.tag in _A_TAGS:
-                coeffs[cls.tag] = coeffs.get(cls.tag, Fraction(0)) + mult
-            else:
-                rhs -= mult * class_value(cls.tag, n)
-        equations.append((coeffs, rhs))
-    return equations
-
-
-@dataclass(frozen=True)
-class Degree4Solution:
-    """Affine solution alpha_tag = const + slope * alpha4, plus the pinned
-    alpha4 and the resulting exact value table."""
-
-    n: int
-    affine: dict[str, tuple[Fraction, Fraction]]   # tag -> (const, slope)
-    alpha4: Fraction
-    table: dict[str, Fraction]                     # all seven tags
-
-    def evaluate(self, alpha4: Fraction) -> dict[str, Fraction]:
-        out = {tag: c + s * alpha4 for tag, (c, s) in self.affine.items()}
-        out["a4"] = alpha4
-        return out
-
-
-def _row_reduce_affine(equations, n: int) -> dict[str, tuple[Fraction, Fraction]]:
-    """Gaussian elimination over Fraction, a4 as the free parameter.
-
-    Unknown order (a1, a2, a3, a5, a6, a7); each augmented row carries two
-    right-hand sides: the constant part and the coefficient of -a4.
-    """
-    unknowns = ("a1", "a2", "a3", "a5", "a6", "a7")
-    rows = []
-    for coeffs, rhs in equations:
-        row = [Fraction(coeffs.get(t, 0)) for t in unknowns]
-        row.append(rhs)                                  # constant rhs
-        row.append(-Fraction(coeffs.get("a4", 0)))       # coefficient of a4
-        rows.append(row)
-    ncols = len(unknowns)
-    pivot_rows = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivot_rows.append(c)
-        r += 1
-    if r != ncols:
-        raise ValueError(f"completion system has rank {r}, expected {ncols} at n={n}")
-    affine = {}
-    for idx, c in enumerate(pivot_rows):
-        affine[unknowns[c]] = (rows[idx][ncols], rows[idx][ncols + 1])
-    affine["a4"] = (Fraction(0), Fraction(1))
-    return affine
-
+# --- dense-pattern sums ------------------------------------------------------
 
 def _dense_patterns(k: int, distinct_only_pairs: bool):
     """Dense tuples (first occurrences 1, 2, ...) of length k; optionally
@@ -374,38 +276,15 @@ def _diagonal_sum(n: int, k: int, value, distinct_only_pairs: bool = False) -> F
     """Sum of value(tag) over the n^k diagonal words u_(t1,t1)...u_(tk,tk),
     tag being the word's class; words in the ZERO class contribute nothing.
     The sum runs over dense patterns: a pattern with d distinct symbols
-    stands for n(n-1)...(n-d+1) index tuples.  ``distinct_only_pairs`` keeps
-    only t1 != t2 and t3 != t4.  Needs 1 <= k <= 4."""
-    total = Fraction(0)
+    stands for n(n-1)...(n-d+1) index tuples, and value is called once per
+    class.  ``distinct_only_pairs`` keeps only t1 != t2 and t3 != t4.
+    Needs 1 <= k <= 4."""
+    counts: dict[str, int] = {}
     for pattern in _dense_patterns(k, distinct_only_pairs):
         tag = canonicalize(tuple((t, t) for t in pattern), 4).tag
         if tag != ZERO:
-            total += _falling(n, len(set(pattern))) * value(tag)
-    return total
-
-
-def solve_degree4_system(n: int) -> Degree4Solution:
-    """Assemble the six completion identities, row-reduce them exactly with
-    a4 as the parameter, and pin a4 by h(fix^4) = C4.
-
-    n = 4 is allowed for diagnostics but flagged; the bounds need n >= 5.
-    """
-    if n < 4:
-        raise DimensionTooSmall("the degree-4 system needs n >= 4")
-    if n == 4:
-        warnings.warn("solving the degree-4 system at the n = 4 boundary",
-                      BoundaryDimensionWarning, stacklevel=2)
-    equations = assemble_expansion_equations(n)
-    affine = _row_reduce_affine(equations, n)
-    # h(fix^4) as an affine function const + slope * a4
-    const = _diagonal_sum(n, 4, lambda tag: affine[tag][0] if tag in _A_TAGS
-                          else class_value(tag, n))
-    slope = _diagonal_sum(n, 4, lambda tag: affine[tag][1] if tag in _A_TAGS else 0)
-    if slope == 0:
-        raise ValueError("moment identity does not determine a4")
-    alpha4 = (Fraction(catalan(4)) - const) / slope
-    table = {tag: c + s * alpha4 for tag, (c, s) in affine.items()}
-    return Degree4Solution(n=n, affine=affine, alpha4=alpha4, table=table)
+            counts[tag] = counts.get(tag, 0) + _falling(n, len(set(pattern)))
+    return sum((count * value(tag) for tag, count in counts.items()), Fraction(0))
 
 
 # --- bounds ------------------------------------------------------------------
@@ -427,16 +306,14 @@ def exotic_bounds(n: int) -> BoundsTable:
 
     Positivity of a1 = h(|u22 u11 u22|^2) and a2 = h(|u22 u11 u23|^2) confines
     the parameter to a4 in (-(n-4)!/n!, 0); pushing the window through the
-    affine solution bounds every class.  Requires n >= 5 (the window collapses
-    against the n = 4 boundary).
+    affine table ``degree4_affine`` bounds every class.  Requires n >= 5 (the
+    window collapses against the n = 4 boundary).
     """
     if n < 5:
         raise DimensionTooSmall("exotic bounds need n >= 5")
-    affine = _row_reduce_affine(assemble_expansion_equations(n), n)
     window = (Fraction(-1, n * (n - 1) * (n - 2) * (n - 3)), Fraction(0))
     intervals = {}
-    for tag in _A_TAGS:
-        c, s = affine[tag]
+    for tag, (c, s) in degree4_affine(n).items():
         lo, hi = sorted((c + s * window[0], c + s * window[1]))
         intervals[tag] = (lo, hi)
     return BoundsTable(n=n, intervals=intervals)
@@ -484,7 +361,7 @@ def double_sum_identity(n: int) -> Fraction:
 class BoundaryReport:
     """Side-by-side degree-4 data at n = 4.
 
-    ``formula_value`` is h(u11 u22 u11 u22) from the solved system;
+    ``formula_value`` is h(u11 u22 u11 u22) from the degree-4 table;
     ``model_trace`` is tr(v11 v22 v11 v22) in the explicit 4x4 rank-one model,
     computed in exact rational arithmetic.  ``consistent`` records whether
     both are strictly positive, as the model forces for a faithful-on-trace
@@ -509,9 +386,7 @@ def n4_boundary_report() -> BoundaryReport:
     for a, b in zip(word, word[1:]):
         coeff *= exact_gram(a, b)
     trace = coeff * exact_gram(word[-1], word[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryDimensionWarning)
-        formula = solve_degree4_system(4).table["a1"]
+    formula = class_value("a1", 4)
     return BoundaryReport(formula_value=formula, model_trace=trace,
                           consistent=formula > 0 and trace > 0)
 

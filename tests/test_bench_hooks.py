@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` wraps ``cesaro_limit`` and reads its ``cfg.method`` and
 the result's ``iterations``, ``curve`` and ``converged``; it also wraps
-``StateTensor.rotated``.  This test runs two probes under the tracer, so a
-refactor that breaks a traced benchmark run fails here first.
+``StateTensor.rotated``.  Among the ``haar_exact`` targets it times
+``exotic_bounds`` and ``class_value``.  These tests run two probes and three
+``haar`` jobs under the tracer, so a refactor that breaks a traced benchmark
+run fails here first.
 """
 
 import importlib.util
@@ -39,3 +41,25 @@ def test_traced_probes_converge(capsys):
     metrics = tracing.layer_metrics(tracer.spans, jobs=2, job_seconds=1.0,
                                     span_cost=0.0)
     assert metrics["convolution_probe.cesaro_limit.unconverged"][0] == 0
+
+
+def test_traced_haar_jobs_reach_the_table(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    jobs = (["haar", "--n", "6", "--mono", "1:1,2:2,1:3,2:4"],
+            ["haar", "--n", "4", "--mono", "1:1,2:2,1:1,2:2"],
+            ["haar", "table", "--n", "6"])
+    try:
+        for job, argv in enumerate(jobs):
+            tracer.job = job
+            assert cli.main(argv) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+
+    def jobs_with(name):
+        return {s.job for s in tracer.spans if s.name == name}
+
+    assert jobs_with("haar_exact.exotic_bounds") == {0, 2}    # needs n >= 5
+    assert jobs_with("haar_exact.class_value") == {0, 1, 2}

@@ -146,7 +146,7 @@ class TestCesaroLimit:
         assert res.fixed_dim == 2
 
     def test_label_permutation_covariance(self, model4):
-        act = hx.LabelAction(sigma=(2, 1, 4, 3), tau=(3, 4, 1, 2))
+        act = tensor_ops.LabelAction(sigma=(2, 1, 4, 3), tau=(3, 4, 1, 2))
         T = cp.trace_state(model4, 2)
         limit_then_permute = tensor_ops.permuted(cp.cesaro_limit(T).limit, act)
         permute_then_limit = cp.cesaro_limit(tensor_ops.permuted(T, act)).limit
@@ -204,7 +204,7 @@ def probe_cases(draw):
     n, m = draw(st.sampled_from(_PROPERTY_CASES))
     sigma = tuple(draw(st.permutations(range(1, n + 1))))
     tau = tuple(draw(st.permutations(range(1, n + 1))))
-    return n, m, hx.LabelAction(sigma=sigma, tau=tau)
+    return n, m, tensor_ops.LabelAction(sigma=sigma, tau=tau)
 
 
 class TestFixedSpaceProperties:

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -9,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute_oracle
+import degree4_oracle
 import nc_oracle
+import tensor_ops
 from qperm import flat_model as fm
 from qperm import haar_exact as hx
 from qperm.errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
@@ -74,7 +77,7 @@ class TestCanonicalize:
             tau = list(range(1, 9))
             rng.shuffle(sigma)
             rng.shuffle(tau)
-            moved = hx.LabelAction(tuple(sigma), tuple(tau)).apply(word)
+            moved = tensor_ops.LabelAction(tuple(sigma), tuple(tau)).apply(word)
             rot = rng.randrange(m)
             moved = moved[rot:] + moved[:rot]
             if rng.random() < 0.5:
@@ -143,6 +146,16 @@ class TestClosedForms:
         with pytest.warns(hx.BoundaryDimensionWarning):
             hx.haar_value_snplus(((1, 1), (2, 2), (1, 1), (2, 2)), 4)
 
+    @pytest.mark.parametrize("tag,n", [("a7", 3), ("a6", 3), ("d3", 2),
+                                       ("d3", 1), ("a1", 2), ("a1", 1)])
+    def test_words_beyond_n_labels_rejected(self, tag, n):
+        with pytest.raises(IndexOutOfRange):
+            hx.class_value(tag, n)
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(KeyError):
+            hx.class_value("b1", 5)
+
     def test_small_n_is_classical(self):
         # S_n^+ = S_n for n <= 3
         for mono in (((1, 1),), ((1, 1), (2, 2)), ((1, 2), (2, 1)),
@@ -157,13 +170,13 @@ class TestClosedForms:
 class TestDegree4System:
     @pytest.mark.parametrize("n", list(range(5, 31)))
     def test_solution_reproduces_closed_forms(self, n):
-        sol = hx.solve_degree4_system(n)
+        sol = degree4_oracle.solve_degree4_system(n)
         assert sol.alpha4 == Fraction(-1, hx.degree4_denominator(n))
         for tag in hx.DEGREE_CLASS_TAGS[4]:
             assert sol.table[tag] == hx.class_value(tag, n)
 
     def test_affine_relation_a2_vs_a4_n5(self):
-        sol = hx.solve_degree4_system(5)
+        sol = degree4_oracle.solve_degree4_system(5)
         const, slope = sol.affine["a2"]
         # among the reduced relations: a2 + (n-3) a4 = 0
         assert (const, slope) == (Fraction(0), Fraction(-2))
@@ -171,18 +184,30 @@ class TestDegree4System:
     def test_affine_a1_row_evaluation(self):
         # the a1 row is 1/(n(n-1)) + (n-2)(n-3) a4; at n=5 feeding it the
         # probe value -1/140 gives 1/20 - 6/140 = 1/140
-        sol = hx.solve_degree4_system(5)
+        sol = degree4_oracle.solve_degree4_system(5)
         const, slope = sol.affine["a1"]
         assert const == Fraction(1, 20) and slope == Fraction(6)
         assert const + slope * Fraction(-1, 140) == Fraction(1, 140)
 
     def test_evaluate_consistency(self):
-        sol = hx.solve_degree4_system(6)
+        sol = degree4_oracle.solve_degree4_system(6)
         assert sol.evaluate(sol.alpha4) == sol.table
+
+    @pytest.mark.parametrize("n", list(range(4, 31)))
+    def test_affine_table_matches_oracle(self, n):
+        assert hx.degree4_affine(n) == degree4_oracle.solve_degree4_system(n).affine
+
+    @pytest.mark.parametrize("n", list(range(5, 31)))
+    def test_bounds_are_oracle_rows_on_the_window(self, n):
+        window = (Fraction(-math.factorial(n - 4), math.factorial(n)), Fraction(0))
+        affine = degree4_oracle.solve_degree4_system(n).affine
+        expected = {tag: tuple(sorted(c + s * a4 for a4 in window))
+                    for tag, (c, s) in affine.items()}
+        assert hx.exotic_bounds(n).intervals == expected
 
     @pytest.mark.parametrize("n", list(range(5, 31)))
     def test_system_fidelity_closed_forms_satisfy_equations(self, n):
-        equations = hx.assemble_expansion_equations(n)
+        equations = degree4_oracle.assemble_expansion_equations(n)
         assert len(equations) == 6
         for coeffs, rhs in equations:
             total = sum(mult * hx.class_value(tag, n)
@@ -307,12 +332,12 @@ class TestClassicalOracle:
 
 class TestLabelAction:
     def test_apply(self):
-        act = hx.LabelAction(sigma=(3, 2, 5, 4, 1), tau=(2, 1, 8, 4, 5, 6, 7, 3))
+        act = tensor_ops.LabelAction(sigma=(3, 2, 5, 4, 1), tau=(2, 1, 8, 4, 5, 6, 7, 3))
         assert act.apply(((1, 2), (3, 3))) == ((3, 1), (5, 8))
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
-            hx.LabelAction(sigma=(1, 1, 3), tau=(1, 2, 3))
+            tensor_ops.LabelAction(sigma=(1, 1, 3), tau=(1, 2, 3))
 
 
 class TestBoundaryReport:
@@ -350,7 +375,7 @@ class TestProperties:
     @given(word=_word(8, 4), sigma=_perm(8), tau=_perm(8),
            rot=st.integers(0, 3), flip=st.booleans())
     def test_canonicalize_invariant_under_orbit_moves(self, word, sigma, tau, rot, flip):
-        moved = hx.LabelAction(sigma, tau).apply(word)
+        moved = tensor_ops.LabelAction(sigma, tau).apply(word)
         rot %= len(word)
         moved = moved[rot:] + moved[:rot]
         if flip:
