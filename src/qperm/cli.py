@@ -20,6 +20,7 @@ BLAS (see the ``qperm`` package docstring).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +33,7 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qperm",

@@ -43,13 +43,19 @@ side is about side / m, and its matrix is
 over orbit representatives a and b.  ``cesaro_limit`` solves one ``eigh``
 per sector and lifts the kept eigenvectors back.  The split is gated on the
 input: a matrix that rotation changes by more than 1e-12 is solved whole.
+The orbits and sectors depend on the shape alone and are built once per
+shape.  The report reads every field off the lifted orthonormal Vk and
+never forms the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1),
+entries Vk[x] . conj(Vk[y]), and L T - L = Vk (Vk* T - Vk*).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +74,13 @@ class ProbeConfig:
     tol_converge: float = 1e-10
     # Bytes.  A probe is refused up front when WORKING_SET matrices of the
     # side s it solves at max_degree (n^m, or n^(m-1) on shift blocks), 16 s^2
-    # bytes each, exceed the cap: at its peak a degree holds T and the
-    # rotated copy the traciality gate compares it with, or T, the limit and
-    # Vk (Vk* T); the rotation sectors are about s/m wide.  Peak RSS over the
-    # baseline, read with resource.getrusage in a subprocess, came to 3.9-5.0
-    # such matrices on both paths (n = 4..8, s = 512..2401), against 6.1-6.9
-    # before the sector split; the gate keeps its margin.
+    # bytes each, exceed the cap: at its peak a degree holds T and one more
+    # such matrix (the gate's rotated copy, the product Vk (Vk* T - Vk*) of
+    # the invariance residual, or the copy the build transposes into); the
+    # rotation sectors are about s/m wide.  Peak RSS over the baseline, read
+    # with resource.getrusage in a subprocess per probe, came to 2.8-3.4 such
+    # matrices on both paths (n = 4..8, s = 512..2401), against 3.8-4.7 when
+    # the report built the limit; the gate keeps its margin.
     memory_cap: int = 2 * GIB
     method: str = "fixed_space"            # the only method
 
@@ -123,21 +130,10 @@ class StateTensor:
     def tuples(self) -> np.ndarray:
         """The 0-based m-tuple stored at each row of ``entries``, shape
         (rows, m); a shift block stores the tuples whose first index is 0."""
-        size = self.entries.shape[0]
         free = self.m - 1 if self.shift else self.m
+        size = self.n ** free
         digits = np.arange(size)[:, None] // self.n ** np.arange(free - 1, -1, -1) % self.n
         return np.hstack([np.zeros((size, self.m - free), dtype=int), digits])
-
-    def entry(self, itup: tuple[int, ...], ktup: tuple[int, ...]) -> complex:
-        row, col = self.index(np.array([itup, ktup]) - 1)
-        return complex(self.entries[row, col]) / self.scale
-
-    def row_sum_error(self) -> float:
-        return float(np.abs(self.entries.sum(axis=1) - 1.0).max())
-
-    def fix_moment(self) -> complex:
-        """sum over diagonal tuples: the state's value on fix^m."""
-        return complex(np.trace(self.entries))
 
     def rotation(self) -> np.ndarray:
         """pi: the row of ``entries`` holding each stored tuple rotated
@@ -179,13 +175,11 @@ def _cyclic_products(model: FlatModel, m: int, memory_cap: int,
     if m == 1:
         return np.ones((size, size), dtype=complex)
     G = model.gram.reshape(n * n, n * n)
-    letters = "abcdefghij"[:m]
-    terms = [letters[t] + letters[(t + 1) % m] for t in range(m)]
-    operands = [G] * m
-    if pinned:
-        terms[0], terms[-1] = terms[0][1], terms[-1][0]
-        operands[0], operands[-1] = G[0], G[:, 0]
-    cyc = np.einsum(",".join(terms) + "->" + letters[m - free:], *operands)
+    cyc = G[0] if pinned else G                    # G[p1, p2], one axis per pair
+    for _ in range(m - 2):
+        cyc = cyc[..., None] * G                   # times G[pt, p(t+1)]
+    cyc = cyc * (G[:, 0] if pinned                 # times G[pm, p1]
+                 else G.T.reshape((n * n,) + (1,) * (m - 2) + (n * n,)))
     cyc = cyc.reshape((n, n) * free)
     perm = tuple(range(0, 2 * free, 2)) + tuple(range(1, 2 * free, 2))
     return cyc.transpose(perm).reshape(size, size)
@@ -193,7 +187,9 @@ def _cyclic_products(model: FlatModel, m: int, memory_cap: int,
 
 def trace_state(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
     """Degree-m moment matrix of tr(.)/n composed with the model."""
-    return StateTensor(model.n, m, _cyclic_products(model, m, memory_cap, False) / model.n)
+    entries = _cyclic_products(model, m, memory_cap, False)
+    entries /= model.n                             # a fresh array: no second copy
+    return StateTensor(model.n, m, entries)
 
 
 def shift_block(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
@@ -206,7 +202,9 @@ def shift_block(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTen
 
 @dataclass
 class CesaroResult:
-    limit: StateTensor
+    n: int
+    m: int
+    shift: bool                            # layout of the input, which the limit keeps
     converged: bool                        # every kept eigenvalue within tol of 1
     fixed_dim: int                         # rank of the limit, i.e. its fix moment
     gap: float | None                      # 1 - largest eigenvalue of H left out
@@ -215,6 +213,56 @@ class CesaroResult:
     traciality_residual: float             # |M - M[pi][:, pi]| / scale: the split's gate
     iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
     curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
+
+    @functools.cached_property
+    def limit(self) -> StateTensor:
+        """The limit Vk Vk*, built on first use; the probe report reads Vk."""
+        Vk = self.vectors
+        return StateTensor(self.n, self.m, Vk @ Vk.conj().T, self.shift)
+
+
+class _Sector(NamedTuple):
+    members: np.ndarray        # positions in reps of the orbits a with order | s |a|
+    weights: np.ndarray        # sqrt(|a| |b|) / m over members a, b
+    rows: np.ndarray           # rows[d, a] = pi^d a: where a lifted vector lives
+    phases: np.ndarray         # phases[d, a] = chi^(s d) / sqrt(|a|) at rows[d, a]
+
+
+class _SectorPlan(NamedTuple):
+    pi: np.ndarray             # see StateTensor.rotation
+    reps: np.ndarray           # least row of each pi-orbit
+    orbits: np.ndarray         # orbits[d, a] = pi^d reps[a]
+    sizes: np.ndarray          # |a|
+    chi: np.ndarray            # chi[s, d] = chi^(s d)
+    sectors: tuple             # one _Sector per character s
+
+
+@functools.cache
+def _sector_plan(n: int, m: int, shift: bool, order: int) -> _SectorPlan:
+    """Orbits and sectors of Z_order, generated by the rotation pi, on the
+    rows of a degree-m matrix stored as StateTensor(n, m, ., shift); order
+    is m, or 1 for the whole matrix as one sector.  It depends on the shape
+    only, so it is built once per shape, and its arrays are read-only."""
+    pi = StateTensor(n, m, None, shift).rotation()      # reads no entries
+    powers = [np.arange(pi.size)]                      # powers[d][x] = pi^d x
+    for _ in range(order - 1):
+        powers.append(pi[powers[-1]])
+    powers = np.array(powers)
+    reps = np.flatnonzero(powers.min(axis=0) == powers[0])   # least of each orbit
+    orbits = powers[:, reps]
+    sizes = order // np.count_nonzero(orbits == reps, axis=0)
+    chi = np.exp(2j * np.pi / order * np.outer(np.arange(order), np.arange(order)))
+    root = np.sqrt(sizes)
+    sectors = []
+    for s in range(order):
+        members = np.flatnonzero(sizes * s % order == 0)
+        r = root[members]
+        sectors.append(_Sector(members, r[:, None] * r / order, orbits[:, members],
+                               chi[s][:, None] / r))
+    plan = _SectorPlan(pi, reps, orbits, sizes, chi, tuple(sectors))
+    for array in plan[:-1] + tuple(a for sector in sectors for a in sector):
+        array.flags.writeable = False
+    return plan
 
 
 def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult:
@@ -230,37 +278,32 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 
     When rotating both tuples leaves T unchanged within ``TRACIAL_TOL``, H is
     solved in its m rotation sectors (see the module docstring); otherwise
-    whole, as one sector.
+    whole, as one sector.  The result holds the kept eigenvectors Vk; the
+    limit Vk Vk* is formed only when ``limit`` is read.
     """
     cfg = cfg or ProbeConfig()
     M = T.entries
     side = M.shape[0]
-    pi = T.rotation()
-    tracial = float(np.abs(M - M[pi][:, pi]).max()) / T.scale
-    order = T.m if tracial <= TRACIAL_TOL else 1
-    powers = [np.arange(side)]                     # powers[d][x] = pi^d x
-    for _ in range(order - 1):
-        powers.append(pi[powers[-1]])
-    powers = np.array(powers)
-    reps = np.flatnonzero(powers.min(axis=0) == powers[0])   # least of each orbit
-    orbits = powers[:, reps]                       # orbits[d, a] = pi^d a
-    sizes = order // np.count_nonzero(orbits == reps, axis=0)
-    H = 0.5 * (M[reps] + M[:, reps].conj().T)      # rows of H at the reps
-    chi = np.exp(2j * np.pi / order * np.outer(np.arange(order), np.arange(order)))
-    C = np.einsum("sd,adb->sab", chi, H[:, orbits])   # sum_d chi^(sd) H[a, pi^d b]
-    root = np.sqrt(sizes)
+    plan = _sector_plan(T.n, T.m, T.shift, T.m)
+    rotated = M[np.ix_(plan.pi, plan.pi)]          # the gate's one side^2 copy,
+    rotated -= M                                   # differenced in place
+    tracial = float(np.abs(rotated).max()) / T.scale
+    del rotated                                    # and freed before the solve
+    if tracial > TRACIAL_TOL:
+        plan = _sector_plan(T.n, T.m, T.shift, 1)
+    H = 0.5 * (M[plan.reps] + M[:, plan.reps].conj().T)      # rows of H at the reps
+    C = np.tensordot(plan.chi, H[:, plan.orbits], axes=(1, 1))   # sum_d chi^(sd) H[a, pi^d b]
     cut = 1.0 - math.sqrt(cfg.tol_converge)
     blocks, kept, rest, sectors = [], [], [], []
-    for s in range(order):
-        inside = np.flatnonzero(sizes * s % order == 0)
-        r = root[inside]
-        lam, W = np.linalg.eigh(C[s][inside][:, inside] * (r[:, None] * r / order))
+    for s, sector in enumerate(plan.sectors):
+        lam, W = np.linalg.eigh(C[s][np.ix_(sector.members, sector.members)]
+                                * sector.weights)
         k = int(np.count_nonzero(lam > cut))             # lam ascends
         sectors.append(int(lam.size))
         kept.append(lam[lam.size - k:])
         rest.append(lam[:lam.size - k])
-        U = np.zeros((side, k), dtype=complex)     # chi^(sd) / sqrt(|a|) at pi^d a
-        U[orbits[:, inside]] = chi[s][:, None, None] / r[:, None] * W[:, lam.size - k:]
+        U = np.zeros((side, k), dtype=complex)
+        U[sector.rows] = sector.phases[:, :, None] * W[:, lam.size - k:]
         blocks.append(U)
     Vk = np.hstack(blocks)
     kept, rest = np.concatenate(kept), np.concatenate(rest)
@@ -268,9 +311,8 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     if side < T.n ** T.m:
         rest = np.append(rest, 0.0)
     gap = float(1.0 - rest.max()) if rest.size else None
-    return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T, T.shift),
-                        converged, kept.size, gap, vectors=Vk, sectors=sectors,
-                        traciality_residual=tracial)
+    return CesaroResult(T.n, T.m, T.shift, converged, kept.size, gap, vectors=Vk,
+                        sectors=sectors, traciality_residual=tracial)
 
 
 # --- reports -----------------------------------------------------------------
@@ -285,12 +327,12 @@ class DegreeProbe:
     fixed_space_dim: int
     spectral_gap: float | None
     fix_moment_estimate: float
-    fix_moment_imag: float
+    fix_moment_imag: float                 # 0: the trace of Vk Vk* is real
     catalan_target: int
     catalan_residual: float
     row_sum_error: float
     traciality_residual: float             # |T - T rotated|, on the input
-    invariance_residual: float             # |L*T - L|
+    invariance_residual: float             # max |Vk (Vk* T - Vk*)| / scale, = |L T - L|
     class_residuals: dict
 
 
@@ -321,18 +363,19 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
-def _class_residuals(limit: StateTensor, n: int) -> dict:
+def _class_residuals(T: StateTensor, Vk: np.ndarray) -> dict:
     """|limit entry - exact closed form| for every class representative of
-    degree m, keyed by class tag."""
+    degree m, keyed by class tag; the limit Vk Vk* is stored like T."""
     out = {}
-    for tag in haar_exact.DEGREE_CLASS_TAGS.get(limit.m, ()):
+    for tag in haar_exact.DEGREE_CLASS_TAGS.get(T.m, ()):
         rep = haar_exact.REPRESENTATIVES[tag]
         itup = tuple(i for i, _ in rep)
         ktup = tuple(j for _, j in rep)
-        if max(itup + ktup) > n:
+        if max(itup + ktup) > T.n:
             continue
-        exact = haar_exact.class_value(tag, n)
-        est = limit.entry(itup, ktup)
+        exact = haar_exact.class_value(tag, T.n)
+        row, col = T.index(np.array([itup, ktup]) - 1)
+        est = complex(Vk[row] @ Vk[col].conj()) / T.scale
         out[tag] = {
             "estimate": [est.real, est.imag],
             "exact": [exact.numerator, exact.denominator],
@@ -369,12 +412,11 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
         T = shift_block(model, m, cfg.memory_cap) if shift \
             else trace_state(model, m, cfg.memory_cap)
         result = cesaro_limit(T, cfg)
-        L = result.limit
-        fix = L.fix_moment()
-        est, imag = fix.real, abs(fix.imag)
+        Vk = result.vectors
+        Vh = Vk.conj().T
+        est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))   # trace of Vk Vk*, real
         target = haar_exact.catalan(m)
         residual = abs(est - target)
-        Vk = result.vectors
         degrees.append(DegreeProbe(
             m=m,
             reduction="shift" if T.shift else "none",
@@ -384,14 +426,14 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             fixed_space_dim=result.fixed_dim,
             spectral_gap=result.gap,
             fix_moment_estimate=est,
-            fix_moment_imag=imag,
+            fix_moment_imag=0.0,
             catalan_target=target,
             catalan_residual=residual,
-            row_sum_error=L.row_sum_error(),
+            row_sum_error=float(np.abs(Vk @ Vh.sum(axis=1) - 1.0).max()),
             traciality_residual=result.traciality_residual,
             invariance_residual=float(
-                np.abs(Vk @ (Vk.conj().T @ T.entries) - L.entries).max()) / L.scale,
-            class_residuals=_class_residuals(L, model.n),
+                np.abs(Vk @ (Vh @ T.entries - Vh)).max()) / T.scale,
+            class_residuals=_class_residuals(T, Vk),
         ))
         worst_residual = max(worst_residual, residual)
         if verdict is None and not result.converged:

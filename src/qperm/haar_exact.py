@@ -42,6 +42,7 @@ the test oracle in ``tests/degree4_oracle.py``.  All arithmetic is exact
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -272,6 +273,19 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
+@functools.cache
+def _diagonal_classes(k: int, distinct_only_pairs: bool) -> tuple[tuple[str, int], ...]:
+    """(class tag, number of distinct symbols) of each dense diagonal pattern
+    u_(t1,t1)...u_(tk,tk) of length k outside the ZERO class.  The list does
+    not depend on n, so it is built once per (k, distinct_only_pairs)."""
+    out = []
+    for pattern in _dense_patterns(k, distinct_only_pairs):
+        tag = canonicalize(tuple((t, t) for t in pattern), 4).tag
+        if tag != ZERO:
+            out.append((tag, len(set(pattern))))
+    return tuple(out)
+
+
 def _diagonal_sum(n: int, k: int, value, distinct_only_pairs: bool = False) -> Fraction:
     """Sum of value(tag) over the n^k diagonal words u_(t1,t1)...u_(tk,tk),
     tag being the word's class; words in the ZERO class contribute nothing.
@@ -280,10 +294,8 @@ def _diagonal_sum(n: int, k: int, value, distinct_only_pairs: bool = False) -> F
     class.  ``distinct_only_pairs`` keeps only t1 != t2 and t3 != t4.
     Needs 1 <= k <= 4."""
     counts: dict[str, int] = {}
-    for pattern in _dense_patterns(k, distinct_only_pairs):
-        tag = canonicalize(tuple((t, t) for t in pattern), 4).tag
-        if tag != ZERO:
-            counts[tag] = counts.get(tag, 0) + _falling(n, len(set(pattern)))
+    for tag, distinct in _diagonal_classes(k, distinct_only_pairs):
+        counts[tag] = counts.get(tag, 0) + _falling(n, distinct)
     return sum((count * value(tag) for tag, count in counts.items()), Fraction(0))
 
 

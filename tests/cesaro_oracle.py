@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from qperm.convolution_probe import CesaroResult, ProbeConfig, StateTensor
+from qperm.convolution_probe import CesaroResult, ProbeConfig
 
 
 def unsplit_limit(T, cfg=None):
@@ -39,8 +39,8 @@ def unsplit_limit(T, cfg=None):
         rest = np.append(rest, 0.0)
     gap = float(1.0 - rest.max()) if rest.size else None
     tracial = float(np.abs(M - T.rotated().entries).max()) / T.scale
-    return CesaroResult(StateTensor(T.n, T.m, Vk @ Vk.conj().T, T.shift),
-                        converged, k, gap, vectors=Vk, sectors=[lam.size],
+    return CesaroResult(n=T.n, m=T.m, shift=T.shift, converged=converged,
+                        fixed_dim=k, gap=gap, vectors=Vk, sectors=[lam.size],
                         traciality_residual=tracial)
 
 

@@ -1,8 +1,9 @@
 """Operations on generator words and full moment matrices that only the
 tests use.
 
-``LabelAction`` relabels rows and columns of a generator word.  The tensor
-operations each take a ``convolution_probe.StateTensor`` holding the full
+``LabelAction`` relabels rows and columns of a generator word.  ``entry``,
+``row_sum_error`` and ``fix_moment`` read a ``convolution_probe.StateTensor``
+in either layout.  The tensor operations each take one holding the full
 tensor (``shift=False``), work on its ``entries`` array in lexicographic
 tuple order, and return a new one:
 
@@ -10,6 +11,9 @@ tuple order, and return a new one:
 * ``marginalized`` sums out the last index pair, giving degree m - 1;
 * ``convolve`` is the convolution of two states, the product of their
   moment matrices.
+
+``cyclic_products_einsum`` is the reference for ``trace_state`` and
+``shift_block``: the cyclic Gram product as one multi-operand ``einsum``.
 """
 
 from dataclasses import dataclass
@@ -38,6 +42,21 @@ class LabelAction:
         return tuple((self.sigma[i - 1], self.tau[j - 1]) for i, j in mono)
 
 
+def entry(T, itup, ktup):
+    """The state's value at u_(i1,k1)...u_(im,km), from 1-based tuples."""
+    row, col = T.index(np.array([itup, ktup]) - 1)
+    return complex(T.entries[row, col]) / T.scale
+
+
+def row_sum_error(T):
+    return float(np.abs(T.entries.sum(axis=1) - 1.0).max())
+
+
+def fix_moment(T):
+    """sum over diagonal tuples: the state's value on fix^m."""
+    return complex(np.trace(T.entries))
+
+
 def permuted(T, action):
     """Entrywise relabeling T[(sigma i..), (tau k..)] by a ``LabelAction``."""
     sig = np.argsort(np.array(action.sigma) - 1)   # position of preimage
@@ -62,3 +81,26 @@ def marginalized(T):
 def convolve(A, B):
     """Convolution of two states of the same shape."""
     return StateTensor(A.n, A.m, A.entries @ B.entries)
+
+
+def cyclic_products_einsum(model, m, pinned):
+    """n times the degree-m trace state, or its shift block B when ``pinned``
+    (p1 = (1, 1)), in row-tuple x column-tuple order, from one ``einsum`` of
+    the cyclic Gram product G[p1, p2] G[p2, p3] ... G[pm, p1]."""
+    n = model.n
+    free = m - 1 if pinned else m
+    size = n ** free
+    G = model.gram.reshape(n * n, n * n)
+    if m == 1:                                     # G[p1, p1]
+        cyc = G[:1, :1].copy() if pinned else np.diagonal(G).copy()
+    else:
+        letters = "abcdefghij"[:m]
+        terms = [letters[t] + letters[(t + 1) % m] for t in range(m)]
+        operands = [G] * m
+        if pinned:
+            terms[0], terms[-1] = terms[0][1], terms[-1][0]
+            operands[0], operands[-1] = G[0], G[:, 0]
+        cyc = np.einsum(",".join(terms) + "->" + letters[m - free:], *operands)
+    cyc = cyc.reshape((n, n) * free)
+    perm = tuple(range(0, 2 * free, 2)) + tuple(range(1, 2 * free, 2))
+    return cyc.transpose(perm).reshape(size, size)

@@ -274,3 +274,41 @@ def test_qpg_threads_caps_blas():
     done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "1"
+
+
+# each command runs after the one before it in the same process; no flag of
+# an earlier command may reach a later one
+_REUSE_SEQUENCE = (
+    ("orbitals", "--n", "4", "--m", "2", "--json"),
+    ("orbitals", "--n", "4", "--m", "2"),
+    ("probe", "--n", "5", "--max-degree", "3", "--csv", "CSV"),
+    ("probe", "--n", "5", "--max-degree", "3"),
+    ("orbitals", "--n", "4", "--m", "2", "--model", "classical"),
+    ("orbitals", "--n", "4", "--m", "2"),
+)
+
+
+def _fresh_process(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(qperm.__file__)),
+                      env.get("PYTHONPATH")]))
+    script = "import sys; from qperm.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env,
+                          timeout=120, capture_output=True, text=True)
+    return done.stdout, done.stderr, done.returncode
+
+
+def test_parser_is_reused_without_carry_over(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    csv = tmp_path / "moments.csv"
+    for argv in _REUSE_SEQUENCE:
+        argv = [str(csv) if arg == "CSV" else arg for arg in argv]
+        fresh = _fresh_process(argv, tmp_path)
+        fresh_csv = csv.read_text() if csv.exists() else None
+        csv.unlink(missing_ok=True)
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (out, err, code) == fresh, argv
+        assert (csv.read_text() if csv.exists() else None) == fresh_csv, argv
+        csv.unlink(missing_ok=True)

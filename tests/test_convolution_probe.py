@@ -34,11 +34,11 @@ class TestTraceState:
     def test_degree_two_entry(self, model4):
         T = cp.trace_state(model4, 2)
         # tr(v11 v22)/4 = |<xi11, xi22>|^2 / 4 = (1/3)^2 / 4
-        assert abs(T.entry((1, 2), (1, 2)) - 1 / 36) < 1e-14
+        assert abs(tensor_ops.entry(T, (1, 2), (1, 2)) - 1 / 36) < 1e-14
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_row_sums(self, model5, m):
-        assert cp.trace_state(model5, m).row_sum_error() < 1e-11
+        assert tensor_ops.row_sum_error(cp.trace_state(model5, m)) < 1e-11
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_marginal_consistency(self, model5, m):
@@ -59,8 +59,8 @@ class TestTraceState:
         rows = B.index(T.tuples())
         lifted = B.entries[np.ix_(rows, rows)] / n
         assert np.abs(lifted - T.entries).max() < 1e-15
-        assert abs(B.entry((2,) * m, (3,) + (1,) * (m - 1))
-                   - T.entry((2,) * m, (3,) + (1,) * (m - 1))) < 1e-15
+        assert abs(tensor_ops.entry(B, (2,) * m, (3,) + (1,) * (m - 1))
+                   - tensor_ops.entry(T, (2,) * m, (3,) + (1,) * (m - 1))) < 1e-15
 
     def test_matches_literal_traces(self, model4):
         T = cp.trace_state(model4, 2)
@@ -71,7 +71,21 @@ class TestTraceState:
                 for pair in word[1:]:
                     prod = prod @ model4.projection(*pair)
                 want = np.trace(prod) / 4
-                assert abs(T.entry(itup, ktup) - want) < 1e-13
+                assert abs(tensor_ops.entry(T, itup, ktup) - want) < 1e-13
+
+
+class TestCyclicProducts:
+    """The broadcast cyclic Gram product against its einsum form."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_einsum(self, model4, n, m):
+        model = model4 if n == 4 else _fourier_model(n)
+        ref = tensor_ops.cyclic_products_einsum(model, m, pinned=False) / n
+        assert np.abs(cp.trace_state(model, m).entries - ref).max() <= 1e-15
+        if cp.shift_invariant(model.gram):
+            ref = tensor_ops.cyclic_products_einsum(model, m, pinned=True)
+            assert np.abs(cp.shift_block(model, m).entries - ref).max() <= 1e-15
 
 
 class TestConvolve:
@@ -82,7 +96,7 @@ class TestConvolve:
 
     def test_row_sums_preserved(self, model5):
         T = cp.trace_state(model5, 2)
-        assert tensor_ops.convolve(T, T).row_sum_error() < 1e-10
+        assert tensor_ops.row_sum_error(tensor_ops.convolve(T, T)) < 1e-10
 
     def test_matches_definition_sum(self, model4):
         T = cp.trace_state(model4, 2)
@@ -260,10 +274,10 @@ class TestFixedSpaceProperties:
 class TestFixMomentEstimates:
     def test_degree_one_estimate(self, model5):
         limit = cp.cesaro_limit(cp.trace_state(model5, 1)).limit
-        fix = limit.fix_moment()
+        fix = tensor_ops.fix_moment(limit)
         assert abs(fix.real - 1.0) < 1e-12
         assert abs(fix.imag) < 1e-12
-        assert abs(limit.entry((2,), (3,)) - 1 / 5) < 1e-12
+        assert abs(tensor_ops.entry(limit, (2,), (3,)) - 1 / 5) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +400,20 @@ def _assert_degrees_agree(a, b, differ=()):
             assert x == y, (a.m, field.name)
 
 
+def _assert_fields_match_limit(degree, T):
+    """The DegreeProbe fields the report reads off Vk, against the same
+    fields read off the formed limit L of the unsplit oracle."""
+    L = cesaro_oracle.unsplit_limit(T).limit
+    assert abs(tensor_ops.fix_moment(L) - degree.fix_moment_estimate) < 1e-12
+    assert abs(tensor_ops.row_sum_error(L) - degree.row_sum_error) < 1e-12
+    invariance = np.abs(L.entries @ T.entries - L.entries).max() / L.scale
+    assert abs(invariance - degree.invariance_residual) < 1e-12
+    for tag, info in degree.class_residuals.items():
+        rep = hx.REPRESENTATIVES[tag]
+        est = tensor_ops.entry(L, tuple(i for i, _ in rep), tuple(j for _, j in rep))
+        assert abs(est - complex(*info["estimate"])) < 1e-12, tag
+
+
 def _assert_reports_agree(reduced, full):
     assert reduced.verdict == full.verdict
     for r, f in zip(reduced.degrees, full.degrees, strict=True):
@@ -451,6 +479,8 @@ class TestShiftReduction:
         # not tracial: the gate declines the rotation split on both paths
         assert (reduced.degrees[1].sectors, full.degrees[1].sectors) == ([5], [25])
         _assert_reports_agree(reduced, full)
+        _assert_fields_match_limit(reduced.degrees[1], B)
+        _assert_fields_match_limit(full.degrees[1], T)
 
     def test_degree_five_at_n5(self, monkeypatch):
         def full_tensor(*args):
@@ -523,3 +553,37 @@ class TestRotationSectors:
         assert res.traciality_residual > 1e-12
         assert res.sectors == [16]
         assert res.fixed_dim == cesaro_oracle.unsplit_limit(T).fixed_dim == 2
+
+    def test_report_never_forms_the_limit(self, model4, monkeypatch):
+        def no_limit(result):
+            raise AssertionError("the report read CesaroResult.limit")
+
+        monkeypatch.setattr(cp.CesaroResult, "limit", property(no_limit))
+        for model in (model4, _fourier_model(5)):
+            cfg = cp.ProbeConfig(max_degree=4)
+            split, whole = cp.inner_faithfulness_report(model, cfg), _unsplit_report(model, cfg)
+            assert split.verdict == whole.verdict
+            for s, w in zip(split.degrees, whole.degrees, strict=True):
+                _assert_degrees_agree(s, w, differ=("sectors",))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_report_fields_match_the_limit(self, model4, n):
+        model = model4 if n == 4 else _fourier_model(n)
+        report = cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=4))
+        for degree in report.degrees:
+            T = cp.shift_block(model, degree.m) if degree.reduction == "shift" \
+                else cp.trace_state(model, degree.m)
+            _assert_fields_match_limit(degree, T)
+
+    @pytest.mark.parametrize("n,m,shift", [(4, 3, False), (5, 4, True), (6, 1, True)])
+    def test_plan_is_cached_and_read_only(self, n, m, shift):
+        for order in (m, 1):
+            plan = cp._sector_plan(n, m, shift, order)
+            assert cp._sector_plan(n, m, shift, order) is plan
+            layout = cp.StateTensor(n, m, np.zeros((n ** (m - shift),) * 2), shift)
+            assert np.array_equal(plan.pi, layout.rotation())
+            assert len(plan.sectors) == order
+            for array in (*plan[:-1], *(a for sector in plan.sectors for a in sector)):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]

@@ -297,6 +297,40 @@ class TestMoments:
             hx.fix_moment(5, 5)
 
 
+def _pattern_sum(n, k, value, distinct_only_pairs=False):
+    """Sum of value(tag) over the n^k diagonal words, each dense pattern
+    classified afresh and counted n(n-1)...(n-d+1) times."""
+    total = Fraction(0)
+    for tup in itertools.product(range(k), repeat=k):
+        if any(t > max(tup[:i], default=-1) + 1 for i, t in enumerate(tup)):
+            continue                               # not a dense pattern
+        if distinct_only_pairs and (tup[0] == tup[1] or tup[2] == tup[3]):
+            continue
+        tag = hx.canonicalize(tuple((t + 1, t + 1) for t in tup), 4).tag
+        if tag != hx.ZERO:
+            total += math.perm(n, len(set(tup))) * value(tag)
+    return total
+
+
+class TestDiagonalSums:
+    """The diagonal pattern classes are built once and reused for every n."""
+
+    def test_matches_fresh_classification(self):
+        assert hx._diagonal_classes(4, False) is hx._diagonal_classes(4, False)
+        with quiet_boundary():
+            for n in range(4, 61):
+                def value(tag):
+                    return hx.class_value(tag, n)
+
+                for k in range(1, 5):
+                    assert hx.fix_moment(n, k) == _pattern_sum(n, k, value), (n, k)
+                assert hx.double_sum_identity(n) == _pattern_sum(n, 4, value, True), n
+                if n >= 5:
+                    bounds = hx.exotic_bounds(n).intervals
+                    assert hx.fix4_exotic_bound(n) == _pattern_sum(
+                        n, 4, lambda tag: bounds[tag][1] if tag in bounds else value(tag)), n
+
+
 class TestClassicalOracle:
     def test_values(self):
         for word, value in ((((1, 1),), Fraction(1, 5)),
