@@ -4,7 +4,7 @@ Subcommands:
 
     qperm basis gen --n 5 --out b5.json        write a constructed basis
     qperm basis verify b5.json                 re-check a basis file
-    qperm orbitals --n 4 --m 3                 exhaustive free-orbital scan
+    qperm orbitals --n 4 --m 3                 free-orbital check of all words
     qperm orbitals --n 4 --m 3 --model classical
     qperm haar --n 5 --mono "1:1,2:2,1:1,2:2"  classify + exact value
     qperm haar table --n 6                     full degree-4 class table
@@ -49,11 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = basis_sub.add_parser("verify", help="verify a basis JSON file")
     p_ver.add_argument("path")
 
-    p_orb = sub.add_parser("orbitals", help="exhaustive m-orbital scan")
+    p_orb = sub.add_parser("orbitals", help="free m-orbital check over all words")
     p_orb.add_argument("--n", type=int, required=True)
     p_orb.add_argument("--m", type=int, required=True)
     p_orb.add_argument("--model", choices=("flat", "classical"), default="flat")
-    p_orb.add_argument("--budget", type=int, default=None)
+    p_orb.add_argument("--budget", type=int, default=None,
+                       help="limit on the words covered, n^(2m); above it, "
+                            "exit 3 (default 10^9)")
     p_orb.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p_haar = sub.add_parser("haar", help="exact Haar values of words")

@@ -7,9 +7,10 @@ generators collapses to a single rank-one operator,
         = ( prod_t <xi_(it,jt), xi_(i(t+1),j(t+1))> ) |xi_(i1,j1)><xi_(im,jm)|,
 
 so zero/nonzero questions reduce to products of Gram factors.  The module
-evaluates words in this closed form, scans all index tuples of a given length
-for the free-orbital property (words vanish only when two consecutive factors
-share exactly one of row/column), and checks the commutation pattern
+evaluates words in this closed form, decides the free-orbital property for
+all words of a given length (words vanish only when two consecutive factors
+share exactly one of row/column) by a min/max-product recursion over paths
+on the n^2 pairs, and checks the commutation pattern
 [v_ij, v_kl] = 0 <=> i = k or j = l.  The classical model over S_n is the
 contrast: there the generators are the indicator functions 1_(j -> i) on
 permutations, and a word u_(i1,j1)...u_(im,jm) is nonzero exactly when
@@ -34,7 +35,6 @@ from .errors import (BudgetExceeded, DimensionTooSmall, EmptyMonomial,
 
 TOL_ZERO = 1e-12      # |coefficient| below this counts as a vanished word
 TOL_NONZERO = 1e-9    # |coefficient| above this counts as a surviving word
-TOL_MAGIC_LAW = 1e-11
 DEFAULT_BUDGET = 10 ** 9
 
 Monomial = tuple[tuple[int, int], ...]
@@ -117,18 +117,6 @@ def model_from_basis(basis: magic_bases.MagicBasis,
     return FlatModel(basis=basis, n=basis.n, gram=G)
 
 
-def magic_law_residual(model: FlatModel) -> float:
-    """max over rows/columns of || sum_k v_ik - 1 || (and the column version)."""
-    n = model.n
-    eye = np.eye(n)
-    worst = 0.0
-    for s in range(1, n + 1):
-        row = sum(model.projection(s, k) for k in range(1, n + 1))
-        col = sum(model.projection(k, s) for k in range(1, n + 1))
-        worst = max(worst, np.abs(row - eye).max(), np.abs(col - eye).max())
-    return worst
-
-
 @dataclass(frozen=True)
 class MonomialValue:
     """coefficient * |xi_ket><xi_bra|, or the identity when the word is empty."""
@@ -166,22 +154,15 @@ def monomial_value(model: FlatModel, mono: Monomial) -> MonomialValue:
     return MonomialValue(coefficient=coeff, ket_index=mono[0], bra_index=mono[-1])
 
 
-def orbital_related(model: FlatModel, itup: tuple[int, ...], jtup: tuple[int, ...],
-                    tol_nonzero: float = TOL_NONZERO) -> bool:
-    """Whether (i1..im) ~ (j1..jm), i.e. u_(i1,j1)...u_(im,jm) != 0 in the model."""
-    if len(itup) != len(jtup):
-        raise ValueError("tuples must have equal length")
-    if not itup:
-        return True
-    mono = tuple(zip(itup, jtup))
-    return abs(monomial_value(model, mono).coefficient) > tol_nonzero
+# --- free-orbital scan -------------------------------------------------------
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
-# --- exhaustive free-orbital scan --------------------------------------------
 
 @dataclass
 class OrbitalScanReport:
-    """Result of scanning every length-m word of a model.
+    """Free-orbital verdict over every length-m word of a model.
 
     ``min_nonzero`` is the smallest |coefficient| among words without a
     consecutive row/column clash; ``max_zero`` the largest among words with
@@ -222,12 +203,18 @@ def check_free_orbitals(model: FlatModel, m: int,
                         tol_zero: float = TOL_ZERO,
                         tol_nonzero: float = TOL_NONZERO,
                         max_violations: int = 32) -> OrbitalScanReport:
-    """Exhaustively evaluate |coefficient| for all n^(2m) words of length m.
+    """Decide the free m-orbital property over all n^(2m) words of length m.
 
-    Words are organized by leading pair; for each leading pair the remaining
-    m-1 factors are enumerated as numpy axes, carrying the running product of
-    Gram magnitudes and a "had a trivial clash" flag.  Memory per chunk is
-    (n^2)^(m-1) floats.
+    A word's |coefficient| is the product of the Gram magnitudes M[p, q]
+    along its path p1 -> ... -> pm on the n^2 pairs, taken left to right.
+    The extremes are path extremes, found by a min/max-product recursion
+    over the m - 1 steps that tracks whether a clash has happened yet, in
+    O(m n^4) time and O(n^4) memory.  For c >= 0 the map x -> fl(x c) is
+    monotone, so they equal the extremes of the word-by-word products bit
+    for bit.  A violation exists iff ``min_nonzero <= tol_zero`` or
+    ``max_zero > tol_zero``; only then does a pruned depth-first search list
+    the first ``max_violations`` of them in lexicographic word order.
+    ``budget`` bounds the number of words the verdict covers, n^(2m).
     """
     n = model.n
     total = n ** (2 * m)
@@ -246,40 +233,85 @@ def check_free_orbitals(model: FlatModel, m: int,
     same_row, same_col = _shared_index(n)
     clash = same_row ^ same_col
 
-    min_nonzero = math.inf
-    max_zero = 0.0
-    violations: list = []
+    # words of length m as paths of m - 1 steps, each product left to right
+    lo, _, hit = _path_tables(M.T, clash, m - 1)[-1]
+    min_nonzero = float(lo.min())
+    max_zero = float(hit.max())
 
-    for lead in range(n2):
-        # last axis = current endpoint pair, so the word can be extended
-        prod = M[lead][None, :].copy()
-        triv = clash[lead][None, :].copy()
-        for _ in range(m - 2):
-            prod = (prod[:, :, None] * M[None, :, :]).reshape(-1, n2)
-            triv = (triv[:, :, None] | clash[None, :, :]).reshape(-1, n2)
-        prod = prod.reshape(-1)
-        triv = triv.reshape(-1)
-
-        nz = prod[~triv]
-        if nz.size:
-            min_nonzero = min(min_nonzero, float(nz.min()))
-        z = prod[triv]
-        if z.size:
-            max_zero = max(max_zero, float(z.max()))
-
-        bad = np.nonzero((~triv & (prod <= tol_zero)) | (triv & (prod > tol_zero)))[0]
-        for flat in bad[:max_violations - len(violations)]:
-            violations.append(_unflatten_word(lead, int(flat), n, m))
-        if len(violations) >= max_violations:
-            break
-
-    passed = not violations and min_nonzero > tol_nonzero and \
-        (max_zero <= tol_zero)
+    passed = min_nonzero > max(tol_zero, tol_nonzero) and max_zero <= tol_zero
+    violations = []
+    if max_violations > 0 and (min_nonzero <= tol_zero or max_zero > tol_zero):
+        violations = _first_violations(M, clash, n, m, tol_zero, max_violations)
     return OrbitalScanReport(n=n, m=m, total=total, passed=passed,
-                             min_nonzero=min_nonzero,
-                             max_zero=max_zero if m > 1 else None,
+                             min_nonzero=min_nonzero, max_zero=max_zero,
                              violations=violations,
                              tol_zero=tol_zero, tol_nonzero=tol_nonzero)
+
+
+def _path_tables(A: np.ndarray, clash: np.ndarray, steps: int) -> list:
+    """Product extremes over the paths q -> s1 -> ... -> sr of r steps out of
+    each pair q, for r = 0..steps, each product formed as
+    A[q, s1] * (the product over the rest of the path).
+
+    Entry r holds three arrays over q: the minimum over paths without a
+    clash, the maximum over all paths, and the maximum over paths with a
+    clash (0.0 when there is none: entries are >= 0, and -inf * 0 is nan).
+    With A = M.T the paths run backwards, so they are words ending at q with
+    products taken left to right."""
+    n2 = len(A)
+    lo, top, hit = np.ones(n2), np.ones(n2), np.zeros(n2)
+    tables = [(lo, top, hit)]
+    for _ in range(steps):
+        cont = A * top
+        hit = np.maximum((A * hit).max(axis=1),
+                         np.where(clash, cont, 0.0).max(axis=1))
+        top = cont.max(axis=1)
+        lo = np.where(clash, np.inf, A * lo).min(axis=1)
+        tables.append((lo, top, hit))
+    return tables
+
+
+def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
+                      tol_zero: float, cap: int) -> list:
+    """The first ``cap`` violating words of length m in lexicographic order.
+
+    A violation is a clash-free word of product <= tol_zero or a word with a
+    clash of product > tol_zero.  The search extends a prefix one pair at a
+    time, carrying its end pair, its exact left-to-right product and whether
+    it has clashed, and enters a child only when some completion of it may
+    be a violation, judged from the path tables of the factors still to
+    come.  Those associate right to left, so the test allows a relative
+    slack of a few ulps per factor, and one subnormal ulp per factor for
+    underflow (Gram magnitudes are at most 1).  A leaf applies the exact
+    predicate to the exact product."""
+    tables = _path_tables(M, clash, m - 1)
+    up, down = 1.0 + 4 * m * _EPS, 1.0 - 4 * m * _EPS
+    floor = (m + 1) * _TINY
+    found: list = []
+
+    def visit(prefix, row, clash_row, x, clashed):
+        xs = x * row
+        cs = clashed | clash_row
+        r = m - len(prefix) - 1
+        if r == 0:
+            bad = np.where(cs, xs > tol_zero, xs <= tol_zero)
+        else:
+            lo, top, hit = tables[r]
+            best = xs * np.where(cs, top, hit) * up + floor
+            least = xs * lo * down - floor
+            bad = (best > tol_zero) | (~cs & (least <= tol_zero))
+        for s in np.flatnonzero(bad).tolist():
+            if len(found) >= cap:
+                return
+            word = prefix + (s,)
+            if r == 0:
+                found.append(tuple((p // n + 1, p % n + 1) for p in word))
+            else:
+                visit(word, M[s], clash[s], xs[s], cs[s])
+
+    # the empty prefix: every lead pair has product 1 and no clash
+    visit((), np.ones(len(M)), np.zeros(len(M), dtype=bool), 1.0, False)
+    return found
 
 
 def _unflatten_word(lead: int, flat: int, n: int, m: int) -> Monomial:
@@ -371,10 +403,10 @@ def check_free_orbitals_classical(cm: ClassicalModel, m: int,
     A word is classically zero iff some two of its factors clash (share
     exactly one of row/column), and trivially zero iff two adjacent ones do;
     the violations are the words that are zero without being trivially zero,
-    listed in lexicographic word order.  Words are organized by leading pair
-    as in ``check_free_orbitals``, with the clashes among the remaining m-1
-    factors held as (n^2)^(m-1) boolean arrays.  Gap statistics degenerate to
-    1.0 / 0.0 since indicator products are 0/1-valued."""
+    listed in lexicographic word order.  Words are organized by leading pair,
+    with the clashes among the remaining m-1 factors held as (n^2)^(m-1)
+    boolean arrays.  Gap statistics degenerate to 1.0 / 0.0 since indicator
+    products are 0/1-valued."""
     n = cm.n
     total = n ** (2 * m)
     if total > budget:

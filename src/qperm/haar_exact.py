@@ -308,10 +308,6 @@ class BoundsTable:
     n: int
     intervals: dict[str, tuple[Fraction, Fraction]]
 
-    def contains(self, tag: str, value: Fraction) -> bool:
-        lo, hi = self.intervals[tag]
-        return lo < value < hi
-
 
 def exotic_bounds(n: int) -> BoundsTable:
     """Bounds valid for any quantum permutation group with free three-orbitals.

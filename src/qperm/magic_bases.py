@@ -143,16 +143,6 @@ def gram_table(basis: MagicBasis) -> np.ndarray:
     return np.einsum("ijp,klp->ijkl", basis.xi.conj(), basis.xi)
 
 
-def fourier_gram_closed_form(n: int, a: IndexPair, b: IndexPair) -> complex:
-    """Closed form of <xi_a, xi_b> for the root-of-unity grid."""
-    (i, j), (k, l) = a, b
-    w = cmath.exp(2j * math.pi / n)
-    val = (w ** ((j - l) % n) - 1) * (1 - w ** ((k - i) % n)) / n
-    if ((k - i) + (j - l)) % n == 0:
-        val += 1.0
-    return val
-
-
 def fourier_case(a: IndexPair, b: IndexPair, n: int) -> str:
     """Regime of the pair: diagonal, same row/column, resonant or generic."""
     (i, j), (k, l) = a, b

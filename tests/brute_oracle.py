@@ -7,7 +7,9 @@ and shares no code with ``qperm``:
   ``classical_scan`` runs ``classical_zero`` over every word of length m;
 * ``fix_moment_literal`` sums the Haar values of all n^k diagonal words,
   taken from the noncrossing-partition integrator in ``nc_oracle``;
-* ``noncommutativity_violations`` loops over every quadruple (i, j, k, l).
+* ``noncommutativity_violations`` loops over every quadruple (i, j, k, l);
+* ``flat_scan`` multiplies Gram magnitudes along all n^(2m) words of
+  length m, one leading pair at a time.
 """
 
 import itertools
@@ -90,3 +92,46 @@ def noncommutativity_violations(G, n, fourier, tol_strict=1e-9, tol_construct=1e
         if reason is not None:
             out.append(((i, j), (k, l), g, reason))
     return out
+
+
+def flat_scan(M, n, m, tol_zero, tol_nonzero, max_violations):
+    """(passed, min_nonzero, max_zero, violations) of the flat free-orbital
+    scan over every word of length m >= 2, M being the (n^2, n^2) table of
+    Gram magnitudes over row-major pairs.  Each word's product is taken left
+    to right; the extremes run over all words, and the first
+    ``max_violations`` violations are listed in lexicographic order."""
+    n2 = n * n
+    pairs = np.arange(n2)
+    rows, cols = pairs // n, pairs % n
+    clash = (rows[:, None] == rows[None, :]) ^ (cols[:, None] == cols[None, :])
+
+    min_nonzero = math.inf
+    max_zero = 0.0
+    any_violation = False
+    violations = []
+    for lead in range(n2):
+        # last axis = current endpoint pair, so the word can be extended
+        prod = M[lead][None, :].copy()
+        triv = clash[lead][None, :].copy()
+        for _ in range(m - 2):
+            prod = (prod[:, :, None] * M[None, :, :]).reshape(-1, n2)
+            triv = (triv[:, :, None] | clash[None, :, :]).reshape(-1, n2)
+        prod = prod.reshape(-1)
+        triv = triv.reshape(-1)
+
+        nz = prod[~triv]
+        if nz.size:
+            min_nonzero = min(min_nonzero, float(nz.min()))
+        z = prod[triv]
+        if z.size:
+            max_zero = max(max_zero, float(z.max()))
+
+        bad = np.flatnonzero((~triv & (prod <= tol_zero)) | (triv & (prod > tol_zero)))
+        any_violation = any_violation or bad.size > 0
+        for flat in bad[:max(0, max_violations - len(violations))]:
+            digits = np.unravel_index(int(flat), (n2,) * (m - 1))
+            violations.append(tuple((int(d) // n + 1, int(d) % n + 1)
+                                    for d in (lead, *digits)))
+
+    passed = not any_violation and min_nonzero > tol_nonzero and max_zero <= tol_zero
+    return passed, min_nonzero, max_zero, violations

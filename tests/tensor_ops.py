@@ -14,12 +14,19 @@ tuple order, and return a new one:
 
 ``cyclic_products_einsum`` is the reference for ``trace_state`` and
 ``shift_block``: the cyclic Gram product as one multi-operand ``einsum``.
+
+``magic_law_residual`` and ``orbital_related`` read a flat model,
+``fourier_gram_closed_form`` gives the root-of-unity grid's Gram entries,
+and ``bounds_contain`` tests a value against a ``BoundsTable`` interval.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from qperm import flat_model
 from qperm.convolution_probe import StateTensor
 from qperm.flat_model import Monomial
 
@@ -104,3 +111,41 @@ def cyclic_products_einsum(model, m, pinned):
     cyc = cyc.reshape((n, n) * free)
     perm = tuple(range(0, 2 * free, 2)) + tuple(range(1, 2 * free, 2))
     return cyc.transpose(perm).reshape(size, size)
+
+
+def magic_law_residual(model):
+    """max over rows/columns of || sum_k v_ik - 1 || (and the column version)."""
+    n = model.n
+    eye = np.eye(n)
+    worst = 0.0
+    for s in range(1, n + 1):
+        row = sum(model.projection(s, k) for k in range(1, n + 1))
+        col = sum(model.projection(k, s) for k in range(1, n + 1))
+        worst = max(worst, np.abs(row - eye).max(), np.abs(col - eye).max())
+    return worst
+
+
+def orbital_related(model, itup, jtup, tol_nonzero=flat_model.TOL_NONZERO):
+    """Whether (i1..im) ~ (j1..jm), i.e. u_(i1,j1)...u_(im,jm) != 0 in the model."""
+    if len(itup) != len(jtup):
+        raise ValueError("tuples must have equal length")
+    if not itup:
+        return True
+    mono = tuple(zip(itup, jtup))
+    return abs(flat_model.monomial_value(model, mono).coefficient) > tol_nonzero
+
+
+def fourier_gram_closed_form(n, a, b):
+    """Closed form of <xi_a, xi_b> for the root-of-unity grid."""
+    (i, j), (k, l) = a, b
+    w = cmath.exp(2j * math.pi / n)
+    val = (w ** ((j - l) % n) - 1) * (1 - w ** ((k - i) % n)) / n
+    if ((k - i) + (j - l)) % n == 0:
+        val += 1.0
+    return val
+
+
+def bounds_contain(bounds, tag, value):
+    """Whether ``value`` lies in the open interval of class ``tag``."""
+    lo, hi = bounds.intervals[tag]
+    return lo < value < hi

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute_oracle
+import tensor_ops
 from qperm import flat_model as fm
 from qperm import magic_bases as mb
 from qperm.errors import (BudgetExceeded, DimensionTooSmall, EmptyMonomial,
@@ -68,8 +69,8 @@ class TestWordCombinatorics:
 
 class TestModelConstruction:
     def test_magic_law(self, model4, model5):
-        assert fm.magic_law_residual(model4) < 1e-12
-        assert fm.magic_law_residual(model5) < 1e-11
+        assert tensor_ops.magic_law_residual(model4) < 1e-12
+        assert tensor_ops.magic_law_residual(model5) < 1e-11
 
     def test_rejects_non_magic(self):
         xi = mb.build_fourier_basis(5).xi.copy()
@@ -121,23 +122,23 @@ class TestMonomialValue:
 class TestOrbitalRelation:
     def test_degree_one_full(self, model5):
         for i, j in itertools.product(range(1, 6), repeat=2):
-            assert fm.orbital_related(model5, (i,), (j,))
+            assert tensor_ops.orbital_related(model5, (i,), (j,))
 
     def test_degree_three_example(self, model5):
-        assert fm.orbital_related(model5, (1, 2, 1), (3, 2, 1))
+        assert tensor_ops.orbital_related(model5, (1, 2, 1), (3, 2, 1))
 
     def test_consecutive_same_row(self, model5):
-        assert not fm.orbital_related(model5, (1, 1), (2, 3))
+        assert not tensor_ops.orbital_related(model5, (1, 1), (2, 3))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_reflexive_and_symmetric(self, model5, m):
         n = model5.n
         for itup in itertools.product(range(1, n + 1), repeat=m):
-            assert fm.orbital_related(model5, itup, itup)
+            assert tensor_ops.orbital_related(model5, itup, itup)
         for itup in itertools.product(range(1, n + 1), repeat=m):
             for jtup in itertools.product(range(1, n + 1), repeat=m):
-                assert fm.orbital_related(model5, itup, jtup) == \
-                    fm.orbital_related(model5, jtup, itup)
+                assert tensor_ops.orbital_related(model5, itup, jtup) == \
+                    tensor_ops.orbital_related(model5, jtup, itup)
 
 
 class TestFreeOrbitalScan:
@@ -292,3 +293,81 @@ class TestClassicalAgainstOracle:
                                                   max_violations=max_violations)
         passed, violations = brute_oracle.classical_scan(4, 3, max_violations)
         assert (report.passed, report.violations) == (passed, violations)
+
+
+def _scan_fields(report):
+    return report.passed, report.min_nonzero, report.max_zero, report.violations
+
+
+@st.composite
+def _flat_cases(draw):
+    """(model, m, tol_zero, tol_nonzero, cap) over a random real Gram table
+    with n in {2, 3}.  Clashing pairs get magnitudes below tol_zero, half of
+    them exact zeros, and the others magnitudes in [floor, 1); then a
+    ``noise`` share of the entries is replaced by zeros, ones, 1e-10 or
+    magnitudes at and next to tol_zero."""
+    n = draw(st.sampled_from([3, 2]))
+    m = draw(st.sampled_from([4, 3, 2, 1]))
+    tol_zero = draw(st.sampled_from([0.2, 0.05, 1e-3, 1e-12]))
+    tol_nonzero = draw(st.sampled_from([1e-9, 0.1]))
+    cap = draw(st.sampled_from([32, 7, 1, 0, 10 ** 6]))
+    floor = draw(st.sampled_from([0.3, 0.9]))
+    noise = draw(st.sampled_from([0.02, 0.0, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n2 = n * n
+    rows, cols = np.divmod(np.arange(n2), n)
+    clash = (rows[:, None] == rows) ^ (cols[:, None] == cols)
+    mags = np.where(clash,
+                    tol_zero * rng.random((n2, n2)) * rng.integers(0, 2, (n2, n2)),
+                    rng.uniform(floor, 1.0, (n2, n2)))
+    near = np.array([0.0, 1.0, 1e-10, tol_zero, np.nextafter(tol_zero, 0.0),
+                     np.nextafter(tol_zero, 1.0)])
+    hit = rng.random((n2, n2)) < noise
+    mags[hit] = near[rng.integers(0, len(near), int(hit.sum()))]
+    signs = np.where(rng.random((n2, n2)) < 0.5, -1.0, 1.0)  # |.| stays exact
+    model = fm.FlatModel(basis=None, n=n, gram=(signs * mags).reshape((n,) * 4))
+    return model, m, tol_zero, tol_nonzero, cap
+
+
+class TestFlatAgainstOracle:
+    """The path recursion and its violation search against the word-by-word
+    scan of ``brute_oracle.flat_scan``, compared with ==."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_flat_cases())
+    def test_random_gram_magnitudes(self, case):
+        model, m, tol_zero, tol_nonzero, cap = case
+        n = model.n
+        report = fm.check_free_orbitals(model, m, tol_zero=tol_zero,
+                                        tol_nonzero=tol_nonzero,
+                                        max_violations=cap)
+        assert report.total == n ** (2 * m)
+        if m == 1:
+            assert _scan_fields(report) == (True, 1.0, None, [])
+        else:
+            M = np.abs(model.gram).reshape(n * n, n * n)
+            assert _scan_fields(report) == brute_oracle.flat_scan(
+                M, n, m, tol_zero, tol_nonzero, cap)
+
+    @pytest.mark.parametrize("n,m", [(5, 3), (6, 3), (8, 3), (5, 4), (6, 4),
+                                     (7, 4), (8, 4), (6, 5)])
+    def test_grids_match_oracle(self, n, m):
+        model = fm.model_from_basis(mb.build_fourier_basis(n))
+        M = np.abs(model.gram).reshape(n * n, n * n)
+        report = fm.check_free_orbitals(model, m)
+        assert report.passed
+        assert _scan_fields(report) == brute_oracle.flat_scan(
+            M, n, m, fm.TOL_ZERO, fm.TOL_NONZERO, 32)
+
+    @pytest.mark.parametrize("max_violations", [0, 1, 7, 10 ** 6])
+    def test_scan_violation_cap_matches_oracle(self, model4, max_violations):
+        # the cap truncates the list only: the verdict and the extremes run
+        # over all 4^6 words (144 of them violate)
+        report = fm.check_free_orbitals(model4, 3, tol_zero=0.2,
+                                        max_violations=max_violations)
+        M = np.abs(model4.gram).reshape(16, 16)
+        want = brute_oracle.flat_scan(M, 4, 3, 0.2, fm.TOL_NONZERO,
+                                      max_violations)
+        assert _scan_fields(report) == want
+        assert not report.passed
+        assert len(report.violations) == min(max_violations, 144)

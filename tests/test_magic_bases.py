@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import brute_oracle
+import tensor_ops
 from qperm import flat_model as fm
 from qperm import magic_bases as mb
 from qperm.errors import DimensionTooSmall, IndexOutOfRange, NotMagic
@@ -91,7 +92,7 @@ class TestFourierBasis:
         G = mb.gram_table(basis)
         for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
             got = G[i - 1, j - 1, k - 1, l - 1]
-            want = mb.fourier_gram_closed_form(n, (i, j), (k, l))
+            want = tensor_ops.fourier_gram_closed_form(n, (i, j), (k, l))
             assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("n", range(5, 13))
