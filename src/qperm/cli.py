@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource limit.
 Handlers only compute and print; ``main`` maps the exceptions they let
-through to codes 2 and 3.
+through to codes 2 and 3, an allocation the host refuses (MemoryError)
+included.
 The environment variable QPG_THREADS caps the worker count of the underlying
 BLAS (see the ``qperm`` package docstring).
 """
@@ -189,8 +190,8 @@ def main(argv=None) -> int:
     # the one place exceptions become exit codes; any other exception is a bug
     try:
         return handler(args)
-    except (BudgetExceeded, MemoryCap) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryCap, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DimensionTooSmall, IndexOutOfRange, DegreeTooHigh, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

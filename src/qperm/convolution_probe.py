@@ -214,12 +214,6 @@ class CesaroResult:
     iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
     curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
 
-    @functools.cached_property
-    def limit(self) -> StateTensor:
-        """The limit Vk Vk*, built on first use; the probe report reads Vk."""
-        Vk = self.vectors
-        return StateTensor(self.n, self.m, Vk @ Vk.conj().T, self.shift)
-
 
 class _Sector(NamedTuple):
     members: np.ndarray        # positions in reps of the orbits a with order | s |a|
@@ -279,7 +273,7 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     When rotating both tuples leaves T unchanged within ``TRACIAL_TOL``, H is
     solved in its m rotation sectors (see the module docstring); otherwise
     whole, as one sector.  The result holds the kept eigenvectors Vk; the
-    limit Vk Vk* is formed only when ``limit`` is read.
+    limit Vk Vk* itself is never formed.
     """
     cfg = cfg or ProbeConfig()
     M = T.entries

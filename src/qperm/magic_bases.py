@@ -111,24 +111,18 @@ def build_fourier_basis(n: int) -> MagicBasis:
 
     Each coordinate is computed from its exact reduced angle 2*pi*(k mod n)/n
     rather than by repeated multiplication, so phase drift stays at one ulp.
+    The grid has only n distinct coordinates: they are computed once, as a
+    table of roots, and the grid indexes it with the exponent k of each cell.
     """
     if n < 5:
         raise DimensionTooSmall(
             f"the root-of-unity grid needs n >= 5 (resonant inner products "
             f"vanish at n = 4), got n = {n}")
     root = 1.0 / math.sqrt(n)
-    xi = np.empty((n, n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for p in range(1, n + 1):
-                if p == 1:
-                    k = (1 - j) % n
-                elif p == n:
-                    k = (i - 1) % n
-                else:
-                    k = (p * (i - j)) % n
-                xi[i - 1, j - 1, p - 1] = root * cmath.exp(2j * math.pi * k / n)
-    return MagicBasis(n=n, xi=xi, kind="fourier")
+    roots = np.array([root * cmath.exp(2j * math.pi * k / n) for k in range(n)])
+    i, j, p = np.ogrid[1:n + 1, 1:n + 1, 1:n + 1]
+    k = np.where(p == 1, 1 - j, np.where(p == n, i - 1, p * (i - j))) % n
+    return MagicBasis(n=n, xi=roots[k], kind="fourier")
 
 
 def gram(basis: MagicBasis, a: IndexPair, b: IndexPair) -> complex:
@@ -227,17 +221,10 @@ def verify_suitably_noncommutative(basis: MagicBasis,
 
 # --- JSON file format -------------------------------------------------------
 #
-# { "n": int, "xi": [[[ [re, im], ... n coords ] ... n cols ] ... n rows ] }
+# { "n": int, "kind": str, "xi": [[[ [re, im], ... n coords ] ... n cols ] ... n rows ] }
 # row-major with 1-based semantics: xi[i-1][j-1][p-1] = <e_p, xi_ij>.
-# Floats are emitted with repr, i.e. 17 significant digits.
-
-def basis_to_dict(basis: MagicBasis) -> dict:
-    return {
-        "n": basis.n,
-        "kind": basis.kind,
-        "xi": np.stack([basis.xi.real, basis.xi.imag], axis=-1).tolist(),
-    }
-
+# Floats are emitted with repr, i.e. 17 significant digits, and the whole
+# file is what ``json.dumps`` gives for this object with nested lists.
 
 def basis_from_dict(data: dict) -> MagicBasis:
     """Parse the JSON layout above; raise ValueError for any other layout."""
@@ -260,7 +247,22 @@ def basis_from_dict(data: dict) -> MagicBasis:
 
 
 def write_basis(basis: MagicBasis, path: str) -> None:
-    text = json.dumps(basis_to_dict(basis))      # one call: the C encoder
+    """Write the JSON layout above, formatting each distinct [re, im] pair once.
+
+    Pairs are told apart by bit pattern, not by value, so 0.0 and -0.0 keep
+    their own text; non-finite values come out as ``json.dumps`` writes
+    them, NaN and Infinity.
+    """
+    n = basis.n
+    xi = np.ascontiguousarray(basis.xi, dtype=complex).ravel()
+    _, first, inverse = np.unique(xi.view(np.dtype((np.void, 16))),
+                                  return_index=True, return_inverse=True)
+    distinct = [json.dumps([z.real, z.imag]) for z in xi[first].tolist()]
+    cells = [distinct[t] for t in inverse.ravel().tolist()]
+    columns = ["[" + ", ".join(cells[c:c + n]) + "]" for c in range(0, n ** 3, n)]
+    rows = ["[" + ", ".join(columns[r:r + n]) + "]" for r in range(0, n ** 2, n)]
+    header = json.dumps({"n": n, "kind": basis.kind})[:-1]
+    text = header + ', "xi": [' + ", ".join(rows) + "]}"
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -9,9 +9,12 @@ and shares no code with ``qperm``:
   taken from the noncrossing-partition integrator in ``nc_oracle``;
 * ``noncommutativity_violations`` loops over every quadruple (i, j, k, l);
 * ``flat_scan`` multiplies Gram magnitudes along all n^(2m) words of
-  length m, one leading pair at a time.
+  length m, one leading pair at a time;
+* ``fourier_basis_loop`` builds the root-of-unity grid one coordinate at a
+  time, each from its own ``cmath.exp``.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -135,3 +138,21 @@ def flat_scan(M, n, m, tol_zero, tol_nonzero, max_violations):
 
     passed = not any_violation and min_nonzero > tol_nonzero and max_zero <= tol_zero
     return passed, min_nonzero, max_zero, violations
+
+
+def fourier_basis_loop(n):
+    """The (n, n, n) coordinate array of the root-of-unity grid, cell by cell:
+    w^(1-j), w^(i-1) or w^(p(i-j)) over sqrt(n) for p = 1, p = n or else."""
+    root = 1.0 / math.sqrt(n)
+    xi = np.empty((n, n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for p in range(1, n + 1):
+                if p == 1:
+                    k = (1 - j) % n
+                elif p == n:
+                    k = (i - 1) % n
+                else:
+                    k = (p * (i - j)) % n
+                xi[i - 1, j - 1, p - 1] = root * cmath.exp(2j * math.pi * k / n)
+    return xi

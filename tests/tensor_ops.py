@@ -15,9 +15,15 @@ tuple order, and return a new one:
 ``cyclic_products_einsum`` is the reference for ``trace_state`` and
 ``shift_block``: the cyclic Gram product as one multi-operand ``einsum``.
 
+``limit_of`` forms the Cesaro limit Vk Vk* of a ``CesaroResult``, which the
+probe itself never builds.
+
 ``magic_law_residual`` and ``orbital_related`` read a flat model,
 ``fourier_gram_closed_form`` gives the root-of-unity grid's Gram entries,
 and ``bounds_contain`` tests a value against a ``BoundsTable`` interval.
+
+``basis_to_dict`` is the reference encoder of the basis file format: the
+object whose ``json.dumps`` is the text ``magic_bases.write_basis`` writes.
 """
 
 import cmath
@@ -113,6 +119,12 @@ def cyclic_products_einsum(model, m, pinned):
     return cyc.transpose(perm).reshape(size, size)
 
 
+def limit_of(result):
+    """The limit Vk Vk* of a ``cesaro_limit`` result, in the layout of its input."""
+    Vk = result.vectors
+    return StateTensor(result.n, result.m, Vk @ Vk.conj().T, result.shift)
+
+
 def magic_law_residual(model):
     """max over rows/columns of || sum_k v_ik - 1 || (and the column version)."""
     n = model.n
@@ -149,3 +161,12 @@ def bounds_contain(bounds, tag, value):
     """Whether ``value`` lies in the open interval of class ``tag``."""
     lo, hi = bounds.intervals[tag]
     return lo < value < hi
+
+
+def basis_to_dict(basis):
+    """The basis file's object: n, kind and the nested [re, im] pairs of xi."""
+    return {
+        "n": basis.n,
+        "kind": basis.kind,
+        "xi": np.stack([basis.xi.real, basis.xi.imag], axis=-1).tolist(),
+    }

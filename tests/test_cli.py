@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 import brute_oracle
+import tensor_ops
 import qperm
 from qperm import cli
+from qperm import magic_bases as mb
 
 
 def run(argv):
@@ -35,9 +37,8 @@ class TestBasisCommands:
         assert run(["basis", "gen", "--n", "3", "--out", path]) == 2
 
     def test_verify_non_magic_file_fails(self, tmp_path, capsys):
-        from qperm import magic_bases as mb
         basis = mb.build_fourier_basis(5)
-        data = mb.basis_to_dict(basis)
+        data = tensor_ops.basis_to_dict(basis)
         data["xi"][0][0] = data["xi"][0][1]          # duplicate a vector
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
@@ -64,8 +65,7 @@ class TestBasisCommands:
         assert "error: cannot read basis" in capsys.readouterr().err
 
     def test_verify_non_finite_file(self, tmp_path, capsys):
-        from qperm import magic_bases as mb
-        data = mb.basis_to_dict(mb.build_fourier_basis(5))
+        data = tensor_ops.basis_to_dict(mb.build_fourier_basis(5))
         data["xi"][1][2][0][0] = float("nan")        # json writes the NaN literal
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
@@ -199,8 +199,9 @@ class TestProbeCommand:
 
 
 # Bad inputs of every subcommand, with the exit code and a stderr fragment:
-# 2 for input errors, 3 for resource limits.  ``{tmp}/missing`` is a
-# directory that does not exist.  The test classes above hold more cases.
+# 2 for input errors, 3 for resource limits, a refused allocation included.
+# ``{tmp}/missing`` is a directory that does not exist.  The test classes
+# above hold more cases.
 EXIT_CODE_CASES = [
     ("basis gen --n 5 --out {tmp}/missing/b.json", 2, "error:"),
     ("basis verify {tmp}/missing/b.json", 2, "error: cannot read basis"),
@@ -216,11 +217,25 @@ EXIT_CODE_CASES = [
     ("probe --n 5 --tol 1.5", 2, "error: tol_converge must lie in (0, 1)"),
     ("probe --n 4 --max-degree 2 --memory-cap 1000", 3, "error: degree 2 needs about"),
     ("probe --n 4 --max-degree 1 --out {tmp}/missing/r.json", 2, "error:"),
+    ("basis gen --n 2000 --out {tmp}/b.json", 3, "error: out of memory"),
+    ("orbitals --n 2000 --m 1", 3, "error: out of memory"),
+    ("probe --n 2000 --max-degree 1", 3, "error: out of memory"),
 ]
+# From this n on the grid builder raises MemoryError, as numpy does when the
+# host refuses an allocation; the table's rows allocate nothing.
+HOST_REFUSES_N = 2000
 
 
 @pytest.mark.parametrize("argv,code,fragment", EXIT_CODE_CASES)
-def test_exit_code_contract(tmp_path, capsys, argv, code, fragment):
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code, fragment):
+    build = mb.build_fourier_basis
+
+    def refusing_build(n):
+        if n >= HOST_REFUSES_N:
+            raise MemoryError
+        return build(n)
+
+    monkeypatch.setattr(mb, "build_fourier_basis", refusing_build)
     try:
         got = run(argv.format(tmp=tmp_path).split())
     except SystemExit as exc:                    # argparse rejects the usage

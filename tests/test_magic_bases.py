@@ -1,3 +1,4 @@
+import cmath
 import io
 import itertools
 import json
@@ -79,6 +80,13 @@ class TestFourierBasis:
         expected = 1 + (2 * math.cos(2 * math.pi / 5) - 2) / 5
         assert abs(g - expected) < 1e-12
         assert abs(g - 0.7236067977499789) < 1e-12
+
+    @pytest.mark.parametrize("n", range(5, 41))
+    def test_matches_loop_oracle(self, n):
+        # bit for bit: the uint64 view tells 0.0 from -0.0
+        got = mb.build_fourier_basis(n).xi
+        want = brute_oracle.fourier_basis_loop(n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_unit_vectors(self, n):
@@ -256,10 +264,40 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_basis_from_dict_rejects(self, bad):
-        data = mb.basis_to_dict(mb.build_fourier_basis(5))
+        data = tensor_ops.basis_to_dict(mb.build_fourier_basis(5))
         data["xi"][1][2][0][1] = bad
         with pytest.raises(ValueError, match="finite"):
             mb.basis_from_dict(data)
+
+
+def _edge_case_grids():
+    """(name, basis) pairs of grids whose coordinates stress the writer."""
+    base = mb.build_fourier_basis(5).xi
+    nan, inf = float("nan"), float("inf")
+    payload_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                           dtype=np.uint64).view(float)
+    cells = {
+        "signed_zeros": [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                         complex(1.0, -0.0)],
+        "non_finite": [nan, complex(0.0, nan), inf, complex(-inf, inf),
+                       complex(*payload_nan)],
+        "extremes": [5e-324, complex(-2.2250738585072014e-310, 5e-324),
+                     complex(1e300, -1e300), complex(-1.7976931348623157e308, 1e-300),
+                     0.1],
+        "integral": [1.0, -2.0, complex(3.0, -4.0), 1e16, complex(2.0 ** 53, -0.0)],
+    }
+    grids = []
+    for name, values in cells.items():
+        xi = base.copy()
+        xi[1, 2] = values                      # one vector, next to the roots of unity
+        xi[4, 0, ::-1] = values                # and the same values again, reversed
+        grids.append((name, mb.MagicBasis(n=5, xi=xi)))
+    rng = np.random.default_rng(12)
+    distinct = rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
+    grids.append(("all_distinct", mb.MagicBasis(n=6, xi=distinct)))
+    grids.append(("escaped_kind", mb.MagicBasis(n=5, xi=base,
+                                                kind='a "kind"\\ with\n\u00e9\u2603')))
+    return grids
 
 
 class TestJsonFormat:
@@ -301,3 +339,49 @@ class TestJsonFormat:
         path = tmp_path / "b.json"
         mb.write_basis(basis, str(path))
         assert path.read_text() == expected.getvalue()
+
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_bytes_match_reference_encoder(self, tmp_path, n):
+        basis = make_basis(n)
+        path = tmp_path / "b.json"
+        mb.write_basis(basis, str(path))
+        assert path.read_bytes() == (json.dumps(tensor_ops.basis_to_dict(basis)) + "\n").encode()
+
+    @pytest.mark.parametrize("basis", [pytest.param(basis, id=name)
+                                       for name, basis in _edge_case_grids()])
+    def test_edge_case_bytes_match_reference_encoder(self, tmp_path, basis):
+        path = tmp_path / "b.json"
+        mb.write_basis(basis, str(path))
+        assert path.read_bytes() == (json.dumps(tensor_ops.basis_to_dict(basis)) + "\n").encode()
+
+
+def _floats_in(obj):
+    if isinstance(obj, float):
+        return 1
+    if isinstance(obj, (list, tuple)):
+        return sum(_floats_in(item) for item in obj)
+    if isinstance(obj, dict):
+        return sum(_floats_in(item) for item in obj.values())
+    return 0
+
+
+class TestStructuralCost:
+    # call counts, not timings: each fails if the per-coordinate loop returns
+
+    @pytest.mark.parametrize("n", [5, 12, 20])
+    def test_fourier_build_takes_n_exponentials(self, monkeypatch, n):
+        calls = []
+        exp = cmath.exp
+        monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
+        mb.build_fourier_basis(n)
+        assert len(calls) == n
+
+    @pytest.mark.parametrize("n", [5, 12, 20])
+    def test_writer_formats_each_distinct_pair_once(self, tmp_path, monkeypatch, n):
+        basis = mb.build_fourier_basis(n)
+        formatted = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps",
+                            lambda obj, **kw: formatted.append(_floats_in(obj)) or dumps(obj, **kw))
+        mb.write_basis(basis, str(tmp_path / "b.json"))
+        assert sum(formatted) <= 2 * n          # at most n [re, im] pairs
