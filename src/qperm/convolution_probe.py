@@ -40,20 +40,40 @@ side is about side / m, and its matrix is
 
     B_s[a, b] = sqrt(|a| |b|) / m  sum_(d < m) chi^(s d) H[a, pi^d b]
 
-over orbit representatives a and b.  ``cesaro_limit`` solves one ``eigh``
-per sector and lifts the kept eigenvectors back.  The split is gated on the
-input: a matrix that rotation changes by more than 1e-12 is solved whole.
-The orbits and sectors depend on the shape alone and are built once per
-shape.  The report reads every field off the lifted orthonormal Vk and
-never forms the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1),
-entries Vk[x] . conj(Vk[y]), and L T - L = Vk (Vk* T - Vk*).
+over orbit representatives a and b.  The split is gated on the input: a
+matrix that rotation changes by more than 1e-12 is solved whole, as one
+sector.  The orbits and sectors depend on the shape alone and are built once
+per shape.
+
+A reflection halves the work again.  Let rho reverse an index tuple.  The
+generators are self-adjoint and tr(A*) is the conjugate of tr(A), so
+T[rho x, rho y] = conj T[x, y], and rho pi rho = pi^-1.  The antiunitary
+Theta = (complex conjugation) o rho therefore commutes with H and keeps each
+sector: with rho(rep a) = pi^(c_a) rep r(a), it sends the basis vector of
+orbit a to phi_a times that of r(a), phi_a = chi^(-s c_a).  In the basis Q
+of Theta-fixed vectors -- sqrt(phi_a) e_a where r(a) = a, and
+(e_a + phi_a e_r(a)) / sqrt 2 and i (e_a - phi_a e_r(a)) / sqrt 2 on each
+pair of orbits {a, r(a)} -- every sector matrix is real.  When H is real too
+(the 4x4 grid's trace states are; the Fourier grids' are to rounding), sector
+m - s is the entrywise conjugate of sector s, and so are its eigenvectors.
+``cesaro_limit`` runs a real ``eigh`` of Q* B_s Q on sectors 0..floor(m/2)
+and lifts each sector m - s as the conjugate of sector s's lifted vectors:
+floor(m/2) + 1 real solves per degree in place of m complex ones.  Each step
+is gated on the matrices it uses, at 1e-12 in units of the tensor:
+max |Im Q* B_s Q| (``theta_residual``) and max |B_(m-s) - conj B_s|
+(``mirror_residual``).  A sector that fails the first is solved as a complex
+matrix in the same basis; a sector that fails the second is solved itself.
+
+The report reads every field off the lifted orthonormal Vk and never forms
+the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1), entries
+Vk[x] . conj(Vk[y]), and L T - L = Vk (Vk* T - Vk*).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -65,7 +85,7 @@ from .flat_model import FlatModel
 
 GIB = 2 ** 30
 WORKING_SET = 7                            # see ProbeConfig.memory_cap
-TRACIAL_TOL = 1e-12                        # gate of the rotation-sector split
+TRACIAL_TOL = 1e-12                        # gate of the rotation split and the dihedral steps
 
 
 @dataclass
@@ -80,7 +100,9 @@ class ProbeConfig:
     # rotation sectors are about s/m wide.  Peak RSS over the baseline, read
     # with resource.getrusage in a subprocess per probe, came to 2.8-3.4 such
     # matrices on both paths (n = 4..8, s = 512..2401), against 3.8-4.7 when
-    # the report built the limit; the gate keeps its margin.
+    # the report built the limit; with the dihedral solve, 2.7 and 3.0 at
+    # degree 6 (s = 4096, 3125) and 3.0-3.5 at s = 512..1024.  The gate
+    # keeps its margin.
     memory_cap: int = 2 * GIB
     method: str = "fixed_space"            # the only method
 
@@ -209,17 +231,22 @@ class CesaroResult:
     fixed_dim: int                         # rank of the limit, i.e. its fix moment
     gap: float | None                      # 1 - largest eigenvalue of H left out
     vectors: np.ndarray = field(repr=False)   # orthonormal Vk with limit Vk Vk*
-    sectors: list                          # side of each eigh, one per rotation sector
+    sectors: list                          # side of each rotation sector, solved or mirrored
     traciality_residual: float             # |M - M[pi][:, pi]| / scale: the split's gate
+    theta_residual: float                  # max |Im Q* B_s Q| / scale over solved sectors
+    mirror_residual: float                 # max |B_(m-s) - conj B_s| / scale, s < m/2, or 0
     iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
     curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
 
 
 class _Sector(NamedTuple):
-    members: np.ndarray        # positions in reps of the orbits a with order | s |a|
-    weights: np.ndarray        # sqrt(|a| |b|) / m over members a, b
+    members: np.ndarray        # the orbits a with order | s |a|: Theta-fixed, lesser, greater
     rows: np.ndarray           # rows[d, a] = pi^d a: where a lifted vector lives
-    phases: np.ndarray         # phases[d, a] = chi^(s d) / sqrt(|a|) at rows[d, a]
+    left: np.ndarray           # conj(root) as a column, and
+    root: np.ndarray           # theta_a scale_a |a| / sqrt(m): B_s = left root^T C_s
+    lift: np.ndarray           # lift[d, a] = chi^(s d) theta_a scale_a at rows[d, a]
+    fixed: int                 # members[:fixed] are Theta-fixed; then come the
+    pairs: int                 # lesser l < r(l) of each Theta-pair, then the r(l)
 
 
 class _SectorPlan(NamedTuple):
@@ -231,30 +258,69 @@ class _SectorPlan(NamedTuple):
     sectors: tuple             # one _Sector per character s
 
 
+def _pair_scales(size: int) -> tuple:
+    """Scales (c, c') of the lesser and greater member of a Theta-pair of
+    orbits of this size: c = sqrt(1 / (2 size)) rounded, and c' so that
+    c^2 + c'^2 = 1 / size to within a rounding of 1/size, which keeps the
+    lifted vectors' norms free of the bias of a squared rounded root."""
+    c = math.sqrt(0.5 / size)
+    return c, math.sqrt(float(Fraction(1, size) - Fraction(c) ** 2))
+
+
 @functools.cache
 def _sector_plan(n: int, m: int, shift: bool, order: int) -> _SectorPlan:
     """Orbits and sectors of Z_order, generated by the rotation pi, on the
     rows of a degree-m matrix stored as StateTensor(n, m, ., shift); order
-    is m, or 1 for the whole matrix as one sector.  It depends on the shape
-    only, so it is built once per shape, and its arrays are read-only."""
-    pi = StateTensor(n, m, None, shift).rotation()      # reads no entries
+    is m, or 1 for the whole matrix as one sector.
+
+    Each sector is stated in its Theta-real basis Q (see the module
+    docstring).  With rho(rep a) = pi^(c_a) rep r(a), Theta sends e_a to
+    phi_a e_r(a), phi_a = chi^(-s c_a).  Q = diag(theta scale sqrt|a|) Q1:
+    theta_a is a square root of phi_a where r(a) = a, 1 at the lesser and
+    phi_a at the greater member of a pair {a, r(a)}; scale_a is 1/sqrt(|a|)
+    where r(a) = a and about 1/sqrt(2 |a|) on a pair (``_pair_scales``); Q1
+    maps each pair (e_l, e_g) to (e_l + e_g, i (e_l - e_g)).  The phases are
+    read off a table of 2m-th roots of unity at the signed character
+    s' = s or s - m in (-m/2, m/2], so that sector m - s gets the conjugate
+    phases of sector s.  The plan depends on the shape only, so it is built
+    once per shape, and its arrays are read-only."""
+    layout = StateTensor(n, m, None, shift)             # reads no entries
+    pi = layout.rotation()
     powers = [np.arange(pi.size)]                      # powers[d][x] = pi^d x
     for _ in range(order - 1):
         powers.append(pi[powers[-1]])
     powers = np.array(powers)
-    reps = np.flatnonzero(powers.min(axis=0) == powers[0])   # least of each orbit
+    least = powers.min(axis=0)
+    reps = np.flatnonzero(least == powers[0])          # least of each orbit
     orbits = powers[:, reps]
     sizes = order // np.count_nonzero(orbits == reps, axis=0)
+    d, a = np.nonzero(np.arange(order)[:, None] < sizes)
+    offset = np.empty(pi.size, dtype=int)               # x = pi^offset[x] rep, offset < |a|
+    offset[orbits[d, a]] = d
+    image = layout.index(layout.tuples()[reps, ::-1])  # rho(rep a)
+    r = np.searchsorted(reps, least[image])
+    c = offset[image]
     chi = np.exp(2j * np.pi / order * np.outer(np.arange(order), np.arange(order)))
-    root = np.sqrt(sizes)
+    roots = np.exp(1j * np.pi / order * np.arange(2 * order))    # 2m-th roots of unity
+    scales = np.array([(0.0,) * 3] + [(1 / math.sqrt(k), *_pair_scales(k))
+                                      for k in range(1, order + 1)])   # [|a|, kind]
     sectors = []
     for s in range(order):
+        signed = s if 2 * s <= order else s - order
         members = np.flatnonzero(sizes * s % order == 0)
-        r = root[members]
-        sectors.append(_Sector(members, r[:, None] * r / order, orbits[:, members],
-                               chi[s][:, None] / r))
+        lesser = members[members < r[members]]
+        members = np.concatenate([members[members == r[members]], lesser, r[lesser]])
+        f, p = members.size - 2 * lesser.size, lesser.size
+        kind = np.repeat([0, 1, 2], [f, p, p])          # Theta-fixed, lesser, greater
+        twice = -signed * c[members] * np.array([1, 0, 2])[kind]     # theta = roots[twice]
+        size = sizes[members]
+        scale = scales[size, kind]
+        root = roots[twice % (2 * order)] * scale * size / math.sqrt(order)
+        lift = roots[(2 * signed * np.arange(order)[:, None] + twice) % (2 * order)] * scale
+        sectors.append(_Sector(members, orbits[:, members], root.conj()[:, None], root, lift,
+                               f, p))
     plan = _SectorPlan(pi, reps, orbits, sizes, chi, tuple(sectors))
-    for array in plan[:-1] + tuple(a for sector in sectors for a in sector):
+    for array in plan[:-1] + tuple(a for sector in sectors for a in sector[:-2]):
         array.flags.writeable = False
     return plan
 
@@ -272,12 +338,19 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 
     When rotating both tuples leaves T unchanged within ``TRACIAL_TOL``, H is
     solved in its m rotation sectors (see the module docstring); otherwise
-    whole, as one sector.  The result holds the kept eigenvectors Vk; the
-    limit Vk Vk* itself is never formed.
+    whole, as one sector.  A sector s > m/2 that is the conjugate of sector
+    m - s within the gate takes the conjugates of that sector's vectors;
+    every other sector is solved in its Theta-real basis, as a real matrix
+    when its imaginary part there is within the gate.  The kept vectors W of
+    each solve get one Newton-Schulz step W (3 I - W* W) / 2, which brings
+    their loss of orthonormality (a few times k eps from the eigensolver) down
+    to rounding.  The result holds the kept eigenvectors Vk; the limit Vk Vk*
+    itself is never formed.
     """
     cfg = cfg or ProbeConfig()
     M = T.entries
     side = M.shape[0]
+    gate = TRACIAL_TOL * T.scale
     plan = _sector_plan(T.n, T.m, T.shift, T.m)
     rotated = M[np.ix_(plan.pi, plan.pi)]          # the gate's one side^2 copy,
     rotated -= M                                   # differenced in place
@@ -285,20 +358,53 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     del rotated                                    # and freed before the solve
     if tracial > TRACIAL_TOL:
         plan = _sector_plan(T.n, T.m, T.shift, 1)
-    H = 0.5 * (M[plan.reps] + M[:, plan.reps].conj().T)      # rows of H at the reps
-    C = np.tensordot(plan.chi, H[:, plan.orbits], axes=(1, 1))   # sum_d chi^(sd) H[a, pi^d b]
+    order = len(plan.sectors)
+    Ht = np.add(M[:, plan.reps].conj(), M[plan.reps].T, order="C")
+    Ht *= 0.5                                      # Ht[x, a] = H[rep a, x]
+    R = plan.reps.size                             # C[s, b, a] = sum_d chi^(sd) H[a, pi^d b]
+    C = (plan.chi @ Ht[plan.orbits].reshape(order, -1)).reshape(order, R, R)
     cut = 1.0 - math.sqrt(cfg.tol_converge)
-    blocks, kept, rest, sectors = [], [], [], []
+    blocks, kept, rest, sectors, solved = [], [], [], [], {}
+    theta = mirror = 0.0
     for s, sector in enumerate(plan.sectors):
-        lam, W = np.linalg.eigh(C[s][np.ix_(sector.members, sector.members)]
-                                * sector.weights)
+        # B_s[a, b] = C[s, b, a], with Q's phases and scales on both sides
+        B = C[s][sector.members, sector.members[:, None]] * sector.left * sector.root
+        sectors.append(int(B.shape[0]))
+        if order - s < s:                          # the mirror of sector order - s
+            B0, lam, U = solved.pop(order - s)
+            defect = float(np.abs(B - B0.conj()).max())
+            mirror = max(mirror, defect)
+            if defect <= gate:
+                blocks.append(U.conj())
+                kept.append(lam[lam.size - U.shape[1]:])
+                rest.append(lam[:lam.size - U.shape[1]])
+                continue
+        L = slice(sector.fixed, sector.fixed + sector.pairs)
+        G = slice(sector.fixed + sector.pairs, None)
+        A = B                                      # Q1* B_s Q1
+        if sector.pairs:
+            A = B.copy()
+            a, b = A[:, L], A[:, G]
+            A[:, L], A[:, G] = a + b, 1j * (a - b)
+            a, b = A[L], A[G]
+            A[L], A[G] = a + b, -1j * (a - b)
+        defect = float(np.abs(A.imag).max())
+        theta = max(theta, defect)
+        lam, W = np.linalg.eigh(A.real if defect <= gate else A)
         k = int(np.count_nonzero(lam > cut))             # lam ascends
-        sectors.append(int(lam.size))
+        Y = W[:, lam.size - k:]
+        Y = Y @ (1.5 * np.eye(k) - 0.5 * (Y.conj().T @ Y))     # one Newton-Schulz step
+        if sector.pairs:
+            Y = Y.astype(complex)
+            a, b = Y[L], Y[G]
+            Y[L], Y[G] = a + 1j * b, a - 1j * b        # Q1 Y
+        U = np.zeros((side, k), dtype=complex)
+        U[sector.rows] = sector.lift[:, :, None] * Y
+        if 0 < s < order - s:                      # kept for sector order - s
+            solved[s] = B, lam, U
+        blocks.append(U)
         kept.append(lam[lam.size - k:])
         rest.append(lam[:lam.size - k])
-        U = np.zeros((side, k), dtype=complex)
-        U[sector.rows] = sector.phases[:, :, None] * W[:, lam.size - k:]
-        blocks.append(U)
     Vk = np.hstack(blocks)
     kept, rest = np.concatenate(kept), np.concatenate(rest)
     converged = bool(np.all(np.abs(kept - 1.0) <= cfg.tol_converge))
@@ -306,7 +412,8 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
         rest = np.append(rest, 0.0)
     gap = float(1.0 - rest.max()) if rest.size else None
     return CesaroResult(T.n, T.m, T.shift, converged, kept.size, gap, vectors=Vk,
-                        sectors=sectors, traciality_residual=tracial)
+                        sectors=sectors, traciality_residual=tracial,
+                        theta_residual=theta / T.scale, mirror_residual=mirror / T.scale)
 
 
 # --- reports -----------------------------------------------------------------
@@ -316,7 +423,7 @@ class DegreeProbe:
     m: int
     reduction: str                         # "shift" or "none"
     block_size: int                        # side of the solved matrix
-    sectors: list                          # side of each rotation sector's eigh
+    sectors: list                          # side of each rotation sector, solved or mirrored
     converged: bool
     fixed_space_dim: int
     spectral_gap: float | None
@@ -326,6 +433,10 @@ class DegreeProbe:
     catalan_residual: float
     row_sum_error: float
     traciality_residual: float             # |T - T rotated|, on the input
+    theta_residual: float                  # max |Im Q* B_s Q| over the solved sectors: the
+                                           # gate of their real eigh (Q: Theta-real basis)
+    mirror_residual: float                 # max |B_(m-s) - conj B_s| over the sectors s < m/2:
+                                           # the gate of lifting m - s from s; 0 if none is
     invariance_residual: float             # max |Vk (Vk* T - Vk*)| / scale, = |L T - L|
     class_residuals: dict
 
@@ -345,7 +456,7 @@ class ProbeReport:
             "basis": self.basis_kind,
             "tol_converge": self.tol_converge,
             "method": self.method,
-            "degrees": [asdict(d) for d in self.degrees],
+            "degrees": [dict(vars(d)) for d in self.degrees],   # shallow: the fields in order
             "verdict": self.verdict,
         }
 
@@ -357,25 +468,42 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
+class _ClassPlan(NamedTuple):
+    tags: tuple                # classes of degree m whose representative fits in n labels
+    rows: np.ndarray           # row and column of each representative's entry
+    cols: np.ndarray           # in the stored layout
+    exact: tuple               # (numerator, denominator) of each closed form
+    values: np.ndarray         # the closed forms as complex numbers
+
+
+@functools.cache
+def _class_plan(n: int, m: int, shift: bool) -> _ClassPlan:
+    """Where each class representative of degree m sits in a matrix stored
+    as StateTensor(n, m, ., shift), and its exact Haar value; built once
+    per shape, with read-only arrays."""
+    tags = tuple(tag for tag in haar_exact.DEGREE_CLASS_TAGS.get(m, ())
+                 if max(map(max, haar_exact.REPRESENTATIVES[tag])) <= n)
+    exact = tuple(haar_exact.class_value(tag, n) for tag in tags)
+    pairs = np.array([haar_exact.REPRESENTATIVES[tag] for tag in tags],
+                     dtype=int).reshape(len(tags), m, 2) - 1
+    layout = StateTensor(n, m, None, shift)
+    plan = _ClassPlan(tags, layout.index(pairs[..., 0]), layout.index(pairs[..., 1]),
+                      tuple((e.numerator, e.denominator) for e in exact),
+                      np.array([complex(e) for e in exact], dtype=complex))
+    for array in (plan.rows, plan.cols, plan.values):
+        array.flags.writeable = False
+    return plan
+
+
 def _class_residuals(T: StateTensor, Vk: np.ndarray) -> dict:
     """|limit entry - exact closed form| for every class representative of
     degree m, keyed by class tag; the limit Vk Vk* is stored like T."""
-    out = {}
-    for tag in haar_exact.DEGREE_CLASS_TAGS.get(T.m, ()):
-        rep = haar_exact.REPRESENTATIVES[tag]
-        itup = tuple(i for i, _ in rep)
-        ktup = tuple(j for _, j in rep)
-        if max(itup + ktup) > T.n:
-            continue
-        exact = haar_exact.class_value(tag, T.n)
-        row, col = T.index(np.array([itup, ktup]) - 1)
-        est = complex(Vk[row] @ Vk[col].conj()) / T.scale
-        out[tag] = {
-            "estimate": [est.real, est.imag],
-            "exact": [exact.numerator, exact.denominator],
-            "residual": abs(est - complex(Fraction(exact))),
-        }
-    return out
+    plan = _class_plan(T.n, T.m, T.shift)
+    est = np.einsum("ij,ij->i", Vk[plan.rows], Vk[plan.cols].conj()) / T.scale
+    return {tag: {"estimate": [re, im], "exact": list(exact), "residual": residual}
+            for tag, re, im, exact, residual in zip(
+                plan.tags, est.real.tolist(), est.imag.tolist(), plan.exact,
+                np.abs(est - plan.values).tolist())}
 
 
 def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) -> ProbeReport:
@@ -425,6 +553,8 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             catalan_residual=residual,
             row_sum_error=float(np.abs(Vk @ Vh.sum(axis=1) - 1.0).max()),
             traciality_residual=result.traciality_residual,
+            theta_residual=result.theta_residual,
+            mirror_residual=result.mirror_residual,
             invariance_residual=float(
                 np.abs(Vk @ (Vh @ T.entries - Vh)).max()) / T.scale,
             class_residuals=_class_residuals(T, Vk),

@@ -1,7 +1,8 @@
 """Independent references for the Cesaro limit of a moment matrix.
 
 ``convolution_probe.cesaro_limit`` reads the limit off one eigendecomposition
-per rotation sector.  ``unsplit_limit`` is the same solve without the split:
+per rotation sector: as real matrices, and on about half of the sectors,
+where the dihedral symmetries hold.  ``unsplit_limit`` is the same solve without any split:
 one ``eigh`` of the whole Hermitian part, returned as a ``CesaroResult`` so
 that a probe report can run on it.  The other two references compute the
 limit from the definition instead, averaging powers of the matrix, and share
@@ -26,8 +27,10 @@ from qperm.convolution_probe import CesaroResult, ProbeConfig
 
 def unsplit_limit(T, cfg=None):
     """Projector onto the eigenvalues of (T + T*)/2 above 1 - sqrt(tol), from
-    one ``eigh`` of the whole matrix; ``sectors`` is ``[side]`` and the
-    traciality residual is measured on ``T.rotated()``."""
+    one ``eigh`` of the whole matrix; ``sectors`` is ``[side]``.  The three
+    residuals are measured on the whole input: traciality on ``T.rotated()``,
+    the Theta residual as |T[rho][:, rho] - conj T| for the reversal rho of
+    tuples, and the mirror residual as |T - conj T|."""
     cfg = cfg or ProbeConfig()
     M = T.entries
     lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))       # ascending
@@ -39,9 +42,13 @@ def unsplit_limit(T, cfg=None):
         rest = np.append(rest, 0.0)
     gap = float(1.0 - rest.max()) if rest.size else None
     tracial = float(np.abs(M - T.rotated().entries).max()) / T.scale
+    rho = T.index(T.tuples()[:, ::-1])
+    theta = float(np.abs(M[np.ix_(rho, rho)] - M.conj()).max()) / T.scale
+    mirror = float(np.abs(M - M.conj()).max()) / T.scale
     return CesaroResult(n=T.n, m=T.m, shift=T.shift, converged=converged,
                         fixed_dim=k, gap=gap, vectors=Vk, sectors=[lam.size],
-                        traciality_residual=tracial)
+                        traciality_residual=tracial, theta_residual=theta,
+                        mirror_residual=mirror)
 
 
 def literal_average(M, r):

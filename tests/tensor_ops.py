@@ -24,15 +24,20 @@ and ``bounds_contain`` tests a value against a ``BoundsTable`` interval.
 
 ``basis_to_dict`` is the reference encoder of the basis file format: the
 object whose ``json.dumps`` is the text ``magic_bases.write_basis`` writes.
+
+``report_to_dict`` is the reference for ``ProbeReport.to_dict``, built with
+``dataclasses.asdict``, and ``class_residuals_per_tag`` the reference for
+the report's class residuals, one dot product per class representative.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from qperm import flat_model
+from qperm import flat_model, haar_exact
 from qperm.convolution_probe import StateTensor
 from qperm.flat_model import Monomial
 
@@ -170,3 +175,35 @@ def basis_to_dict(basis):
         "kind": basis.kind,
         "xi": np.stack([basis.xi.real, basis.xi.imag], axis=-1).tolist(),
     }
+
+
+def report_to_dict(report):
+    """The probe report's JSON object, each degree deep-copied by ``asdict``."""
+    return {
+        "n": report.n,
+        "basis": report.basis_kind,
+        "tol_converge": report.tol_converge,
+        "method": report.method,
+        "degrees": [asdict(d) for d in report.degrees],
+        "verdict": report.verdict,
+    }
+
+
+def class_residuals_per_tag(T, Vk):
+    """Class residuals of the limit Vk Vk* (stored like T), one tag at a time."""
+    out = {}
+    for tag in haar_exact.DEGREE_CLASS_TAGS.get(T.m, ()):
+        rep = haar_exact.REPRESENTATIVES[tag]
+        itup = tuple(i for i, _ in rep)
+        ktup = tuple(j for _, j in rep)
+        if max(itup + ktup) > T.n:
+            continue
+        exact = haar_exact.class_value(tag, T.n)
+        row, col = T.index(np.array([itup, ktup]) - 1)
+        est = complex(Vk[row] @ Vk[col].conj()) / T.scale
+        out[tag] = {
+            "estimate": [est.real, est.imag],
+            "exact": [exact.numerator, exact.denominator],
+            "residual": abs(est - complex(Fraction(exact))),
+        }
+    return out

@@ -585,7 +585,164 @@ class TestRotationSectors:
             layout = cp.StateTensor(n, m, np.zeros((n ** (m - shift),) * 2), shift)
             assert np.array_equal(plan.pi, layout.rotation())
             assert len(plan.sectors) == order
-            for array in (*plan[:-1], *(a for sector in plan.sectors for a in sector)):
+            arrays = [*plan[:-1], *(a for sector in plan.sectors for a in sector
+                                    if isinstance(a, np.ndarray))]
+            for array in (a for a in arrays if a.size):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
+
+
+# The probe configurations of the benchmark decks, with the fix moment each
+# degree must reach: Catalan numbers on the 4x4 grid, the S_n counts on the
+# root-of-unity grids.
+_DECK_TARGETS = {(4, 4): [1, 2, 5, 14], (6, 4): [1, 2, 5, 15], (5, 3): [1, 2, 5]}
+
+
+def _model(n):
+    return fm.model_from_basis(mb.build_pauli_basis_4()) if n == 4 else _fourier_model(n)
+
+
+def _tracial_noise(layout, seed):
+    """A complex matrix in the layout of ``layout`` that rotation leaves
+    unchanged and reversal does not conjugate: averaged over pi, random
+    otherwise."""
+    rng = np.random.default_rng(seed)
+    side = layout.entries.shape[0]
+    P = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    pi, total = np.arange(side), np.zeros((side, side), dtype=complex)
+    for _ in range(layout.m):
+        total += P[np.ix_(pi, pi)]
+        pi = layout.rotation()[pi]
+    return total / layout.m
+
+
+def _eigh_calls(monkeypatch):
+    """Record the dtype and side of every ``eigh`` call."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append((a.dtype, a.shape[0]))
+                        or eigh(a, *args, **kw))
+    return calls
+
+
+class TestDihedralSectors:
+    """Sectors 0..m/2 are solved as real matrices in their Theta-real basis;
+    sector m - s takes the conjugates of sector s's vectors."""
+
+    @pytest.mark.parametrize("n,max_degree", sorted(_DECK_TARGETS))
+    def test_fix_moment_within_an_ulp(self, n, max_degree):
+        # the benchmark's fix_moment_digits reads 14.75 at 1.78e-15 error
+        report = cp.inner_faithfulness_report(_model(n), cp.ProbeConfig(max_degree=max_degree))
+        for d, target in zip(report.degrees, _DECK_TARGETS[n, max_degree], strict=True):
+            assert abs(d.fix_moment_estimate - target) <= 1.8e-15, (n, d.m)
+
+    @pytest.mark.parametrize("n,max_degree", sorted(_DECK_TARGETS))
+    def test_matches_unsplit_oracle(self, n, max_degree):
+        cfg = cp.ProbeConfig(max_degree=max_degree)
+        model = _model(n)
+        split, whole = cp.inner_faithfulness_report(model, cfg), _unsplit_report(model, cfg)
+        assert split.verdict == whole.verdict
+        for s, w in zip(split.degrees, whole.degrees, strict=True):
+            assert len(s.sectors) == s.m and sum(s.sectors) == s.block_size
+            assert s.theta_residual <= 1e-15 and s.mirror_residual <= 1e-15
+            _assert_degrees_agree(s, w, differ=("sectors",))
+            # the projectors themselves, which the report fields need not pin
+            T = cp.trace_state(model, s.m) if n == 4 else cp.shift_block(model, s.m)
+            limits = [tensor_ops.limit_of(solve(T)).entries
+                      for solve in (cp.cesaro_limit, cesaro_oracle.unsplit_limit)]
+            assert np.abs(limits[0] - limits[1]).max() < 1e-12, s.m
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_real_solves_per_degree(self, n, monkeypatch):
+        calls = _eigh_calls(monkeypatch)
+        report = cp.inner_faithfulness_report(_model(n), cp.ProbeConfig(max_degree=4))
+        assert [dtype for dtype, _ in calls] == [np.float64] * len(calls)
+        # sectors 0..m/2 are solved; the rest are their mirrors
+        assert [side for _, side in calls] == [side for d in report.degrees
+                                               for side in d.sectors[:d.m // 2 + 1]]
+
+    def test_off_state_without_theta_symmetry_falls_back(self, model5, monkeypatch):
+        # a tracial block that reversal does not conjugate: the Theta gate and
+        # the mirror gate both decline, and every sector gets a complex solve
+        m = 3
+        B = cp.shift_block(model5, m)
+        B = cp.StateTensor(5, m, B.entries + 1e-9 * _tracial_noise(B, 3), shift=True)
+        real_block = cp.shift_block
+        monkeypatch.setattr(cp, "shift_block", lambda model, d, cap:
+                            B if d == m else real_block(model, d, cap))
+        cfg = cp.ProbeConfig(max_degree=m, tol_converge=1e-8)
+        calls = _eigh_calls(monkeypatch)
+        split = cp.inner_faithfulness_report(model5, cfg)
+        assert [dtype for dtype, _ in calls[-m:]] == [np.complex128] * m
+        whole = _unsplit_report(model5, cfg)
+        s, w = split.degrees[-1], whole.degrees[-1]
+        assert s.traciality_residual <= 1e-12 and len(s.sectors) == m
+        assert s.theta_residual > 1e-12 and s.mirror_residual > 1e-12
+        assert w.theta_residual > 1e-12 and w.mirror_residual > 1e-12
+        for a, b in zip(split.degrees, whole.degrees, strict=True):
+            _assert_degrees_agree(a, b, differ=("sectors", "theta_residual",
+                                                "mirror_residual"))
+        _assert_fields_match_limit(s, B)
+
+    @pytest.mark.parametrize("delta,solves,total", [(1e-9, 3, 8), (1e-9j, 4, 10)])
+    def test_perturbed_gram_falls_back(self, model5, monkeypatch, delta, solves, total):
+        # one Gram entry off by 1e-9: no shift block, and reversal no longer
+        # conjugates T beyond the gate, so the sectors are solved complex;
+        # a real offset keeps T real, so sector 3 is still sector 1's mirror
+        gram = model5.gram.copy()
+        gram[0, 1, 2, 3] += delta
+        model = fm.FlatModel(basis=model5.basis, n=5, gram=gram)
+        cfg = cp.ProbeConfig(max_degree=4, tol_converge=1e-8)
+        calls = _eigh_calls(monkeypatch)
+        split = cp.inner_faithfulness_report(model, cfg)
+        assert [d.reduction for d in split.degrees] == ["none"] * 4
+        assert [dtype for dtype, _ in calls[-solves:]] == [np.complex128] * solves
+        assert len(calls) == total                 # 1 + 2 + (2 or 3) + solves
+        whole = _unsplit_report(model, cfg)
+        assert split.verdict == whole.verdict
+        assert [d.fixed_space_dim for d in split.degrees] == [1, 2, 5, 15]
+        for s, w in zip(split.degrees, whole.degrees, strict=True):
+            assert len(s.sectors) == s.m
+            _assert_degrees_agree(s, w, differ=("sectors", "theta_residual",
+                                                "mirror_residual"))
+        s, w = split.degrees[-1], whole.degrees[-1]
+        assert s.theta_residual > 1e-12 and w.theta_residual > 1e-12
+        assert (s.mirror_residual > 1e-12) == (w.mirror_residual > 1e-12) == (solves == 4)
+
+    def test_theta_basis_is_real_on_every_sector(self):
+        # Q* B_s Q is real to rounding on every solved sector of both grids
+        for n, m in ((4, 5), (5, 5), (6, 3)):
+            model = _model(n)
+            T = cp.trace_state(model, m) if n == 4 else cp.shift_block(model, m)
+            assert cp.cesaro_limit(T).theta_residual <= 1e-15
+
+
+class TestReportOutput:
+    """The report's JSON and class residuals against their references."""
+
+    @pytest.mark.parametrize("n,max_degree", [(4, 4), (5, 5), (6, 4)])
+    def test_to_dict_matches_asdict(self, n, max_degree):
+        report = cp.inner_faithfulness_report(_model(n), cp.ProbeConfig(max_degree=max_degree))
+        assert json.dumps(report.to_dict()) == json.dumps(tensor_ops.report_to_dict(report))
+
+    @pytest.mark.parametrize("n,max_degree", [(4, 4), (5, 4), (6, 4), (7, 3)])
+    def test_class_residuals_match_per_tag(self, n, max_degree):
+        model = _model(n)
+        for m in range(1, max_degree + 1):
+            T = cp.trace_state(model, m) if n == 4 else cp.shift_block(model, m)
+            Vk = cp.cesaro_limit(T).vectors
+            got, ref = cp._class_residuals(T, Vk), tensor_ops.class_residuals_per_tag(T, Vk)
+            assert list(got) == list(ref)
+            for tag, info in got.items():
+                assert info["exact"] == ref[tag]["exact"]
+                assert abs(complex(*info["estimate"]) - complex(*ref[tag]["estimate"])) <= 1e-15
+                assert abs(info["residual"] - ref[tag]["residual"]) <= 1e-15
+
+    def test_class_plan_is_cached_and_read_only(self):
+        plan = cp._class_plan(6, 4, True)
+        assert cp._class_plan(6, 4, True) is plan
+        assert plan.tags == hx.DEGREE_CLASS_TAGS[4]
+        for array in (plan.rows, plan.cols, plan.values):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
