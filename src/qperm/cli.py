@@ -26,7 +26,7 @@ import json
 import sys
 
 from .errors import (BudgetExceeded, DegreeTooHigh, DimensionTooSmall,
-                     IndexOutOfRange, MemoryCap)
+                     EmptyMonomial, IndexOutOfRange, MemoryCap)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -193,7 +193,8 @@ def main(argv=None) -> int:
     except (BudgetExceeded, MemoryCap, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DimensionTooSmall, IndexOutOfRange, DegreeTooHigh, ValueError, OSError) as exc:
+    except (DimensionTooSmall, IndexOutOfRange, DegreeTooHigh, EmptyMonomial,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -428,7 +428,6 @@ class DegreeProbe:
     fixed_space_dim: int
     spectral_gap: float | None
     fix_moment_estimate: float
-    fix_moment_imag: float                 # 0: the trace of Vk Vk* is real
     catalan_target: int
     catalan_residual: float
     row_sum_error: float
@@ -448,23 +447,21 @@ class ProbeReport:
     degrees: list
     verdict: str
     tol_converge: float
-    method: str = "fixed_space"
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "basis": self.basis_kind,
             "tol_converge": self.tol_converge,
-            "method": self.method,
             "degrees": [dict(vars(d)) for d in self.degrees],   # shallow: the fields in order
             "verdict": self.verdict,
         }
 
     def fix_moment_csv(self) -> str:
-        lines = ["m,estimate,imag,catalan,residual"]
+        lines = ["m,estimate,catalan,residual"]
         for d in self.degrees:
-            lines.append(f"{d.m},{d.fix_moment_estimate!r},{d.fix_moment_imag!r},"
-                         f"{d.catalan_target},{d.catalan_residual!r}")
+            lines.append(f"{d.m},{d.fix_moment_estimate!r},{d.catalan_target},"
+                         f"{d.catalan_residual!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -548,7 +545,6 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             fixed_space_dim=result.fixed_dim,
             spectral_gap=result.gap,
             fix_moment_estimate=est,
-            fix_moment_imag=0.0,
             catalan_target=target,
             catalan_residual=residual,
             row_sum_error=float(np.abs(Vk @ Vh.sum(axis=1) - 1.0).max()),
@@ -572,4 +568,4 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
                    f"{cfg.max_degree} at tolerance {max(worst_residual, cfg.tol_converge):.2e}")
     return ProbeReport(n=model.n, basis_kind=model.basis.kind,
                        degrees=degrees, verdict=verdict,
-                       tol_converge=cfg.tol_converge, method=cfg.method)
+                       tol_converge=cfg.tol_converge)

@@ -15,7 +15,8 @@ on the n^2 pairs, and checks the commutation pattern
 contrast: there the generators are the indicator functions 1_(j -> i) on
 permutations, and a word u_(i1,j1)...u_(im,jm) is nonzero exactly when
 {j_t -> i_t} is a partial bijection, with Haar value (n-d)!/n! for d distinct
-constraints.
+constraints.  Its free-orbital verdict is a theorem (free m-orbitals iff
+m <= 2 or n <= 2), and a depth-first search over pairs lists the violations.
 
 Monomials are tuples of 1-based ``(row, column)`` pairs; the text form is
 comma-separated ``row:column`` items, e.g. ``"1:1,2:2,1:1,2:2"``.
@@ -24,7 +25,7 @@ comma-separated ``row:column`` items, e.g. ``"1:1,2:2,1:1,2:2"``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -67,12 +68,15 @@ def validate_monomial(mono: Monomial, n: int) -> None:
             raise IndexOutOfRange(f"pair {pair} outside 1..{n}")
 
 
+def pairs_clash(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True when two pairs share exactly one of row/column: the product of
+    the two generators vanishes in every magic unitary."""
+    return (a[0] == b[0]) != (a[1] == b[1])
+
+
 def is_trivially_zero(mono: Monomial) -> bool:
     """True when two consecutive factors share exactly one of row/column."""
-    for (i1, j1), (i2, j2) in zip(mono, mono[1:]):
-        if (i1 == i2) != (j1 == j2):
-            return True
-    return False
+    return any(pairs_clash(a, b) for a, b in zip(mono, mono[1:]))
 
 
 def reduce_monomial(mono: Monomial) -> Monomial | None:
@@ -83,11 +87,8 @@ def reduce_monomial(mono: Monomial) -> Monomial | None:
     for pair in mono:
         if out and out[-1] == pair:
             continue
-        if out:
-            i1, j1 = out[-1]
-            i2, j2 = pair
-            if (i1 == i2) != (j1 == j2):
-                return None
+        if out and pairs_clash(out[-1], pair):
+            return None
         out.append(pair)
     return tuple(out)
 
@@ -217,16 +218,9 @@ def check_free_orbitals(model: FlatModel, m: int,
     ``budget`` bounds the number of words the verdict covers, n^(2m).
     """
     n = model.n
-    total = n ** (2 * m)
-    if total > budget:
-        raise BudgetExceeded(f"scan touches {total} words > budget {budget}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
+    report = _scan_start(n, m, budget, tol_zero=tol_zero, tol_nonzero=tol_nonzero)
     if m == 1:
-        return OrbitalScanReport(n=n, m=m, total=total, passed=True,
-                                 min_nonzero=1.0, max_zero=None,
-                                 tol_zero=tol_zero, tol_nonzero=tol_nonzero)
+        return report
 
     n2 = n * n
     M = np.abs(model.gram).reshape(n2, n2)
@@ -242,10 +236,21 @@ def check_free_orbitals(model: FlatModel, m: int,
     violations = []
     if max_violations > 0 and (min_nonzero <= tol_zero or max_zero > tol_zero):
         violations = _first_violations(M, clash, n, m, tol_zero, max_violations)
-    return OrbitalScanReport(n=n, m=m, total=total, passed=passed,
-                             min_nonzero=min_nonzero, max_zero=max_zero,
-                             violations=violations,
-                             tol_zero=tol_zero, tol_nonzero=tol_nonzero)
+    return replace(report, passed=passed, min_nonzero=min_nonzero,
+                   max_zero=max_zero, violations=violations)
+
+
+def _scan_start(n: int, m: int, budget: int, **tols) -> OrbitalScanReport:
+    """The opening both orbital checks share: refuse more than ``budget``
+    words and m < 1, and return the m = 1 report, which passes since a
+    single factor has no neighbour to clash with."""
+    total = n ** (2 * m)
+    if total > budget:
+        raise BudgetExceeded(f"scan touches {total} words > budget {budget}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return OrbitalScanReport(n=n, m=m, total=total, passed=True,
+                             min_nonzero=1.0, max_zero=None, **tols)
 
 
 def _path_tables(A: np.ndarray, clash: np.ndarray, steps: int) -> list:
@@ -314,17 +319,6 @@ def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
     return found
 
 
-def _unflatten_word(lead: int, flat: int, n: int, m: int) -> Monomial:
-    n2 = n * n
-    digits = []
-    for _ in range(m - 1):
-        digits.append(flat % n2)
-        flat //= n2
-    digits.reverse()
-    word = [lead] + digits
-    return tuple((d // n + 1, d % n + 1) for d in word)
-
-
 # --- commutation pattern -----------------------------------------------------
 
 def commutation_pattern(model: FlatModel, tol: float = 1e-10) -> np.ndarray:
@@ -352,8 +346,8 @@ def expected_commutation_pattern(n: int) -> np.ndarray:
 
 def _shared_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Boolean (n^2, n^2) matrices [i = k] and [j = l] over pairs (i, j),
-    (k, l) in row-major order.  Their XOR marks the pairs that clash: a
-    product of the two generators vanishes in every magic unitary."""
+    (k, l) in row-major order.  Their XOR is ``pairs_clash`` on every two
+    pairs at once."""
     pairs = np.arange(n * n)
     rows, cols = pairs // n, pairs % n
     return rows[:, None] == rows[None, :], cols[:, None] == cols[None, :]
@@ -380,14 +374,15 @@ def classical_haar(n: int, mono: Monomial) -> Fraction:
     The constraints sigma(j_t) = i_t hold together for some permutation iff
     {j_t -> i_t} is a partial bijection: equal columns carry equal rows and
     equal rows carry equal columns.  Then d distinct constraints leave (n-d)!
-    permutations, so the value is (n-d)!/n!; otherwise it is 0."""
+    of the n! permutations, so the value is 1/(n(n-1)...(n-d+1)); otherwise
+    it is 0."""
     validate_monomial(mono, n)
     sigma: dict[int, int] = {}
     preimage: dict[int, int] = {}
     for i, j in mono:
         if sigma.setdefault(j, i) != i or preimage.setdefault(i, j) != j:
             return Fraction(0)
-    return Fraction(math.factorial(n - len(sigma)), math.factorial(n))
+    return Fraction(1, math.perm(n, len(sigma)))
 
 
 def classical_zero(cm: ClassicalModel, mono: Monomial) -> bool:
@@ -398,53 +393,59 @@ def classical_zero(cm: ClassicalModel, mono: Monomial) -> bool:
 def check_free_orbitals_classical(cm: ClassicalModel, m: int,
                                   budget: int = DEFAULT_BUDGET,
                                   max_violations: int = 32) -> OrbitalScanReport:
-    """Classical analogue of the exhaustive scan over all n^(2m) words.
+    """Classical analogue of the scan over all n^(2m) words, by structure.
 
     A word is classically zero iff some two of its factors clash (share
     exactly one of row/column), and trivially zero iff two adjacent ones do;
-    the violations are the words that are zero without being trivially zero,
-    listed in lexicographic word order.  Words are organized by leading pair,
-    with the clashes among the remaining m-1 factors held as (n^2)^(m-1)
-    boolean arrays.  Gap statistics degenerate to 1.0 / 0.0 since indicator
-    products are 0/1-valued."""
+    the violations are the zero words that are not trivially zero.  There
+    are none iff m <= 2 or n <= 2.  For m <= 2 all factors are adjacent.
+    For n <= 2 adjacent factors without a clash are equal or differ in both
+    row and column, so such a word stays inside one perfect matching of
+    pairs ({(1,1), (2,2)} or {(1,2), (2,1)}), no two of which clash.  For
+    n, m >= 3 the word (1,1)...(1,1),(2,2),(1,3) is a violation.  Only then
+    does a search list the first ``max_violations`` violations in
+    lexicographic order.  ``budget`` bounds the words the verdict covers,
+    n^(2m); the gap statistics are 1.0 / 0.0, products being 0/1-valued."""
     n = cm.n
-    total = n ** (2 * m)
-    if total > budget:
-        raise BudgetExceeded(f"scan touches {total} words > budget {budget}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    report = _scan_start(n, m, budget)
     if m == 1:
-        return OrbitalScanReport(n=n, m=m, total=total, passed=True,
-                                 min_nonzero=1.0, max_zero=None)
+        return report
+    passed = m <= 2 or n <= 2
+    violations = [] if passed else _classical_violations(n, m, max_violations)
+    return replace(report, passed=passed, max_zero=0.0, violations=violations)
 
-    n2 = n * n
+
+def _classical_violations(n: int, m: int, cap: int) -> list:
+    """The first ``cap`` violations of length m >= 3 at n >= 3, in
+    lexicographic order, by a depth-first search over pairs.
+
+    A prefix carries its reach, the pairs that clash with one of its factors
+    but the last, and whether it has clashed.  A child clear of the last
+    factor keeps the word free of adjacent clashes, and clashes with an
+    earlier factor iff it lies in the reach; the leaves take this exact
+    predicate.  No subtree needs pruning.  Every prefix with two or more
+    factors to go has a violating completion: after a last factor (a, b),
+    take (a', b') with a' != a, b' != b, then (a, c) with c outside {b, b'}
+    up to the end.  A prefix with one factor to go has none only when its
+    last factor repeats the one before, (a, b) say: if it ends (a, b),
+    (a', b') instead, the row-mate (a, c) of (a, b) with c outside {b, b'}
+    lies in its reach and is clear of (a', b').  So the search enters at
+    most one fruitless node per node it expands a factor earlier."""
     same_row, same_col = _shared_index(n)
     clash = same_row ^ same_col
-    # factor t + 1 of the word runs along axis t of the tail arrays
-    axes = [np.arange(n2).reshape((1,) * t + (n2,) + (1,) * (m - 2 - t))
-            for t in range(m - 1)]
-    tail_adjacent = np.zeros((n2,) * (m - 1), dtype=bool)
-    tail_any = tail_adjacent.copy()
-    for t in range(m - 1):
-        for s in range(t + 1, m - 1):
-            tail_any |= clash[axes[t], axes[s]]
-        if t + 1 < m - 1:
-            tail_adjacent |= clash[axes[t], axes[t + 1]]
-
-    passed = True
-    violations: list = []
-    for lead in range(n2):
-        lead_clash = clash[lead]
-        zero = tail_any.copy()
-        for ax in axes:
-            zero |= lead_clash[ax]
-        bad = np.flatnonzero(zero & ~(tail_adjacent | lead_clash[axes[0]]))
-        if not bad.size:
-            continue
-        passed = False
-        for flat in bad[:max_violations - len(violations)]:
-            violations.append(_unflatten_word(lead, int(flat), n, m))
-        if len(violations) >= max_violations:
-            break
-    return OrbitalScanReport(n=n, m=m, total=total, passed=passed,
-                             min_nonzero=1.0, max_zero=0.0, violations=violations)
+    found: list = []
+    # an explicit stack, children pushed last-first: words may be longer
+    # than the interpreter's recursion limit
+    stack = [((), np.zeros(n * n, dtype=bool), False)]
+    while stack and len(found) < cap:
+        prefix, reach, clashed = stack.pop()
+        row = clash[prefix[-1]] if prefix else reach   # no last factor: no clash
+        hit = reach | clashed                 # the child makes the word clash
+        if len(prefix) == m - 1:
+            leaves = np.flatnonzero(~row & hit).tolist()
+            found += [prefix + (s,) for s in leaves[:cap - len(found)]]
+        else:
+            grown = reach | row
+            stack += [(prefix + (s,), grown, bool(hit[s]))
+                      for s in reversed(np.flatnonzero(~row).tolist())]
+    return [tuple((p // n + 1, p % n + 1) for p in word) for word in found]

@@ -44,13 +44,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
                      IndexOutOfRange, NotClassifiable)
-from .flat_model import Monomial, classical_haar, reduce_monomial, validate_monomial
+from .flat_model import (Monomial, classical_haar, pairs_clash, reduce_monomial,
+                         validate_monomial)
 
 ZERO = "zero"
 DEGREE_CLASS_TAGS = {1: ("d1",), 2: ("d2",), 3: ("d3",),
@@ -113,11 +115,10 @@ def cyclic_reduce(word: Monomial) -> Monomial | None:
             return None
         if len(w) <= 1:
             return w
-        (i1, j1), (im, jm) = w[0], w[-1]
         if w[0] == w[-1]:
             w = reduce_monomial(w[:-1])
             continue
-        if (i1 == im) != (j1 == jm):
+        if pairs_clash(w[0], w[-1]):
             return None
         return w
 
@@ -266,13 +267,6 @@ def _dense_patterns(k: int, distinct_only_pairs: bool):
     return out
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
 @functools.cache
 def _diagonal_classes(k: int, distinct_only_pairs: bool) -> tuple[tuple[str, int], ...]:
     """(class tag, number of distinct symbols) of each dense diagonal pattern
@@ -295,7 +289,7 @@ def _diagonal_sum(n: int, k: int, value, distinct_only_pairs: bool = False) -> F
     Needs 1 <= k <= 4."""
     counts: dict[str, int] = {}
     for tag, distinct in _diagonal_classes(k, distinct_only_pairs):
-        counts[tag] = counts.get(tag, 0) + _falling(n, distinct)
+        counts[tag] = counts.get(tag, 0) + math.perm(n, distinct)
     return sum((count * value(tag) for tag, count in counts.items()), Fraction(0))
 
 

@@ -183,7 +183,6 @@ def report_to_dict(report):
         "n": report.n,
         "basis": report.basis_kind,
         "tol_converge": report.tol_converge,
-        "method": report.method,
         "degrees": [asdict(d) for d in report.degrees],
         "verdict": report.verdict,
     }

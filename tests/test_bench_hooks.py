@@ -3,9 +3,11 @@
 ``bench/tracing.py`` wraps ``cesaro_limit`` and reads its ``cfg.method`` and
 the result's ``iterations``, ``curve`` and ``converged``; it also wraps
 ``StateTensor.rotated``.  Among the ``haar_exact`` targets it times
-``exotic_bounds`` and ``class_value``.  These tests run two probes and three
-``haar`` jobs under the tracer, so a refactor that breaks a traced benchmark
-run fails here first.
+``exotic_bounds`` and ``class_value``.  Among the ``flat_model`` targets it
+wraps ``classical_model`` and both orbital checks, and reads each report's
+``total``.  These tests run two probes, three ``haar`` jobs and two
+``orbitals`` jobs under the tracer, so a refactor that breaks a traced
+benchmark run fails here first.
 """
 
 import importlib.util
@@ -63,3 +65,28 @@ def test_traced_haar_jobs_reach_the_table(capsys):
 
     assert jobs_with("haar_exact.exotic_bounds") == {0, 2}    # needs n >= 5
     assert jobs_with("haar_exact.class_value") == {0, 1, 2}
+
+
+def test_traced_orbitals_jobs_count_words(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    # S_5 has no free 3-orbitals, the flat model at n = 5 has them
+    jobs = ((["orbitals", "--n", "5", "--m", "3", "--model", "classical"], 1),
+            (["orbitals", "--n", "5", "--m", "3"], 0))
+    try:
+        for job, (argv, code) in enumerate(jobs):
+            tracer.job = job
+            assert cli.main(argv) == code
+    finally:
+        restore()
+    capsys.readouterr()
+
+    def spans(name):
+        return [s for s in tracer.spans if s.name == name]
+
+    assert [s.job for s in spans("flat_model.classical_model")] == [0]
+    for name, job in (("flat_model.check_free_orbitals_classical", 0),
+                      ("flat_model.check_free_orbitals", 1)):
+        [span] = spans(name)
+        assert span.job == job and span.attrs == {"words": 5 ** 6}

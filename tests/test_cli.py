@@ -101,6 +101,11 @@ class TestOrbitalsCommand:
         assert run(["orbitals", "--n", "9", "--m", "2", "--model", "classical"]) == 0
         assert "classical model n=9 m=2: pass (6561 words)" in capsys.readouterr().out
 
+    def test_classical_long_words_at_n1(self, capsys):
+        # the verdict is structural: no array with an axis per factor
+        assert run(["orbitals", "--n", "1", "--m", "66", "--model", "classical"]) == 0
+        assert "classical model n=1 m=66: pass (1 words)" in capsys.readouterr().out
+
     def test_json_output(self, capsys):
         assert run(["orbitals", "--n", "5", "--m", "2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -122,6 +127,12 @@ class TestHaarCommand:
 
     def test_parse_failure(self):
         assert run(["haar", "--n", "5", "--mono", "nonsense"]) == 2
+
+    def test_blank_word(self, capsys):
+        # a blank word parses to the empty word, which has no class; argv is
+        # built by hand since the contract table splits its rows on spaces
+        assert run(["haar", "--n", "5", "--mono", " "]) == 2
+        assert capsys.readouterr().err == "error: the identity word has no class tag\n"
 
     def test_degree_cap(self):
         assert run(["haar", "--n", "5",

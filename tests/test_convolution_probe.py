@@ -302,7 +302,6 @@ class TestProbeReport:
     def test_n4_matches_catalan_through_degree_4(self, report4):
         for d in report4.degrees:
             assert d.catalan_residual < 1e-8, d.m
-            assert d.fix_moment_imag < 1e-8
         assert report4.verdict.startswith("consistent with inner faithfulness")
 
     def test_n4_class_residuals_tiny(self, report4):
@@ -337,7 +336,7 @@ class TestProbeReport:
 
     def test_csv(self, report4):
         lines = report4.fix_moment_csv().strip().splitlines()
-        assert lines[0] == "m,estimate,imag,catalan,residual"
+        assert lines[0] == "m,estimate,catalan,residual"
         assert len(lines) == 5
 
     def test_max_iterations_one_is_data_not_error(self, model4, monkeypatch):

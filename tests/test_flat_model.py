@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -253,6 +254,40 @@ class TestClassicalModel:
         assert fm.classical_zero(cm, witness)
         assert not fm.is_trivially_zero(witness)
 
+    @pytest.mark.parametrize("n,m", [(1, 66), (2, 14)])
+    def test_long_words_pass_below_three(self, n, m):
+        # the verdict is structural, so no array grows with m
+        report = fm.check_free_orbitals_classical(fm.classical_model(n), m)
+        assert report.passed and report.violations == []
+        assert report.total == n ** (2 * m)
+
+    def test_first_violations_of_long_words(self):
+        # 9^9 words: the search reaches these without enumerating them
+        report = fm.check_free_orbitals_classical(fm.classical_model(3), 9)
+        lead = ((1, 1),) * 7
+        assert report.violations[:3] == [lead + ((2, 2), (1, 3)),
+                                          lead + ((2, 2), (3, 1)),
+                                          lead + ((2, 3), (1, 2))]
+        assert len(report.violations) == 32
+        assert all(fm.classical_haar(3, w) == 0 and not fm.is_trivially_zero(w)
+                   for w in report.violations)
+        assert all(a < b for a, b in zip(report.violations, report.violations[1:]))
+
+    def test_violations_beyond_the_recursion_limit(self):
+        m = 1200
+        report = fm.check_free_orbitals_classical(fm.classical_model(3), m,
+                                                  budget=3 ** (2 * m), max_violations=2)
+        lead = ((1, 1),) * (m - 2)
+        assert report.violations == [lead + ((2, 2), (1, 3)), lead + ((2, 2), (3, 1))]
+
+    def test_pairs_clash_is_the_array_rule(self):
+        n = 3
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        same_row, same_col = fm._shared_index(n)
+        assert np.array_equal(
+            np.array([[fm.pairs_clash(a, b) for b in pairs] for a in pairs]),
+            same_row ^ same_col)
+
     def test_partial_bijection_needs_both_directions(self):
         # equal columns with different rows, and equal rows with different
         # columns, are each unsatisfiable
@@ -266,9 +301,16 @@ def _words(n, max_len):
     return st.lists(pair, max_size=max_len).map(tuple)
 
 
+@functools.cache
+def _oracle_scan(n, m):
+    """``brute_oracle.classical_scan`` with every violation listed, run once
+    per shape: at a cap the oracle lists the head of this list."""
+    return brute_oracle.classical_scan(n, m, max_violations=10 ** 6)
+
+
 class TestClassicalAgainstOracle:
-    """The partial-bijection closed form and the array scan against the
-    enumeration of S_n in ``brute_oracle``."""
+    """The partial-bijection closed form, the structural verdict and the
+    violation search against the enumeration of S_n in ``brute_oracle``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), _words(n, 5))))
@@ -278,21 +320,23 @@ class TestClassicalAgainstOracle:
         assert fm.classical_zero(fm.classical_model(n), word) == \
             brute_oracle.classical_zero(n, word)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
+                             + [(4, n) for n in range(1, 5)] + [(5, 3)])
     def test_scan_matches_loop(self, n, m):
         report = fm.check_free_orbitals_classical(fm.classical_model(n), m)
-        passed, violations = brute_oracle.classical_scan(n, m)
-        assert (report.passed, report.violations) == (passed, violations)
+        passed, violations = _oracle_scan(n, m)
+        assert (report.passed, report.violations) == (passed, violations[:32])
         assert report.total == n ** (2 * m)
         assert report.max_zero == (None if m == 1 else 0.0)
 
-    @pytest.mark.parametrize("max_violations", [0, 1, 7, 10 ** 6])
+    @pytest.mark.parametrize("max_violations", [0, 1, 7, 32, 10 ** 6])
     def test_scan_violation_cap_matches_loop(self, max_violations):
-        report = fm.check_free_orbitals_classical(fm.classical_model(4), 3,
-                                                  max_violations=max_violations)
-        passed, violations = brute_oracle.classical_scan(4, 3, max_violations)
-        assert (report.passed, report.violations) == (passed, violations)
+        for n, m in [(4, 3), (3, 3), (5, 3), (3, 4), (4, 4), (3, 5)]:
+            report = fm.check_free_orbitals_classical(fm.classical_model(n), m,
+                                                      max_violations=max_violations)
+            passed, violations = _oracle_scan(n, m)
+            assert (report.passed, report.violations) == \
+                (passed, violations[:max_violations]), (n, m)
 
 
 def _scan_fields(report):

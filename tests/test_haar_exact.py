@@ -363,6 +363,25 @@ class TestClassicalOracle:
         assert hx.classical_haar(9, word) == Fraction(1, 362880)
         assert hx.classical_haar(30, ((1, 2), (2, 1))) == Fraction(1, 30 * 29)
 
+    def test_no_factorials(self, monkeypatch):
+        # falling factorials, not quotients of factorials: the values do not
+        # change when math.factorial is unavailable
+        def values():
+            with quiet_boundary():
+                return ([hx.classical_haar(n, w) for n in (5, 12, 60, 100000)
+                         for w in (((1, 1),), ((1, 2), (2, 3), (4, 4)))],
+                        [hx.fix_moment(n, k) for n in (4, 5, 12, 60) for k in range(5)],
+                        [hx.exotic_bounds(n).intervals for n in (5, 12, 60)],
+                        [hx.haar_table_dict(n) for n in (5, 12, 60, 100000)])
+
+        expected = values()
+
+        def refuse(k):
+            raise AssertionError("math.factorial called")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        assert values() == expected
+
 
 class TestLabelAction:
     def test_apply(self):
