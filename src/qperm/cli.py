@@ -9,6 +9,7 @@ Subcommands:
     qperm haar --n 5 --mono "1:1,2:2,1:1,2:2"  classify + exact value
     qperm haar table --n 6                     full degree-4 class table
     qperm probe --n 5 --max-degree 4 --out r.json
+    qperm probe --n 5 --max-degree 7 --verbose   one stderr line per degree
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource limit.
 Handlers only compute and print; ``main`` maps the exceptions they let
@@ -73,6 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--method", choices=("fixed_space",), default="fixed_space")
     p_probe.add_argument("--out", help="write the report JSON here")
     p_probe.add_argument("--csv", help="write fix-moment estimates as CSV here")
+    p_probe.add_argument("--verbose", action="store_true",
+                         help="print one progress line per degree on stderr")
     return parser
 
 
@@ -161,6 +164,14 @@ def cmd_haar(args) -> int:
     return EXIT_OK
 
 
+def _print_degree(degree, reps: int, seconds: float) -> None:
+    """The ``probe --verbose`` line of one finished degree."""
+    gap = "none" if degree.spectral_gap is None else f"{degree.spectral_gap:.6g}"
+    print(f"degree {degree.m}: {degree.reduction}, side {degree.block_size}, "
+          f"{reps} reps, sectors {degree.sectors}, {seconds:.3f} s, "
+          f"fixed {degree.fixed_space_dim}, gap {gap}", file=sys.stderr, flush=True)
+
+
 def cmd_probe(args) -> int:
     from . import convolution_probe as cp, flat_model
     model = flat_model.model_from_basis(_build_basis(args.n))
@@ -168,7 +179,8 @@ def cmd_probe(args) -> int:
                          tol_converge=args.tol,
                          memory_cap=args.memory_cap,
                          method=args.method)
-    report = cp.inner_faithfulness_report(model, cfg)
+    report = cp.inner_faithfulness_report(model, cfg,
+                                          progress=_print_degree if args.verbose else None)
     payload = json.dumps(report.to_dict())
     if args.out:
         with open(args.out, "w") as fh:

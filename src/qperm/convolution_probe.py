@@ -32,47 +32,55 @@ read off B exactly (see ``StateTensor``).  Other grids keep the full tensor.
 Beneath that choice the solved matrix splits further.  The trace is a
 trace, so T is unchanged when both index tuples are rotated by one position
 (the permutation pi of ``StateTensor.rotation``), on the full tensor and on
-the shift block alike.  Then H commutes with pi, which has order m, and H is
+the shift block alike.  Then T commutes with pi, which has order m, and T is
 block diagonal over the characters chi^s of Z_m, chi = exp(2 pi i / m).
 Sector s has one basis vector per pi-orbit X whose size |X| satisfies
 m | s |X|, namely chi^(s d) / sqrt(|X|) at the orbit's d-th element, so its
-side is about side / m, and its matrix is
+side is about side / m, and its block is
 
-    B_s[a, b] = sqrt(|a| |b|) / m  sum_(d < m) chi^(s d) H[a, pi^d b]
+    T_s[a, b] = sqrt(|a| |b|) / m  sum_(d < m) chi^(s d) T[a, pi^d b]
 
-over orbit representatives a and b.  The split is gated on the input: a
-matrix that rotation changes by more than 1e-12 is solved whole, as one
-sector.  The orbits and sectors depend on the shape alone and are built once
-per shape.
+over orbit representatives a and b; the block of H is B_s = (T_s + T_s*)/2.
+Only the rows of T at the representatives enter, about side/m of them, and
+the probe builds just those, straight from the Gram table and a batch at a
+time (``gram_state``): no matrix of the solved side squared is formed.  The
+split is gated on the input: a matrix that rotation changes by more than
+1e-12 is solved whole, as one sector.  The orbits and sectors depend on the
+shape alone and are built once per shape.
 
 A reflection halves the work again.  Let rho reverse an index tuple.  The
 generators are self-adjoint and tr(A*) is the conjugate of tr(A), so
 T[rho x, rho y] = conj T[x, y], and rho pi rho = pi^-1.  The antiunitary
-Theta = (complex conjugation) o rho therefore commutes with H and keeps each
-sector: with rho(rep a) = pi^(c_a) rep r(a), it sends the basis vector of
-orbit a to phi_a times that of r(a), phi_a = chi^(-s c_a).  In the basis Q
+Theta = (complex conjugation) o rho therefore commutes with T and H and keeps
+each sector: with rho(rep a) = pi^(c_a) rep r(a), it sends the basis vector
+of orbit a to phi_a times that of r(a), phi_a = chi^(-s c_a).  In the basis Q
 of Theta-fixed vectors -- sqrt(phi_a) e_a where r(a) = a, and
 (e_a + phi_a e_r(a)) / sqrt 2 and i (e_a - phi_a e_r(a)) / sqrt 2 on each
-pair of orbits {a, r(a)} -- every sector matrix is real.  When H is real too
+pair of orbits {a, r(a)} -- every sector block is real.  When T is real too
 (the 4x4 grid's trace states are; the Fourier grids' are to rounding), sector
 m - s is the entrywise conjugate of sector s, and so are its eigenvectors.
 ``cesaro_limit`` runs a real ``eigh`` of Q* B_s Q on sectors 0..floor(m/2)
 and lifts each sector m - s as the conjugate of sector s's lifted vectors:
 floor(m/2) + 1 real solves per degree in place of m complex ones.  Each step
-is gated on the matrices it uses, at 1e-12 in units of the tensor:
-max |Im Q* B_s Q| (``theta_residual``) and max |B_(m-s) - conj B_s|
-(``mirror_residual``).  A sector that fails the first is solved as a complex
-matrix in the same basis; a sector that fails the second is solved itself.
+is gated on the blocks of T, at 1e-12 in units of the tensor, which gates the
+blocks of H it uses as well: max |Im Q* T_s Q| (``theta_residual``) and
+max |T_(m-s) - conj T_s| (``mirror_residual``).  A sector that fails the
+first is solved as a complex matrix in the same basis; a sector that fails
+the second is solved itself.
 
 The report reads every field off the lifted orthonormal Vk and never forms
-the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1), entries
-Vk[x] . conj(Vk[y]), and L T - L = Vk (Vk* T - Vk*).
+the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1) and entries
+Vk[x] . conj(Vk[y]).  The invariance residual |L T - L|_F adds up over the
+sectors: its square is the sum of ||Y* A_s - Y*||_F^2, with A_s = Q* T_s Q
+and Y the kept vectors of sector s in its Theta-real basis.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -84,7 +92,9 @@ from .errors import MemoryCap
 from .flat_model import FlatModel
 
 GIB = 2 ** 30
-WORKING_SET = 7                            # see ProbeConfig.memory_cap
+SOLVE_SET = 8                              # see ProbeConfig.memory_cap
+BATCH_SET = 6
+ROW_BATCH = 2 ** 20                        # entries in one batch of rows
 TRACIAL_TOL = 1e-12                        # gate of the rotation split and the dihedral steps
 
 
@@ -92,17 +102,18 @@ TRACIAL_TOL = 1e-12                        # gate of the rotation split and the 
 class ProbeConfig:
     max_degree: int = 4
     tol_converge: float = 1e-10
-    # Bytes.  A probe is refused up front when WORKING_SET matrices of the
-    # side s it solves at max_degree (n^m, or n^(m-1) on shift blocks), 16 s^2
-    # bytes each, exceed the cap: at its peak a degree holds T and one more
-    # such matrix (the gate's rotated copy, the product Vk (Vk* T - Vk*) of
-    # the invariance residual, or the copy the build transposes into); the
-    # rotation sectors are about s/m wide.  Peak RSS over the baseline, read
-    # with resource.getrusage in a subprocess per probe, came to 2.8-3.4 such
-    # matrices on both paths (n = 4..8, s = 512..2401), against 3.8-4.7 when
-    # the report built the limit; with the dihedral solve, 2.7 and 3.0 at
-    # degree 6 (s = 4096, 3125) and 3.0-3.5 at s = 512..1024.  The gate
-    # keeps its margin.
+    # Bytes.  A probe is refused up front when its working set at max_degree
+    # exceeds the cap (``_working_set``), 16 bytes an entry: the sector
+    # blocks C, m matrices of side R (the number of rotation orbits), SOLVE_SET
+    # more such matrices for one sector's solve, and BATCH_SET batches of rows
+    # (ROW_BATCH entries each, or all R rows when fewer).  Peak RSS over the
+    # baseline, read with resource.getrusage in a subprocess per probe: at
+    # degree 7, 810 MB on Fourier n = 5 (R = 2233) and 858 MB on the 4x4 grid
+    # (R = 2344), 10.6 and 10.2 matrices of side R, against 1237 and 1354 MB
+    # allowed; at degree 6, 130-300 MB on n = 4..6 and 1092 MB on n = 7
+    # (R = 2812), 1.2-1.6 times below the formula; at degree 5, 9-160 MB on
+    # n = 4..8, 1.2-1.5 times below it (fixed allocations, such as the BLAS
+    # buffers, weigh more at small R).
     memory_cap: int = 2 * GIB
     method: str = "fixed_space"            # the only method
 
@@ -121,6 +132,9 @@ class StateTensor:
 
     Entry ((i1..im), (k1..km)) in lexicographic tuple order holds the state's
     value at u_(i1,k1)...u_(im,km); every row sums to 1.
+
+    ``entries`` is an array, or, for ``gram_state``, a ``_GramRows`` that
+    computes the rows it is indexed with; ``cesaro_limit`` reads only rows.
 
     A state that is unchanged when every row index, or every column index, of
     a tuple is shifted by the same amount mod n (see ``shift_invariant``) can
@@ -175,49 +189,93 @@ def shift_invariant(gram: np.ndarray, tol: float = 1e-12) -> bool:
 
     Every trace-state entry is a cyclic product of Gram entries, so such a
     model's trace states can be stored as shift blocks."""
-    return bool(np.abs(np.roll(gram, 1, axis=(0, 2)) - gram).max() <= tol
-                and np.abs(np.roll(gram, 1, axis=(1, 3)) - gram).max() <= tol)
+    back = np.arange(-1, len(gram) - 1)            # i - 1 mod n
+    return bool(np.abs(gram[back][:, :, back] - gram).max() <= tol
+                and np.abs(gram[:, back][..., back] - gram).max() <= tol)
 
 
-def _cyclic_products(model: FlatModel, m: int, memory_cap: int,
-                     pinned: bool) -> np.ndarray:
-    """n times the degree-m trace state in row-tuple x column-tuple order,
-    from the closed-form cyclic Gram product
-    tr(v_(p1)...v_(pm)) = ( prod_t <xi_(pt), xi_(p(t+1))> ) <xi_(pm), xi_(p1)>.
+def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
+                 pinned: bool = False) -> np.ndarray:
+    """n times the degree-m trace state at the row tuples ``tuples`` (shape
+    (rows, m), 0-based), over every column tuple in lexicographic order, from
+    the closed-form cyclic Gram product
+    tr(v_(p1)...v_(pm)) = ( prod_t <xi_(pt), xi_(p(t+1))> ) <xi_(pm), xi_(p1)>,
+    each entry's factors multiplied left to right.
 
-    ``pinned`` fixes the first pair p1 at (1, 1), which leaves the shift
-    block B = n T[i1=1, k1=1] over the other m - 1 pairs.
+    ``pinned`` fixes the first pair p1 at (1, 1): the row tuples then start
+    with 0, and the rows are those of the shift block B = n T[i1=1, k1=1]
+    over the column tuples of the other m - 1 pairs.
     """
-    n = model.n
+    n, count = model.n, len(tuples)
     free = m - 1 if pinned else m
-    size = n ** free
-    if 16 * size ** 2 > memory_cap:
-        raise MemoryCap(f"degree {m} tensor needs {16 * size ** 2} bytes "
-                        f"> cap {memory_cap}")
     if m == 1:
-        return np.ones((size, size), dtype=complex)
-    G = model.gram.reshape(n * n, n * n)
-    cyc = G[0] if pinned else G                    # G[p1, p2], one axis per pair
-    for _ in range(m - 2):
-        cyc = cyc[..., None] * G                   # times G[pt, p(t+1)]
-    cyc = cyc * (G[:, 0] if pinned                 # times G[pm, p1]
-                 else G.T.reshape((n * n,) + (1,) * (m - 2) + (n * n,)))
-    cyc = cyc.reshape((n, n) * free)
-    perm = tuple(range(0, 2 * free, 2)) + tuple(range(1, 2 * free, 2))
-    return cyc.transpose(perm).reshape(size, size)
+        return np.ones((count, n ** free), dtype=complex)
+    # F[i, j, k, l] = <xi_ik, xi_jl>: the factor between row indices i and j
+    F = np.ascontiguousarray(model.gram.transpose(0, 2, 1, 3))
+    i = tuples.T                                   # i[t]: row index of pair p(t+1)
+    # one axis per free column index, in tuple order: G[p1, p2] first
+    rows = F[0, i[1], 0] if pinned else F[i[0], i[1]]
+    for t in range(1, m - 1):                      # times G[p(t+1), p(t+2)]
+        step = F[i[t], i[t + 1]]
+        rows = rows[..., None] * step.reshape((count,) + (1,) * (t - pinned) + (n, n))
+    if pinned:                                     # times G[pm, p1]
+        rows *= F[i[m - 1], 0, :, 0].reshape((count,) + (1,) * (m - 2) + (n,))
+    else:
+        close = F[i[m - 1], i[0]].transpose(0, 2, 1)
+        rows *= close.reshape((count, n) + (1,) * (m - 2) + (n,))
+    return rows.reshape(count, n ** free)
+
+
+@functools.cache
+def _stored_tuples(n: int, m: int, shift: bool) -> np.ndarray:
+    """``StateTensor.tuples`` of a shape, built once per shape, read-only."""
+    tuples = StateTensor(n, m, None, shift).tuples()
+    tuples.flags.writeable = False
+    return tuples
+
+
+class _GramRows:
+    """The stored matrix of a model's degree-m trace state (or shift block),
+    computed from the Gram table a batch of rows at a time: indexing it with
+    row numbers returns those rows, as an ``entries`` array would.  Nothing
+    of side^2 size is ever held."""
+
+    def __init__(self, model: FlatModel, m: int, shift: bool):
+        self.model, self.m, self.shift = model, m, shift
+        self.tuples = _stored_tuples(model.n, m, shift)
+        self.shape = (len(self.tuples),) * 2
+
+    def __getitem__(self, rows) -> np.ndarray:
+        out = _cyclic_rows(self.model, self.m, self.tuples[rows], self.shift)
+        if not self.shift:
+            out /= self.model.n
+        return out
+
+
+def gram_state(model: FlatModel, m: int, shift: bool = False) -> StateTensor:
+    """The degree-m trace state, or its shift block when ``shift``, with its
+    rows computed on demand (see ``_GramRows``): what the probe solves."""
+    return StateTensor(model.n, m, _GramRows(model, m, shift), shift)
 
 
 def trace_state(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
     """Degree-m moment matrix of tr(.)/n composed with the model."""
-    entries = _cyclic_products(model, m, memory_cap, False)
-    entries /= model.n                             # a fresh array: no second copy
-    return StateTensor(model.n, m, entries)
+    return _built_whole(gram_state(model, m), memory_cap)
 
 
 def shift_block(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
     """``trace_state`` of a model whose Gram table passes ``shift_invariant``,
     stored as its shift block of side n^(m-1)."""
-    return StateTensor(model.n, m, _cyclic_products(model, m, memory_cap, True), shift=True)
+    return _built_whole(gram_state(model, m, shift=True), memory_cap)
+
+
+def _built_whole(T: StateTensor, memory_cap: int) -> StateTensor:
+    """A ``gram_state`` with all its rows built into one array."""
+    side = T.entries.shape[0]
+    if 16 * side ** 2 > memory_cap:
+        raise MemoryCap(f"degree {T.m} tensor needs {16 * side ** 2} bytes "
+                        f"> cap {memory_cap}")
+    return StateTensor(T.n, T.m, T.entries[:side], T.shift)
 
 
 # --- Cesaro limits -----------------------------------------------------------
@@ -232,9 +290,11 @@ class CesaroResult:
     gap: float | None                      # 1 - largest eigenvalue of H left out
     vectors: np.ndarray = field(repr=False)   # orthonormal Vk with limit Vk Vk*
     sectors: list                          # side of each rotation sector, solved or mirrored
-    traciality_residual: float             # |M - M[pi][:, pi]| / scale: the split's gate
-    theta_residual: float                  # max |Im Q* B_s Q| / scale over solved sectors
-    mirror_residual: float                 # max |B_(m-s) - conj B_s| / scale, s < m/2, or 0
+    traciality_residual: float             # the split's gate, / scale: |M - M[pi][:, pi]|,
+                                           # on a gram_state over the rows at pi(reps)
+    theta_residual: float                  # max |Im Q* T_s Q| / scale over solved sectors
+    mirror_residual: float                 # max |T_(m-s) - conj T_s| / scale, s < m/2, or 0
+    invariance_residual: float             # |L T - L|_F, L = Vk Vk*, of the tensor
     iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
     curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
 
@@ -243,7 +303,7 @@ class _Sector(NamedTuple):
     members: np.ndarray        # the orbits a with order | s |a|: Theta-fixed, lesser, greater
     rows: np.ndarray           # rows[d, a] = pi^d a: where a lifted vector lives
     left: np.ndarray           # conj(root) as a column, and
-    root: np.ndarray           # theta_a scale_a |a| / sqrt(m): B_s = left root^T C_s
+    root: np.ndarray           # theta_a scale_a |a| / sqrt(m): T_s = left root^T C[s]
     lift: np.ndarray           # lift[d, a] = chi^(s d) theta_a scale_a at rows[d, a]
     fixed: int                 # members[:fixed] are Theta-fixed; then come the
     pairs: int                 # lesser l < r(l) of each Theta-pair, then the r(l)
@@ -325,6 +385,59 @@ def _sector_plan(n: int, m: int, shift: bool, order: int) -> _SectorPlan:
     return plan
 
 
+def _sector_rows(M, plan: _SectorPlan, gated: bool = False) -> tuple:
+    """C[s][a, b] = sum_d chi^(sd) M[rep a, pi^d rep b] for every character
+    s and every pair of representatives, from the rows of M at the
+    representatives, ``ROW_BATCH`` entries at a time; M is an ``entries``
+    array or a ``_GramRows``.  With ``gated``, also the traciality of those
+    rows, max |P[:, pi] - M[reps]| over the rows P = M[pi(reps)], which are
+    built on their own (0.0 otherwise)."""
+    R, order, side = plan.reps.size, len(plan.sectors), M.shape[0]
+    step = max(1, ROW_BATCH // side)
+    C = [np.empty((R, R), dtype=complex) for _ in range(order)] if step < R else None
+    worst = 0.0
+    for start in range(0, R, step):
+        reps = plan.reps[start:start + step]
+        rows = M[np.concatenate([reps, plan.pi[reps]]) if gated else reps]
+        rows, rotated = rows[:reps.size], rows[reps.size:]
+        taken = rows[:, plan.orbits].transpose(1, 0, 2)   # [d, a, b]: M[rep a, pi^d rep b]
+        blocks = (plan.chi @ taken.reshape(order, -1)).reshape(order, reps.size, R)
+        if C is None:                              # one batch: its blocks are C
+            C = list(blocks)
+        else:
+            for Cs, block in zip(C, blocks):
+                Cs[start:start + step] = block
+        if gated:
+            rotated = rotated[:, plan.pi]
+            rotated -= rows
+            worst = max(worst, float(np.abs(rotated).max()))
+    return C, worst
+
+
+def _q1_columns(X: np.ndarray, fixed: int, pairs: int) -> None:
+    """X <- X Q1, in place, where Q1 maps each Theta-pair of basis vectors
+    (e_l, e_g) to (e_l + e_g, i (e_l - e_g)): after the first ``fixed``
+    columns come the lesser, then the greater member of each pair."""
+    a, b = X[:, fixed:fixed + pairs], X[:, fixed + pairs:]
+    X[:, fixed:fixed + pairs], X[:, fixed + pairs:] = a + b, 1j * (a - b)
+
+
+def _q1_rows(X: np.ndarray, fixed: int, pairs: int) -> None:
+    """X <- Q1* X, in place, with the rows laid out as ``_q1_columns``'s
+    columns."""
+    a, b = X[fixed:fixed + pairs], X[fixed + pairs:]
+    X[fixed:fixed + pairs], X[fixed + pairs:] = a + b, -1j * (a - b)
+
+
+def _invariance_defect(A: np.ndarray, Y: np.ndarray) -> float:
+    """||Y* A - Y*||_F^2 for the block A of T in a sector's Theta-real basis
+    and its kept vectors Y there: the sector's share of |L T - L|_F^2."""
+    Yh = Y.conj().T
+    D = Yh @ A
+    D -= Yh
+    return float(np.vdot(D, D).real)
+
+
 def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult:
     """Limit of (1/r) sum_(s<=r) T^s: the orthogonal projector onto ker(T - I).
 
@@ -338,82 +451,115 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 
     When rotating both tuples leaves T unchanged within ``TRACIAL_TOL``, H is
     solved in its m rotation sectors (see the module docstring); otherwise
-    whole, as one sector.  A sector s > m/2 that is the conjugate of sector
-    m - s within the gate takes the conjugates of that sector's vectors;
-    every other sector is solved in its Theta-real basis, as a real matrix
-    when its imaginary part there is within the gate.  The kept vectors W of
-    each solve get one Newton-Schulz step W (3 I - W* W) / 2, which brings
-    their loss of orthonormality (a few times k eps from the eigensolver) down
-    to rounding.  The result holds the kept eigenvectors Vk; the limit Vk Vk*
-    itself is never formed.
+    whole, as one sector.  The gate reads the whole of a dense ``entries``
+    array.  On a ``gram_state`` it reads the rows at pi(reps), built on their
+    own, against the rows at the representatives rotated: there a rotation
+    only reorders the factors of each cyclic product, so the two differ by
+    rounding (and, on shift blocks, by the Gram table's distance from shift
+    invariance) alone.  Either way only the rows at the representatives
+    enter the solve: each sector block T_s of T is formed from them, and
+    B_s = (T_s + T_s*)/2.  A sector s > m/2 whose T_s is the conjugate of
+    that of sector m - s within the gate takes the conjugates of that
+    sector's vectors; every other sector is solved in its Theta-real basis,
+    as a real matrix when the imaginary part of T_s there is within the gate.
+    The kept vectors W of each solve get one Newton-Schulz step
+    W (3 I - W* W) / 2, which brings their loss of orthonormality (a few
+    times k eps from the eigensolver) down to rounding.  The result holds the
+    kept eigenvectors Vk; the limit Vk Vk* itself is never formed.
+    ``invariance_residual`` is |L T - L|_F, summed over the sectors as
+    ||Y* T_s - Y*||_F^2 with Y the sector's kept vectors.
     """
     cfg = cfg or ProbeConfig()
     M = T.entries
     side = M.shape[0]
     gate = TRACIAL_TOL * T.scale
     plan = _sector_plan(T.n, T.m, T.shift, T.m)
-    rotated = M[np.ix_(plan.pi, plan.pi)]          # the gate's one side^2 copy,
-    rotated -= M                                   # differenced in place
-    tracial = float(np.abs(rotated).max()) / T.scale
-    del rotated                                    # and freed before the solve
-    if tracial > TRACIAL_TOL:
-        plan = _sector_plan(T.n, T.m, T.shift, 1)
+    if isinstance(M, np.ndarray):
+        rotated = M[np.ix_(plan.pi, plan.pi)]      # the gate's one side^2 copy,
+        rotated -= M                               # differenced in place
+        tracial = float(np.abs(rotated).max()) / T.scale
+        del rotated                                # and freed before the solve
+        if tracial > TRACIAL_TOL:
+            plan = _sector_plan(T.n, T.m, T.shift, 1)
+        C, _ = _sector_rows(M, plan)
+    else:
+        C, tracial = _sector_rows(M, plan, gated=True)
+        tracial /= T.scale
+        if tracial > TRACIAL_TOL:
+            plan = _sector_plan(T.n, T.m, T.shift, 1)
+            C, _ = _sector_rows(M, plan)
     order = len(plan.sectors)
-    Ht = np.add(M[:, plan.reps].conj(), M[plan.reps].T, order="C")
-    Ht *= 0.5                                      # Ht[x, a] = H[rep a, x]
-    R = plan.reps.size                             # C[s, b, a] = sum_d chi^(sd) H[a, pi^d b]
-    C = (plan.chi @ Ht[plan.orbits].reshape(order, -1)).reshape(order, R, R)
     cut = 1.0 - math.sqrt(cfg.tol_converge)
-    blocks, kept, rest, sectors, solved = [], [], [], [], {}
-    theta = mirror = 0.0
-    for s, sector in enumerate(plan.sectors):
-        # B_s[a, b] = C[s, b, a], with Q's phases and scales on both sides
-        B = C[s][sector.members, sector.members[:, None]] * sector.left * sector.root
-        sectors.append(int(B.shape[0]))
+    blocks, sectors = [None] * order, [0] * order
+    spectra = [None] * order                       # (eigenvalues, number kept) of each solve
+    theta = mirror = defect2 = 0.0
+    # each sector s < m/2 is followed by its mirror m - s; the dels below free
+    # each matrix of the sector's side as soon as it is used (at degree 7 a
+    # sector is 2344 wide)
+    for s in sorted(range(order), key=lambda s: (min(s, order - s), s)):
+        sector = plan.sectors[s]
+        # T_s = C[s] on the sector's members, with Q's phases and scales
+        Ts = C[s][sector.members][:, sector.members] * sector.left * sector.root
+        C[s] = None                                # each C[s] is read once
+        sectors[s] = Ts.shape[0]
+        f, G = sector.fixed, slice(sector.fixed + sector.pairs, None)
         if order - s < s:                          # the mirror of sector order - s
-            B0, lam, U = solved.pop(order - s)
-            defect = float(np.abs(B - B0.conj()).max())
+            T0, U, Y = source
+            defect = float(np.abs(Ts - T0.conj()).max())
             mirror = max(mirror, defect)
-            if defect <= gate:
-                blocks.append(U.conj())
-                kept.append(lam[lam.size - U.shape[1]:])
-                rest.append(lam[:lam.size - U.shape[1]])
-                continue
-        L = slice(sector.fixed, sector.fixed + sector.pairs)
-        G = slice(sector.fixed + sector.pairs, None)
-        A = B                                      # Q1* B_s Q1
+            del T0, source
+        if 0 < s < order - s:                      # T_s, for the mirror gate of order - s
+            T0 = Ts.copy()
+        At = Ts                                    # Q* T_s Q, in place
         if sector.pairs:
-            A = B.copy()
-            a, b = A[:, L], A[:, G]
-            A[:, L], A[:, G] = a + b, 1j * (a - b)
-            a, b = A[L], A[G]
-            A[L], A[G] = a + b, -1j * (a - b)
-        defect = float(np.abs(A.imag).max())
+            _q1_columns(At, f, sector.pairs)
+            _q1_rows(At, f, sector.pairs)
+        if order - s < s and defect <= gate:
+            Y = Y.conj()                           # conj(U), in this sector's basis
+            Y[G] *= -1
+            defect2 += _invariance_defect(At, Y)
+            blocks[s], spectra[s] = U.conj(), spectra[order - s]
+            continue
+        defect = float(np.abs(At.imag).max())
         theta = max(theta, defect)
-        lam, W = np.linalg.eigh(A.real if defect <= gate else A)
+        A = At.real + At.real.T                    # Q* B_s Q, B_s = (T_s + T_s*) / 2
+        A *= 0.5
+        if defect > gate:
+            A = A + 0.5j * (At.imag - At.imag.T)
+        lam, W = np.linalg.eigh(A)
+        del A
         k = int(np.count_nonzero(lam > cut))             # lam ascends
         Y = W[:, lam.size - k:]
-        Y = Y @ (1.5 * np.eye(k) - 0.5 * (Y.conj().T @ Y))     # one Newton-Schulz step
+        del W
+        E = Y.conj().T @ Y                         # one Newton-Schulz step:
+        E *= -0.5                                  # Y (3 I - Y* Y) / 2
+        E.reshape(-1)[::k + 1] += 1.5
+        Y = Y @ E
+        Z = Y
         if sector.pairs:
-            Y = Y.astype(complex)
-            a, b = Y[L], Y[G]
-            Y[L], Y[G] = a + 1j * b, a - 1j * b        # Q1 Y
+            Z = Y.astype(complex)
+            a, b = Y[f:f + sector.pairs], Y[G]
+            Z[f:f + sector.pairs], Z[G] = a + 1j * b, a - 1j * b   # Q1 Y
+        defect2 += _invariance_defect(At, Y)
+        del Ts, At
         U = np.zeros((side, k), dtype=complex)
-        U[sector.rows] = sector.lift[:, :, None] * Y
+        U[sector.rows] = sector.lift[:, :, None] * Z
         if 0 < s < order - s:                      # kept for sector order - s
-            solved[s] = B, lam, U
-        blocks.append(U)
-        kept.append(lam[lam.size - k:])
-        rest.append(lam[:lam.size - k])
+            source = T0, U, Y
+            del T0
+        blocks[s], spectra[s] = U, (lam, k)
     Vk = np.hstack(blocks)
-    kept, rest = np.concatenate(kept), np.concatenate(rest)
-    converged = bool(np.all(np.abs(kept - 1.0) <= cfg.tol_converge))
+    # lam ascends, so the kept eigenvalues farthest from 1 are a solve's ends
+    converged = all(abs(x - 1.0) <= cfg.tol_converge
+                    for lam, k in spectra if k for x in (lam[-k], lam[-1]))
+    top = [float(lam[-k - 1]) for lam, k in spectra if k < lam.size]   # largest left out
     if side < T.n ** T.m:
-        rest = np.append(rest, 0.0)
-    gap = float(1.0 - rest.max()) if rest.size else None
-    return CesaroResult(T.n, T.m, T.shift, converged, kept.size, gap, vectors=Vk,
+        top.append(0.0)
+    gap = 1.0 - max(top) if top else None
+    return CesaroResult(T.n, T.m, T.shift, converged, Vk.shape[1], gap, vectors=Vk,
                         sectors=sectors, traciality_residual=tracial,
-                        theta_residual=theta / T.scale, mirror_residual=mirror / T.scale)
+                        theta_residual=theta / T.scale, mirror_residual=mirror / T.scale,
+                        invariance_residual=math.sqrt(defect2))
 
 
 # --- reports -----------------------------------------------------------------
@@ -432,11 +578,12 @@ class DegreeProbe:
     catalan_residual: float
     row_sum_error: float
     traciality_residual: float             # |T - T rotated|, on the input
-    theta_residual: float                  # max |Im Q* B_s Q| over the solved sectors: the
+    theta_residual: float                  # max |Im Q* T_s Q| over the solved sectors: the
                                            # gate of their real eigh (Q: Theta-real basis)
-    mirror_residual: float                 # max |B_(m-s) - conj B_s| over the sectors s < m/2:
+    mirror_residual: float                 # max |T_(m-s) - conj T_s| over the sectors s < m/2:
                                            # the gate of lifting m - s from s; 0 if none is
-    invariance_residual: float             # max |Vk (Vk* T - Vk*)| / scale, = |L T - L|
+    invariance_residual: float             # |L T - L|_F of the tensor, read per sector;
+                                           # at least the largest entry of L T - L
     class_residuals: dict
 
 
@@ -503,7 +650,32 @@ def _class_residuals(T: StateTensor, Vk: np.ndarray) -> dict:
                 np.abs(est - plan.values).tolist())}
 
 
-def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) -> ProbeReport:
+@functools.cache
+def _orbit_count(n: int, m: int, shift: bool) -> int:
+    """Number of pi-orbits on the stored rows of StateTensor(n, m, ., shift),
+    by Burnside, without building them.  Rotating an m-tuple by d positions
+    splits it into g = gcd(m, d) cycles of length m/g; it fixes n^g tuples,
+    and on shift blocks, where a stored row is a tuple up to a common shift
+    c mod n, it fixes n^g tuples shifted by c when (m/g) c = 0 mod n."""
+    shifts = range(n) if shift else (0,)
+    total = sum(n ** math.gcd(m, d) for d in range(m) for c in shifts
+                if m // math.gcd(m, d) * c % n == 0)
+    return total // (m * len(shifts))
+
+
+def _working_set(n: int, m: int, shift: bool) -> int:
+    """Bytes the probe of degree m is allowed to need (see
+    ProbeConfig.memory_cap): the sector blocks C and SOLVE_SET more complex
+    matrices of side R, the number of representatives, and BATCH_SET batches
+    of rows."""
+    side = n ** (m - 1 if shift else m)
+    R = _orbit_count(n, m, shift)
+    batch = min(R, max(1, ROW_BATCH // side)) * side
+    return 16 * ((m + SOLVE_SET) * R ** 2 + BATCH_SET * batch)
+
+
+def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
+                              progress: Callable | None = None) -> ProbeReport:
     """Run the probe at degrees 1..max_degree and aggregate the evidence.
 
     The verdict only ever states consistency or deviation of the estimated
@@ -514,25 +686,26 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
 
     A model whose Gram table passes ``shift_invariant`` is probed on shift
     blocks, of side n^(m-1) in place of n^m; every field of the report is
-    the same as on the full tensors.
+    the same as on the full tensors.  Each degree is solved from its
+    ``gram_state``, so no matrix of the solved side squared is built.
+    ``progress``, when given, is called after each degree with its
+    ``DegreeProbe``, the number of rotation-orbit representatives and the
+    seconds the degree took.
     """
     cfg = cfg or ProbeConfig()
     shift = shift_invariant(model.gram)
-    side = model.n ** (cfg.max_degree - 1 if shift else cfg.max_degree)
-    need = WORKING_SET * 16 * side ** 2
+    need = _working_set(model.n, cfg.max_degree, shift)
     if need > cfg.memory_cap:
-        raise MemoryCap(f"degree {cfg.max_degree} needs about {need} bytes for "
-                        f"{WORKING_SET} matrices of side {side} > cap "
-                        f"{cfg.memory_cap}; refusing up front")
+        raise MemoryCap(f"degree {cfg.max_degree} needs about {need} bytes for its "
+                        f"sector blocks and rows > cap {cfg.memory_cap}; refusing up front")
     degrees = []
     worst_residual = 0.0
     verdict = None
     for m in range(1, cfg.max_degree + 1):
-        T = shift_block(model, m, cfg.memory_cap) if shift \
-            else trace_state(model, m, cfg.memory_cap)
+        start = time.perf_counter()
+        T = gram_state(model, m, shift)
         result = cesaro_limit(T, cfg)
         Vk = result.vectors
-        Vh = Vk.conj().T
         est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))   # trace of Vk Vk*, real
         target = haar_exact.catalan(m)
         residual = abs(est - target)
@@ -547,14 +720,16 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None) 
             fix_moment_estimate=est,
             catalan_target=target,
             catalan_residual=residual,
-            row_sum_error=float(np.abs(Vk @ Vh.sum(axis=1) - 1.0).max()),
+            row_sum_error=float(np.abs(Vk @ Vk.sum(axis=0).conj() - 1.0).max()),
             traciality_residual=result.traciality_residual,
             theta_residual=result.theta_residual,
             mirror_residual=result.mirror_residual,
-            invariance_residual=float(
-                np.abs(Vk @ (Vh @ T.entries - Vh)).max()) / T.scale,
+            invariance_residual=result.invariance_residual,
             class_residuals=_class_residuals(T, Vk),
         ))
+        if progress is not None:
+            reps = _sector_plan(T.n, m, T.shift, len(result.sectors)).reps.size
+            progress(degrees[-1], reps, time.perf_counter() - start)
         worst_residual = max(worst_residual, residual)
         if verdict is None and not result.converged:
             verdict = (f"inconclusive at degree {m}: not every eigenvalue of the "

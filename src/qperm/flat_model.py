@@ -294,7 +294,9 @@ def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
     floor = (m + 1) * _TINY
     found: list = []
 
-    def visit(prefix, row, clash_row, x, clashed):
+    def children(prefix, row, clash_row, x, clashed):
+        """The prefix's exact products and clash flags one factor on, and an
+        iterator over the pairs worth entering, in order."""
         xs = x * row
         cs = clashed | clash_row
         r = m - len(prefix) - 1
@@ -305,17 +307,21 @@ def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
             best = xs * np.where(cs, top, hit) * up + floor
             least = xs * lo * down - floor
             bad = (best > tol_zero) | (~cs & (least <= tol_zero))
-        for s in np.flatnonzero(bad).tolist():
-            if len(found) >= cap:
-                return
-            word = prefix + (s,)
-            if r == 0:
-                found.append(tuple((p // n + 1, p % n + 1) for p in word))
-            else:
-                visit(word, M[s], clash[s], xs[s], cs[s])
+        return prefix, xs, cs, iter(np.flatnonzero(bad).tolist())
 
-    # the empty prefix: every lead pair has product 1 and no clash
-    visit((), np.ones(len(M)), np.zeros(len(M), dtype=bool), 1.0, False)
+    # an explicit stack of open prefixes: words may be longer than the
+    # interpreter's recursion limit.  The empty prefix: every lead pair has
+    # product 1 and no clash
+    stack = [children((), np.ones(len(M)), np.zeros(len(M), dtype=bool), 1.0, False)]
+    while stack and len(found) < cap:
+        prefix, xs, cs, todo = stack[-1]
+        s = next(todo, None)
+        if s is None:
+            stack.pop()
+        elif len(prefix) == m - 1:
+            found.append(tuple((p // n + 1, p % n + 1) for p in prefix + (s,)))
+        else:
+            stack.append(children(prefix + (s,), M[s], clash[s], xs[s], cs[s]))
     return found
 
 

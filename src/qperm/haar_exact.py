@@ -240,6 +240,7 @@ def haar_value_snplus(mono: Monomial, n: int) -> Fraction:
     return class_value(cls.tag, n)
 
 
+@functools.cache
 def catalan(k: int) -> int:
     """C_k by the convolution recurrence C_(k+1) = sum_i C_i C_(k-i)."""
     if k < 0:

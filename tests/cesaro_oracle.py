@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from qperm.convolution_probe import CesaroResult, ProbeConfig
+from qperm.convolution_probe import CesaroResult, ProbeConfig, StateTensor
 
 
 def unsplit_limit(T, cfg=None):
@@ -30,9 +30,12 @@ def unsplit_limit(T, cfg=None):
     one ``eigh`` of the whole matrix; ``sectors`` is ``[side]``.  The three
     residuals are measured on the whole input: traciality on ``T.rotated()``,
     the Theta residual as |T[rho][:, rho] - conj T| for the reversal rho of
-    tuples, and the mirror residual as |T - conj T|."""
+    tuples, and the mirror residual as |T - conj T|.  The invariance
+    residual is |L T - L|_F of the formed limit L.  A ``gram_state`` input is
+    built whole first."""
     cfg = cfg or ProbeConfig()
-    M = T.entries
+    M = T.entries[:T.entries.shape[0]]
+    T = StateTensor(T.n, T.m, M, T.shift)
     lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))       # ascending
     k = int(np.count_nonzero(lam > 1.0 - math.sqrt(cfg.tol_converge)))
     Vk = V[:, lam.size - k:]
@@ -45,10 +48,12 @@ def unsplit_limit(T, cfg=None):
     rho = T.index(T.tuples()[:, ::-1])
     theta = float(np.abs(M[np.ix_(rho, rho)] - M.conj()).max()) / T.scale
     mirror = float(np.abs(M - M.conj()).max()) / T.scale
+    L = Vk @ Vk.conj().T
+    invariance = float(np.linalg.norm(L @ M - L))
     return CesaroResult(n=T.n, m=T.m, shift=T.shift, converged=converged,
                         fixed_dim=k, gap=gap, vectors=Vk, sectors=[lam.size],
                         traciality_residual=tracial, theta_residual=theta,
-                        mirror_residual=mirror)
+                        mirror_residual=mirror, invariance_residual=invariance)
 
 
 def literal_average(M, r):

@@ -203,6 +203,17 @@ class TestProbeCommand:
         assert run(["probe", "--n", "4", "--max-degree", "8"]) == 3
         assert run(["probe", "--n", "5", "--max-degree", "8"]) == 3
 
+    def test_verbose_prints_one_line_per_degree(self, capsys):
+        assert run(["probe", "--n", "5", "--max-degree", "3"]) == 0
+        plain = capsys.readouterr()
+        assert run(["probe", "--n", "5", "--max-degree", "3", "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert (verbose.out, plain.err) == (plain.out, "")
+        lines = verbose.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["degree 1", "degree 2", "degree 3"]
+        assert lines[2].startswith("degree 3: shift, side 25, 9 reps, sectors [9, 8, 8], ")
+        assert lines[2].endswith(" s, fixed 5, gap 0.552786")
+
     def test_verdict_printed(self, capsys):
         assert run(["probe", "--n", "5", "--max-degree", "4"]) == 0
         out = capsys.readouterr().out

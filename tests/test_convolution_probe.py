@@ -88,6 +88,80 @@ class TestCyclicProducts:
             assert np.abs(cp.shift_block(model, m).entries - ref).max() <= 1e-15
 
 
+class _ServedByRows:
+    """A dense matrix handed out a batch of rows at a time, as a
+    ``gram_state`` is: ``cesaro_limit`` then gates on rows only."""
+
+    def __init__(self, M):
+        self.M, self.shape = M, M.shape
+
+    def __getitem__(self, rows):
+        return self.M[rows]
+
+
+class TestGramRows:
+    """The rows the probe builds at the orbit representatives, and what it
+    reads off them."""
+
+    @pytest.mark.parametrize("n,max_degree", [(4, 5), (5, 5), (6, 5), (7, 5)])
+    def test_rows_at_representatives_are_the_builders_rows(self, model4, n, max_degree):
+        model = model4 if n == 4 else _fourier_model(n)
+        for m in range(1, max_degree + 1):
+            layouts = [False] if n == 4 else [True] + ([False] if n ** m <= 1296 else [])
+            for shift in layouts:
+                T = cp.shift_block(model, m) if shift else cp.trace_state(model, m)
+                plan = cp._sector_plan(n, m, shift, m)
+                for reps in (plan.reps, plan.pi[plan.reps]):
+                    rows = cp._cyclic_rows(model, m, T.tuples()[reps], shift)
+                    if not shift:
+                        rows /= n
+                    assert np.array_equal(rows, T.entries[reps]), (n, m, shift)
+                    assert np.array_equal(cp.gram_state(model, m, shift).entries[reps],
+                                          T.entries[reps])
+
+    def test_row_gate_reads_the_rotated_rows(self):
+        # a matrix that rotation changes, served by rows: the gate is
+        # max |M[pi(reps)][:, pi] - M[reps]|, and it declines the split
+        T = tiny_gap_tensor(4, 2)
+        plan = cp._sector_plan(4, 2, False, 2)
+        want = np.abs(T.entries[plan.pi[plan.reps]][:, plan.pi]
+                      - T.entries[plan.reps]).max()
+        res = cp.cesaro_limit(cp.StateTensor(4, 2, _ServedByRows(T.entries)))
+        assert res.traciality_residual == want > 1e-12
+        assert res.sectors == [16]
+        ref = cp.cesaro_limit(T)
+        assert (res.fixed_dim, res.converged) == (ref.fixed_dim, ref.converged)
+        assert np.abs(tensor_ops.limit_of(res).entries
+                      - tensor_ops.limit_of(ref).entries).max() < 1e-12
+
+    @pytest.mark.parametrize("n,m", [(4, 3), (4, 4), (5, 4), (6, 3)])
+    def test_row_gate_on_trace_states(self, model4, n, m):
+        model = model4 if n == 4 else _fourier_model(n)
+        shift = n != 4
+        T = cp.shift_block(model, m) if shift else cp.trace_state(model, m)
+        plan = cp._sector_plan(n, m, shift, m)
+        want = np.abs(T.entries[plan.pi[plan.reps]][:, plan.pi]
+                      - T.entries[plan.reps]).max() / T.scale
+        res = cp.cesaro_limit(cp.gram_state(model, m, shift))
+        assert res.traciality_residual == want <= 1e-15
+        assert len(res.sectors) == m
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (5, 5), (6, 4)])
+    def test_batches_of_rows_agree_with_one_batch(self, model4, monkeypatch, n, m):
+        model = model4 if n == 4 else _fourier_model(n)
+        T = cp.gram_state(model, m, n != 4)
+        whole = cp.cesaro_limit(T)
+        side = T.entries.shape[0]
+        for rows in (1, 2, 7):                 # batches of 1, 2 and 7 rows
+            monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
+            res = cp.cesaro_limit(T)
+            assert (res.fixed_dim, res.sectors) == (whole.fixed_dim, whole.sectors)
+            assert res.traciality_residual == whole.traciality_residual
+            assert abs(res.invariance_residual - whole.invariance_residual) < 1e-15
+            assert np.abs(tensor_ops.limit_of(res).entries
+                          - tensor_ops.limit_of(whole).entries).max() < 1e-14
+
+
 class TestConvolve:
     def test_uniform_is_idempotent(self, model4):
         T = cp.trace_state(model4, 1)
@@ -340,12 +414,12 @@ class TestProbeReport:
         assert len(lines) == 5
 
     def test_max_iterations_one_is_data_not_error(self, model4, monkeypatch):
-        real_trace_state = cp.trace_state
+        real_gram_state = cp.gram_state
 
-        def trace_state(model, m, memory_cap):
-            return tiny_gap_tensor(4, 2) if m == 2 else real_trace_state(model, m, memory_cap)
+        def gram_state(model, m, shift):
+            return tiny_gap_tensor(4, 2) if m == 2 else real_gram_state(model, m, shift)
 
-        monkeypatch.setattr(cp, "trace_state", trace_state)
+        monkeypatch.setattr(cp, "gram_state", gram_state)
         report = cp.inner_faithfulness_report(model4, cp.ProbeConfig(max_degree=2))
         assert report.degrees[-1].converged is False
         assert report.verdict.startswith("inconclusive at degree 2")
@@ -409,12 +483,23 @@ def _assert_fields_match_limit(degree, T):
     L = tensor_ops.limit_of(cesaro_oracle.unsplit_limit(T))
     assert abs(tensor_ops.fix_moment(L) - degree.fix_moment_estimate) < 1e-12
     assert abs(tensor_ops.row_sum_error(L) - degree.row_sum_error) < 1e-12
-    invariance = np.abs(L.entries @ T.entries - L.entries).max() / L.scale
-    assert abs(invariance - degree.invariance_residual) < 1e-12
+    # |L T - L|_F of the tensor, which its shift block shares; the old field,
+    # the largest entry of L T - L in the tensor, bounds it from below
+    defect = L.entries @ T.entries - L.entries
+    assert abs(np.linalg.norm(defect) - degree.invariance_residual) < 1e-12
+    assert degree.invariance_residual >= np.abs(defect).max() / L.scale
     for tag, info in degree.class_residuals.items():
         rep = hx.REPRESENTATIVES[tag]
         est = tensor_ops.entry(L, tuple(i for i, _ in rep), tuple(j for _, j in rep))
         assert abs(est - complex(*info["estimate"])) < 1e-12, tag
+
+
+def _check_fields_match_the_limit(model, max_degree):
+    report = cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=max_degree))
+    for degree in report.degrees:
+        T = cp.shift_block(model, degree.m) if degree.reduction == "shift" \
+            else cp.trace_state(model, degree.m)
+        _assert_fields_match_limit(degree, T)
 
 
 def _assert_reports_agree(reduced, full):
@@ -468,13 +553,11 @@ class TestShiftReduction:
         B = cp.StateTensor(n, m, block.astype(complex), shift=True)
         rows = B.index(cp.trace_state(model5, m).tuples())
         T = cp.StateTensor(n, m, B.entries[np.ix_(rows, rows)] / n)
-        real_block, real_state = cp.shift_block, cp.trace_state
+        real_gram_state = cp.gram_state
         cfg = cp.ProbeConfig(max_degree=m)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cp, "shift_block", lambda model, d, cap:
-                       B if d == m else real_block(model, d, cap))
-            mp.setattr(cp, "trace_state", lambda model, d, cap:
-                       T if d == m else real_state(model, d, cap))
+            mp.setattr(cp, "gram_state", lambda model, d, shift:
+                       (B if shift else T) if d == m else real_gram_state(model, d, shift))
             reduced = cp.inner_faithfulness_report(model5, cfg)
             full = _full_path_report(model5, cfg)
         assert reduced.degrees[1].invariance_residual > 1e-6
@@ -487,9 +570,10 @@ class TestShiftReduction:
 
     def test_degree_five_at_n5(self, monkeypatch):
         def full_tensor(*args):
-            raise AssertionError("the reduced path built a full tensor")
+            raise AssertionError("the probe built a whole matrix")
 
         monkeypatch.setattr(cp, "trace_state", full_tensor)
+        monkeypatch.setattr(cp, "shift_block", full_tensor)
         report = cp.inner_faithfulness_report(_fourier_model(5),
                                               cp.ProbeConfig(max_degree=5))
         assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15, 52]
@@ -502,16 +586,28 @@ class TestShiftReduction:
         assert report5.degrees[0].spectral_gap == 1.0
 
     def test_working_set_gate(self, model4):
-        # refused up front when WORKING_SET matrices of the solved side
-        # exceed the cap: side 5^2 on shift blocks, 4^2 on the 4x4 grid
-        for model, max_degree, side in ((_fourier_model(5), 3, 25), (model4, 2, 16)):
-            need = cp.WORKING_SET * 16 * side ** 2
+        # refused up front when the sector blocks C (m matrices of side R,
+        # the number of rotation orbits), SOLVE_SET more such matrices and
+        # BATCH_SET batches of rows, 16 bytes an entry, exceed the cap
+        for model, m, side in ((_fourier_model(5), 3, 25), (model4, 2, 16),
+                               (_fourier_model(6), 4, 216), (model4, 5, 1024)):
+            R = cp._sector_plan(model.n, m, side < model.n ** m, m).reps.size
+            batch = min(R, max(1, cp.ROW_BATCH // side)) * side
+            need = 16 * ((m + cp.SOLVE_SET) * R ** 2 + cp.BATCH_SET * batch)
             with pytest.raises(MemoryCap):
                 cp.inner_faithfulness_report(
-                    model, cp.ProbeConfig(max_degree=max_degree, memory_cap=need - 1))
+                    model, cp.ProbeConfig(max_degree=m, memory_cap=need - 1))
             report = cp.inner_faithfulness_report(
-                model, cp.ProbeConfig(max_degree=max_degree, memory_cap=need))
+                model, cp.ProbeConfig(max_degree=m, memory_cap=need))
             assert report.degrees[-1].block_size == side
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_orbit_count_matches_the_plan(self, shift):
+        for n in range(1, 9):
+            for m in range(1, 8):
+                if n ** (m - shift) <= 20000:
+                    assert cp._orbit_count(n, m, shift) == \
+                        cp._sector_plan(n, m, shift, m).reps.size, (n, m)
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=5, max_value=7), st.integers(min_value=1, max_value=3))
@@ -569,12 +665,11 @@ class TestRotationSectors:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_report_fields_match_the_limit(self, model4, n):
-        model = model4 if n == 4 else _fourier_model(n)
-        report = cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=4))
-        for degree in report.degrees:
-            T = cp.shift_block(model, degree.m) if degree.reduction == "shift" \
-                else cp.trace_state(model, degree.m)
-            _assert_fields_match_limit(degree, T)
+        _check_fields_match_the_limit(model4 if n == 4 else _fourier_model(n), 4)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_report_fields_match_the_limit_at_degree_five(self, model4, n):
+        _check_fields_match_the_limit(model4 if n == 4 else _fourier_model(n), 5)
 
     @pytest.mark.parametrize("n,m,shift", [(4, 3, False), (5, 4, True), (6, 1, True)])
     def test_plan_is_cached_and_read_only(self, n, m, shift):
@@ -667,9 +762,9 @@ class TestDihedralSectors:
         m = 3
         B = cp.shift_block(model5, m)
         B = cp.StateTensor(5, m, B.entries + 1e-9 * _tracial_noise(B, 3), shift=True)
-        real_block = cp.shift_block
-        monkeypatch.setattr(cp, "shift_block", lambda model, d, cap:
-                            B if d == m else real_block(model, d, cap))
+        real_gram_state = cp.gram_state
+        monkeypatch.setattr(cp, "gram_state", lambda model, d, shift:
+                            B if d == m else real_gram_state(model, d, shift))
         cfg = cp.ProbeConfig(max_degree=m, tol_converge=1e-8)
         calls = _eigh_calls(monkeypatch)
         split = cp.inner_faithfulness_report(model5, cfg)
@@ -710,7 +805,7 @@ class TestDihedralSectors:
         assert (s.mirror_residual > 1e-12) == (w.mirror_residual > 1e-12) == (solves == 4)
 
     def test_theta_basis_is_real_on_every_sector(self):
-        # Q* B_s Q is real to rounding on every solved sector of both grids
+        # Q* T_s Q is real to rounding on every solved sector of both grids
         for n, m in ((4, 5), (5, 5), (6, 3)):
             model = _model(n)
             T = cp.trace_state(model, m) if n == 4 else cp.shift_block(model, m)

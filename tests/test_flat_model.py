@@ -415,3 +415,15 @@ class TestFlatAgainstOracle:
         assert _scan_fields(report) == want
         assert not report.passed
         assert len(report.violations) == min(max_violations, 144)
+
+    def test_violations_beyond_the_recursion_limit(self):
+        # every product of 1099 factors 0.5 underflows to 0, so each word
+        # without a clash violates; the search runs on an explicit stack
+        m = 1100
+        model = fm.FlatModel(basis=None, n=2, gram=np.full((2,) * 4, 0.5, dtype=complex))
+        report = fm.check_free_orbitals(model, m, budget=4 ** m, max_violations=3)
+        assert not report.passed
+        assert (report.min_nonzero, report.max_zero) == (0.0, 0.0)
+        lead = ((1, 1),) * (m - 2)
+        assert report.violations == [lead + ((1, 1), (1, 1)), lead + ((1, 1), (2, 2)),
+                                     lead + ((2, 2), (1, 1))]
