@@ -43,10 +43,14 @@ side is about side / m, and its block is
 over orbit representatives a and b; the block of H is B_s = (T_s + T_s*)/2.
 Only the rows of T at the representatives enter, about side/m of them, and
 the probe builds just those, straight from the Gram table and a batch at a
-time (``gram_state``): no matrix of the solved side squared is formed.  The
-split is gated on the input: a matrix that rotation changes by more than
-1e-12 is solved whole, as one sector.  The orbits and sectors depend on the
-shape alone and are built once per shape.
+time (``gram_state``): no matrix of the solved side squared is formed.  A
+batch's rows, their orbit gather and its character blocks share one
+workspace, allocated once per call, because a dozen separate temporaries of
+a few hundred kB made the allocator return the heap top to the system after
+every call and fault it back in on the next.  The split is gated on the
+input: a matrix that rotation changes by more than 1e-12 is solved whole, as
+one sector.  The orbits and sectors depend on the shape alone and are built
+once per shape.
 
 A reflection halves the work again.  Let rho reverse an index tuple.  The
 generators are self-adjoint and tr(A*) is the conjugate of tr(A), so
@@ -93,7 +97,6 @@ from .flat_model import FlatModel
 
 GIB = 2 ** 30
 SOLVE_SET = 8                              # see ProbeConfig.memory_cap
-BATCH_SET = 6
 ROW_BATCH = 2 ** 20                        # entries in one batch of rows
 TRACIAL_TOL = 1e-12                        # gate of the rotation split and the dihedral steps
 
@@ -105,15 +108,15 @@ class ProbeConfig:
     # Bytes.  A probe is refused up front when its working set at max_degree
     # exceeds the cap (``_working_set``), 16 bytes an entry: the sector
     # blocks C, m matrices of side R (the number of rotation orbits), SOLVE_SET
-    # more such matrices for one sector's solve, and BATCH_SET batches of rows
-    # (ROW_BATCH entries each, or all R rows when fewer).  Peak RSS over the
-    # baseline, read with resource.getrusage in a subprocess per probe: at
-    # degree 7, 810 MB on Fourier n = 5 (R = 2233) and 858 MB on the 4x4 grid
-    # (R = 2344), 10.6 and 10.2 matrices of side R, against 1237 and 1354 MB
-    # allowed; at degree 6, 130-300 MB on n = 4..6 and 1092 MB on n = 7
-    # (R = 2812), 1.2-1.6 times below the formula; at degree 5, 9-160 MB on
-    # n = 4..8, 1.2-1.5 times below it (fixed allocations, such as the BLAS
-    # buffers, weigh more at small R).
+    # more such matrices for one sector's solve, and the workspace of the row
+    # batches (``_workspace_entries``).  Peak RSS over the baseline, read
+    # with resource.getrusage in a subprocess per probe: at degree 7, 787 MB
+    # on Fourier n = 5 (R = 2233) and 852 MB on the 4x4 grid (R = 2344), 10.3
+    # and 10.2 matrices of side R, against 1205 and 1322 MB allowed; at
+    # degree 6, 96-234 MB on n = 4..6 and 1047 MB on n = 7 (R = 2812), 1.3-1.9
+    # times below the formula; at degree 5, 7-122 MB on n = 4..8, 1.2-1.6
+    # times below it (fixed allocations, such as the BLAS buffers, weigh more
+    # at small R).
     memory_cap: int = 2 * GIB
     method: str = "fixed_space"            # the only method
 
@@ -195,7 +198,7 @@ def shift_invariant(gram: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
-                 pinned: bool = False) -> np.ndarray:
+                 pinned: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """n times the degree-m trace state at the row tuples ``tuples`` (shape
     (rows, m), 0-based), over every column tuple in lexicographic order, from
     the closed-form cyclic Gram product
@@ -205,25 +208,34 @@ def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
     ``pinned`` fixes the first pair p1 at (1, 1): the row tuples then start
     with 0, and the rows are those of the shift block B = n T[i1=1, k1=1]
     over the column tuples of the other m - 1 pairs.
+
+    The rows are written into ``out`` when it is given (C-contiguous, of
+    shape (rows, n^free)) and returned: the last product fills it and the
+    closing factor is multiplied in place, so no intermediate exceeds 1/n of
+    the rows.
     """
     n, count = model.n, len(tuples)
     free = m - 1 if pinned else m
+    if out is None:
+        out = np.empty((count, n ** free), dtype=complex)
     if m == 1:
-        return np.ones((count, n ** free), dtype=complex)
+        out.fill(1)
+        return out
+    full = out.reshape((count,) + (n,) * free)     # a view of out
     # F[i, j, k, l] = <xi_ik, xi_jl>: the factor between row indices i and j
     F = np.ascontiguousarray(model.gram.transpose(0, 2, 1, 3))
     i = tuples.T                                   # i[t]: row index of pair p(t+1)
     # one axis per free column index, in tuple order: G[p1, p2] first
     rows = F[0, i[1], 0] if pinned else F[i[0], i[1]]
     for t in range(1, m - 1):                      # times G[p(t+1), p(t+2)]
-        step = F[i[t], i[t + 1]]
-        rows = rows[..., None] * step.reshape((count,) + (1,) * (t - pinned) + (n, n))
+        step = F[i[t], i[t + 1]].reshape((count,) + (1,) * (t - pinned) + (n, n))
+        rows = np.multiply(rows[..., None], step, out=full if t == m - 2 else None)
     if pinned:                                     # times G[pm, p1]
-        rows *= F[i[m - 1], 0, :, 0].reshape((count,) + (1,) * (m - 2) + (n,))
+        close = F[i[m - 1], 0, :, 0].reshape((count,) + (1,) * (m - 2) + (n,))
     else:
-        close = F[i[m - 1], i[0]].transpose(0, 2, 1)
-        rows *= close.reshape((count, n) + (1,) * (m - 2) + (n,))
-    return rows.reshape(count, n ** free)
+        close = F[i[m - 1], i[0]].transpose(0, 2, 1).reshape((count, n) + (1,) * (m - 2) + (n,))
+    np.multiply(rows, close, out=full)
+    return out
 
 
 @functools.cache
@@ -237,8 +249,9 @@ def _stored_tuples(n: int, m: int, shift: bool) -> np.ndarray:
 class _GramRows:
     """The stored matrix of a model's degree-m trace state (or shift block),
     computed from the Gram table a batch of rows at a time: indexing it with
-    row numbers returns those rows, as an ``entries`` array would.  Nothing
-    of side^2 size is ever held."""
+    row numbers returns those rows, as an ``entries`` array would, and
+    ``np.take`` along axis 0 fills them into a given array.  Nothing of
+    side^2 size is ever held."""
 
     def __init__(self, model: FlatModel, m: int, shift: bool):
         self.model, self.m, self.shift = model, m, shift
@@ -246,7 +259,16 @@ class _GramRows:
         self.shape = (len(self.tuples),) * 2
 
     def __getitem__(self, rows) -> np.ndarray:
-        out = _cyclic_rows(self.model, self.m, self.tuples[rows], self.shift)
+        return self.take(rows)
+
+    def take(self, rows, axis: int = 0, out: np.ndarray | None = None,
+             mode: str = "raise") -> np.ndarray:
+        """``ndarray.take`` along axis 0, the one axis served: the rows at
+        row numbers ``rows``, written into ``out`` (C-contiguous) when it is
+        given.  A row number out of range raises whatever ``mode``."""
+        if axis != 0:
+            raise ValueError("a _GramRows is taken along axis 0 only")
+        out = _cyclic_rows(self.model, self.m, self.tuples[rows], self.shift, out)
         if not self.shift:
             out /= self.model.n
         return out
@@ -385,48 +407,74 @@ def _sector_plan(n: int, m: int, shift: bool, order: int) -> _SectorPlan:
     return plan
 
 
+def _workspace_entries(side: int, R: int, order: int, batch: int, gated: bool) -> int:
+    """Complex entries of ``_sector_rows``'s workspace for batches of
+    ``batch`` representatives out of R, on a stored matrix of side ``side``:
+    their rows (and, ``gated``, the rows at their images under pi), the
+    orbit gather and the character blocks, order * batch * R entries each."""
+    return (1 + gated) * batch * side + 2 * order * batch * R
+
+
 def _sector_rows(M, plan: _SectorPlan, gated: bool = False) -> tuple:
-    """C[s][a, b] = sum_d chi^(sd) M[rep a, pi^d rep b] for every character
-    s and every pair of representatives, from the rows of M at the
-    representatives, ``ROW_BATCH`` entries at a time; M is an ``entries``
-    array or a ``_GramRows``.  With ``gated``, also the traciality of those
-    rows, max |P[:, pi] - M[reps]| over the rows P = M[pi(reps)], which are
-    built on their own (0.0 otherwise)."""
+    """The blocks C[s][a, b] = sum_d chi^(sd) M[rep a, pi^d rep b] of every
+    character s over every pair of representatives, each transposed: Ct[s]
+    = C[s]^T, whose gather on a sector's members is the sector block in
+    column-major order (see ``cesaro_limit``).  They are formed from the
+    rows of M at the representatives, ``ROW_BATCH`` entries at a time; M is
+    an ``entries`` array or a ``_GramRows``.  With ``gated``, also the
+    traciality of those rows, max |P[:, pi] - M[reps]| over the rows
+    P = M[pi(reps)], which are built on their own (0.0 otherwise).
+
+    Every large array of a batch is a view of one workspace, allocated once
+    per call (``_workspace_entries``): a heap block of one recurring size,
+    which the allocator hands out again on the next call, where a dozen
+    temporaries of a few hundred kB made it return the heap top to the
+    system after every call and fault it back in on the next.  With one
+    batch, Ct is the workspace's character blocks."""
     R, order, side = plan.reps.size, len(plan.sectors), M.shape[0]
-    step = max(1, ROW_BATCH // side)
-    C = [np.empty((R, R), dtype=complex) for _ in range(order)] if step < R else None
+    step = min(R, max(1, ROW_BATCH // side))
+    work = np.empty(_workspace_entries(side, R, order, step, gated), dtype=complex)
+    Ct = [np.empty((R, R), dtype=complex) for _ in range(order)] if step < R else None
     worst = 0.0
     for start in range(0, R, step):
         reps = plan.reps[start:start + step]
-        rows = M[np.concatenate([reps, plan.pi[reps]]) if gated else reps]
-        rows, rotated = rows[:reps.size], rows[reps.size:]
-        taken = rows[:, plan.orbits].transpose(1, 0, 2)   # [d, a, b]: M[rep a, pi^d rep b]
-        blocks = (plan.chi @ taken.reshape(order, -1)).reshape(order, reps.size, R)
-        if C is None:                              # one batch: its blocks are C
-            C = list(blocks)
+        b = reps.size
+        k, g = (1 + gated) * b * side, order * b * R
+        built = work[:k].reshape(-1, side)
+        rows, rotated = built[:b], built[b:]
+        gather, blocks = work[k:k + g], work[k + g:k + 2 * g]
+        # clip: "raise" would first copy out, and the indices are the plan's
+        np.take(M, np.concatenate([reps, plan.pi[reps]]) if gated else reps,
+                axis=0, out=built, mode="clip")
+        taken = blocks.reshape(b, order, R)        # [a, d, c]: M[rep a, pi^d rep c],
+        np.take(rows, plan.orbits, axis=1, out=taken, mode="clip")
+        np.copyto(gather.reshape(order, R, b), taken.transpose(1, 2, 0))   # as [d, c, a]
+        np.matmul(plan.chi, gather.reshape(order, -1), out=blocks.reshape(order, -1))
+        if Ct is None:                             # one batch: its blocks are Ct
+            Ct = list(blocks.reshape(order, R, R))
         else:
-            for Cs, block in zip(C, blocks):
-                Cs[start:start + step] = block
-        if gated:
-            rotated = rotated[:, plan.pi]
-            rotated -= rows
-            worst = max(worst, float(np.abs(rotated).max()))
-    return C, worst
+            for Cs, block in zip(Ct, blocks.reshape(order, R, b)):
+                Cs[:, start:start + b] = block
+        if gated:                                  # P[:, pi] - rows in the gather, |.| over P
+            moved = gather[:b * side].reshape(b, side)
+            np.take(rotated, plan.pi, axis=1, out=moved, mode="clip")
+            np.subtract(moved, rows, out=moved)
+            dist = np.abs(moved, out=rotated.reshape(-1).view(float)[:b * side].reshape(b, side))
+            worst = max(worst, float(dist.max()))
+    return Ct, worst
 
 
-def _q1_columns(X: np.ndarray, fixed: int, pairs: int) -> None:
-    """X <- X Q1, in place, where Q1 maps each Theta-pair of basis vectors
-    (e_l, e_g) to (e_l + e_g, i (e_l - e_g)): after the first ``fixed``
-    columns come the lesser, then the greater member of each pair."""
-    a, b = X[:, fixed:fixed + pairs], X[:, fixed + pairs:]
-    X[:, fixed:fixed + pairs], X[:, fixed + pairs:] = a + b, 1j * (a - b)
-
-
-def _q1_rows(X: np.ndarray, fixed: int, pairs: int) -> None:
-    """X <- Q1* X, in place, with the rows laid out as ``_q1_columns``'s
-    columns."""
-    a, b = X[fixed:fixed + pairs], X[fixed + pairs:]
-    X[fixed:fixed + pairs], X[fixed + pairs:] = a + b, -1j * (a - b)
+def _theta_real(X: np.ndarray, fixed: int, pairs: int) -> np.ndarray:
+    """X <- Q1* X Q1, in place, and X, where Q1 maps each Theta-pair of
+    basis vectors (e_l, e_g) to (e_l + e_g, i (e_l - e_g)): after the first
+    ``fixed`` rows and columns come the lesser, then the greater member of
+    each pair."""
+    if pairs:
+        a, b = X[:, fixed:fixed + pairs], X[:, fixed + pairs:]
+        X[:, fixed:fixed + pairs], X[:, fixed + pairs:] = a + b, 1j * (a - b)
+        a, b = X[fixed:fixed + pairs], X[fixed + pairs:]
+        X[fixed:fixed + pairs], X[fixed + pairs:] = a + b, -1j * (a - b)
+    return X
 
 
 def _invariance_defect(A: np.ndarray, Y: np.ndarray) -> float:
@@ -481,13 +529,13 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
         del rotated                                # and freed before the solve
         if tracial > TRACIAL_TOL:
             plan = _sector_plan(T.n, T.m, T.shift, 1)
-        C, _ = _sector_rows(M, plan)
+        Ct, _ = _sector_rows(M, plan)
     else:
-        C, tracial = _sector_rows(M, plan, gated=True)
+        Ct, tracial = _sector_rows(M, plan, gated=True)
         tracial /= T.scale
         if tracial > TRACIAL_TOL:
             plan = _sector_plan(T.n, T.m, T.shift, 1)
-            C, _ = _sector_rows(M, plan)
+            Ct, _ = _sector_rows(M, plan)
     order = len(plan.sectors)
     cut = 1.0 - math.sqrt(cfg.tol_converge)
     blocks, sectors = [None] * order, [0] * order
@@ -498,28 +546,31 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     # sector is 2344 wide)
     for s in sorted(range(order), key=lambda s: (min(s, order - s), s)):
         sector = plan.sectors[s]
-        # T_s = C[s] on the sector's members, with Q's phases and scales
-        Ts = C[s][sector.members][:, sector.members] * sector.left * sector.root
-        C[s] = None                                # each C[s] is read once
+        # T_s = C[s] on the sector's members, with Q's phases and scales: one
+        # np.ix_ copy of Ct[s], scaled in place and read transposed, so that T_s
+        # is column-major, the layout its invariance product is rounded in
+        Ts = Ct[s][sector.members[:, None], sector.members]   # T_s^T, unscaled
+        Ct[s] = None                               # each Ct[s] is read once
+        Ts *= sector.left.T
+        Ts *= sector.root[:, None]
+        Ts = Ts.T
         sectors[s] = Ts.shape[0]
-        f, G = sector.fixed, slice(sector.fixed + sector.pairs, None)
+        f, p, G = sector.fixed, sector.pairs, slice(sector.fixed + sector.pairs, None)
         if order - s < s:                          # the mirror of sector order - s
             T0, U, Y = source
             defect = float(np.abs(Ts - T0.conj()).max())
             mirror = max(mirror, defect)
             del T0, source
+            if defect <= gate:
+                if U.shape[1]:                     # a sector that keeps no vector adds 0
+                    Y = Y.conj()                   # conj(U), in this sector's basis
+                    Y[G] *= -1
+                    defect2 += _invariance_defect(_theta_real(Ts, f, p), Y)
+                blocks[s], spectra[s] = U.conj(), spectra[order - s]
+                continue
         if 0 < s < order - s:                      # T_s, for the mirror gate of order - s
             T0 = Ts.copy()
-        At = Ts                                    # Q* T_s Q, in place
-        if sector.pairs:
-            _q1_columns(At, f, sector.pairs)
-            _q1_rows(At, f, sector.pairs)
-        if order - s < s and defect <= gate:
-            Y = Y.conj()                           # conj(U), in this sector's basis
-            Y[G] *= -1
-            defect2 += _invariance_defect(At, Y)
-            blocks[s], spectra[s] = U.conj(), spectra[order - s]
-            continue
+        At = _theta_real(Ts, f, p)                 # Q* T_s Q
         defect = float(np.abs(At.imag).max())
         theta = max(theta, defect)
         A = At.real + At.real.T                    # Q* B_s Q, B_s = (T_s + T_s*) / 2
@@ -531,19 +582,21 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
         k = int(np.count_nonzero(lam > cut))             # lam ascends
         Y = W[:, lam.size - k:]
         del W
-        E = Y.conj().T @ Y                         # one Newton-Schulz step:
-        E *= -0.5                                  # Y (3 I - Y* Y) / 2
-        E.reshape(-1)[::k + 1] += 1.5
-        Y = Y @ E
-        Z = Y
-        if sector.pairs:
-            Z = Y.astype(complex)
-            a, b = Y[f:f + sector.pairs], Y[G]
-            Z[f:f + sector.pairs], Z[G] = a + 1j * b, a - 1j * b   # Q1 Y
-        defect2 += _invariance_defect(At, Y)
+        if k:                                      # a sector that keeps no vector adds 0
+            E = Y.conj().T @ Y                     # one Newton-Schulz step:
+            E *= -0.5                              # Y (3 I - Y* Y) / 2
+            E.reshape(-1)[::k + 1] += 1.5
+            Y = Y @ E
+            Z = Y
+            if p:
+                Z = Y.astype(complex)
+                a, b = Y[f:f + p], Y[G]
+                Z[f:f + p], Z[G] = a + 1j * b, a - 1j * b   # Q1 Y
+            defect2 += _invariance_defect(At, Y)
         del Ts, At
         U = np.zeros((side, k), dtype=complex)
-        U[sector.rows] = sector.lift[:, :, None] * Z
+        if k:
+            U[sector.rows] = sector.lift[:, :, None] * Z
         if 0 < s < order - s:                      # kept for sector order - s
             source = T0, U, Y
             del T0
@@ -666,12 +719,13 @@ def _orbit_count(n: int, m: int, shift: bool) -> int:
 def _working_set(n: int, m: int, shift: bool) -> int:
     """Bytes the probe of degree m is allowed to need (see
     ProbeConfig.memory_cap): the sector blocks C and SOLVE_SET more complex
-    matrices of side R, the number of representatives, and BATCH_SET batches
-    of rows."""
+    matrices of side R, the number of representatives, and the workspace of
+    the gated row batches (``_workspace_entries``), counted apart from C,
+    though a single batch holds C in it."""
     side = n ** (m - 1 if shift else m)
     R = _orbit_count(n, m, shift)
-    batch = min(R, max(1, ROW_BATCH // side)) * side
-    return 16 * ((m + SOLVE_SET) * R ** 2 + BATCH_SET * batch)
+    batch = min(R, max(1, ROW_BATCH // side))
+    return 16 * ((m + SOLVE_SET) * R ** 2 + _workspace_entries(side, R, m, batch, True))
 
 
 def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,14 +90,16 @@ class TestCyclicProducts:
 
 
 class _ServedByRows:
-    """A dense matrix handed out a batch of rows at a time, as a
-    ``gram_state`` is: ``cesaro_limit`` then gates on rows only."""
+    """A dense matrix handed out a batch of rows at a time (``np.take``
+    along axis 0), as a ``gram_state`` is: ``cesaro_limit`` then gates on
+    rows only."""
 
     def __init__(self, M):
         self.M, self.shape = M, M.shape
 
-    def __getitem__(self, rows):
-        return self.M[rows]
+    def take(self, rows, axis=0, out=None, mode="raise"):
+        assert axis == 0
+        return self.M.take(rows, axis, out, mode)
 
 
 class TestGramRows:
@@ -160,6 +163,75 @@ class TestGramRows:
             assert abs(res.invariance_residual - whole.invariance_residual) < 1e-15
             assert np.abs(tensor_ops.limit_of(res).entries
                           - tensor_ops.limit_of(whole).entries).max() < 1e-14
+
+
+class TestRowWorkspace:
+    """The batch stage writes its large arrays into views of one workspace:
+    the rows, the orbit gather, the character blocks and the gate."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_cyclic_rows_into_out(self, model4, n, pinned):
+        model = model4 if n == 4 else _fourier_model(n)
+        for m in range(1, 6):
+            tuples = cp._stored_tuples(n, m, pinned)
+            tuples = tuples[np.unique(np.linspace(0, len(tuples) - 1, 9).astype(int))]
+            want = cp._cyclic_rows(model, m, tuples, pinned)
+            # a view inside a NaN-filled buffer: all of it is written, and nothing around it
+            buffer = np.full(want.size + 5, np.nan, dtype=complex)
+            out = buffer[3:-2].reshape(want.shape)
+            assert cp._cyclic_rows(model, m, tuples, pinned, out=out) is out
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), (m, pinned)
+            assert np.isnan(buffer[:3]).all() and np.isnan(buffer[-2:]).all()
+
+    @pytest.mark.parametrize("n,m", [(4, 3), (4, 4), (5, 5), (6, 4)])
+    def test_sector_rows_match_the_direct_product(self, model4, monkeypatch, n, m):
+        model = model4 if n == 4 else _fourier_model(n)
+        shift = n != 4
+        plan = cp._sector_plan(n, m, shift, m)
+        T = cp.gram_state(model, m, shift)
+        D = cp._built_whole(T, 2 ** 30).entries
+        side, R = D.shape[0], plan.reps.size
+        chi = np.exp(2j * np.pi / m * np.outer(np.arange(m), np.arange(m)))
+        taken = np.stack([D[np.ix_(plan.reps, plan.orbits[d])] for d in range(m)])
+        want = (chi @ taken.reshape(m, -1)).reshape(m, R, R)   # chi @ M[rep a, pi^d rep b]
+        tracial = np.abs(D[plan.pi[plan.reps]][:, plan.pi] - D[plan.reps]).max()
+        for rows in (None, 1, 7):              # one batch; batches of 1 and 7 rows
+            if rows:
+                monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
+            for M in (D, T.entries, _ServedByRows(D)):
+                for gated in (False, True):
+                    Ct, worst = cp._sector_rows(M, plan, gated)
+                    got = np.array([block.T for block in Ct])
+                    assert np.abs(got - want).max() <= 1e-15, (rows, type(M), gated)
+                    assert worst == (tracial if gated else 0.0), (rows, type(M))
+
+    def test_workspace_bounds_the_traced_peak(self, monkeypatch):
+        # at n = 6, m = 4 the batch stage holds the workspace (and C, when
+        # there are several batches) and small arrays; building rows from
+        # the Gram table adds the last product's two factors (1/n of the
+        # rows each) and numpy's buffers for its broadcast operands
+        n, m = 6, 4
+        plan = cp._sector_plan(n, m, True, m)
+        T = cp.gram_state(_fourier_model(n), m, True)
+        side, R = T.entries.shape[0], plan.reps.size
+        dense = cp._built_whole(T, 2 ** 30).entries
+        for rows in (None, 7):
+            if rows:
+                monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
+            b = min(R, max(1, cp.ROW_BATCH // side))
+            work = 16 * (2 * b * side + 2 * m * b * R)
+            C = 0 if b == R else 16 * m * R ** 2      # one batch: C is in the workspace
+            built = 16 * 2 * b * side                   # the rows a batch builds
+            for M, build in ((dense, 0), (T.entries, 2 * built / n + 2 * 16 * np.getbufsize())):
+                cp._sector_rows(M, plan, gated=True)
+                tracemalloc.start()
+                try:
+                    cp._sector_rows(M, plan, gated=True)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - work - C < build + 64 * 1024, (rows, type(M))
 
 
 class TestConvolve:
@@ -585,15 +657,22 @@ class TestShiftReduction:
         assert report4.degrees[0].spectral_gap == 1.0
         assert report5.degrees[0].spectral_gap == 1.0
 
-    def test_working_set_gate(self, model4):
+    def test_working_set_gate(self, model4, monkeypatch):
         # refused up front when the sector blocks C (m matrices of side R,
         # the number of rotation orbits), SOLVE_SET more such matrices and
-        # BATCH_SET batches of rows, 16 bytes an entry, exceed the cap
-        for model, m, side in ((_fourier_model(5), 3, 25), (model4, 2, 16),
-                               (_fourier_model(6), 4, 216), (model4, 5, 1024)):
+        # the workspace of the row batches, 16 bytes an entry, exceed the
+        # cap; the workspace of b representatives holds their rows and the
+        # rows at their images under pi (b x side each), the orbit gather
+        # and the character blocks (m x b x R each); one batch, then three
+        # rows a batch
+        for model, m, side, rows in ((_fourier_model(5), 3, 25, None), (model4, 2, 16, None),
+                                     (_fourier_model(6), 4, 216, None),
+                                     (model4, 5, 1024, None), (_fourier_model(6), 4, 216, 3)):
+            if rows:
+                monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
             R = cp._sector_plan(model.n, m, side < model.n ** m, m).reps.size
-            batch = min(R, max(1, cp.ROW_BATCH // side)) * side
-            need = 16 * ((m + cp.SOLVE_SET) * R ** 2 + cp.BATCH_SET * batch)
+            b = min(R, max(1, cp.ROW_BATCH // side))
+            need = 16 * ((m + cp.SOLVE_SET) * R ** 2 + 2 * b * side + 2 * m * b * R)
             with pytest.raises(MemoryCap):
                 cp.inner_faithfulness_report(
                     model, cp.ProbeConfig(max_degree=m, memory_cap=need - 1))
