@@ -140,6 +140,8 @@ def cmd_haar(args) -> int:
     import warnings
     from . import haar_exact, flat_model
     if args.mode == "table":
+        if args.mono:
+            raise ValueError("--mono does not apply to the 'table' mode")
         if args.n < 5:
             raise ValueError("the class table needs --n >= 5")
         print(json.dumps(haar_exact.haar_table_dict(args.n)))

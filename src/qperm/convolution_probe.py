@@ -65,12 +65,11 @@ pair of orbits {a, r(a)} -- every sector block is real.  When T is real too
 m - s is the entrywise conjugate of sector s, and so are its eigenvectors.
 ``cesaro_limit`` runs a real ``eigh`` of Q* B_s Q on sectors 0..floor(m/2)
 and lifts each sector m - s as the conjugate of sector s's lifted vectors:
-floor(m/2) + 1 real solves per degree in place of m complex ones.  Each step
-is gated on the blocks of T, at 1e-12 in units of the tensor, which gates the
-blocks of H it uses as well: max |Im Q* T_s Q| (``theta_residual``) and
-max |T_(m-s) - conj T_s| (``mirror_residual``).  A sector that fails the
-first is solved as a complex matrix in the same basis; a sector that fails
-the second is solved itself.
+floor(m/2) + 1 real solves per degree in place of m complex ones.  Both steps
+are gated at 1e-12 in units of the tensor: max |Im Q* T_s Q| on each solved
+sector (``theta_residual``), else it is solved complex in the same basis, and
+max |T - conj T| once, on the rows at the representatives, which hold every
+entry of T (``mirror_residual``), else every sector is solved itself.
 
 The report reads every field off the lifted orthonormal Vk and never forms
 the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1) and entries
@@ -125,6 +124,8 @@ class ProbeConfig:
             raise ValueError("max_degree must be >= 1")
         if not 0 < self.tol_converge < 1:
             raise ValueError("tol_converge must lie in (0, 1)")
+        if self.memory_cap < 1:
+            raise ValueError("memory_cap must be >= 1")
         if self.method != "fixed_space":
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -315,7 +316,7 @@ class CesaroResult:
     traciality_residual: float             # the split's gate, / scale: |M - M[pi][:, pi]|,
                                            # on a gram_state over the rows at pi(reps)
     theta_residual: float                  # max |Im Q* T_s Q| / scale over solved sectors
-    mirror_residual: float                 # max |T_(m-s) - conj T_s| / scale, s < m/2, or 0
+    mirror_residual: float                 # max |T - conj T| / scale over the rows at reps
     invariance_residual: float             # |L T - L|_F, L = Vk Vk*, of the tensor
     iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
     curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
@@ -423,7 +424,8 @@ def _sector_rows(M, plan: _SectorPlan, gated: bool = False) -> tuple:
     rows of M at the representatives, ``ROW_BATCH`` entries at a time; M is
     an ``entries`` array or a ``_GramRows``.  With ``gated``, also the
     traciality of those rows, max |P[:, pi] - M[reps]| over the rows
-    P = M[pi(reps)], which are built on their own (0.0 otherwise).
+    P = M[pi(reps)], which are built on their own (0.0 otherwise).  Last,
+    2 max |Im M[reps]| = max |M[reps] - conj M[reps]|: the mirror gate.
 
     Every large array of a batch is a view of one workspace, allocated once
     per call (``_workspace_entries``): a heap block of one recurring size,
@@ -435,7 +437,7 @@ def _sector_rows(M, plan: _SectorPlan, gated: bool = False) -> tuple:
     step = min(R, max(1, ROW_BATCH // side))
     work = np.empty(_workspace_entries(side, R, order, step, gated), dtype=complex)
     Ct = [np.empty((R, R), dtype=complex) for _ in range(order)] if step < R else None
-    worst = 0.0
+    worst = imag = 0.0
     for start in range(0, R, step):
         reps = plan.reps[start:start + step]
         b = reps.size
@@ -455,13 +457,16 @@ def _sector_rows(M, plan: _SectorPlan, gated: bool = False) -> tuple:
         else:
             for Cs, block in zip(Ct, blocks.reshape(order, R, b)):
                 Cs[:, start:start + b] = block
+        # |Im rows| in the gather, free now: side <= order R, so it fits
+        dist = np.abs(rows.imag, out=gather.view(float)[:b * side].reshape(b, side))
+        imag = max(imag, float(dist.max()))
         if gated:                                  # P[:, pi] - rows in the gather, |.| over P
             moved = gather[:b * side].reshape(b, side)
             np.take(rotated, plan.pi, axis=1, out=moved, mode="clip")
             np.subtract(moved, rows, out=moved)
             dist = np.abs(moved, out=rotated.reshape(-1).view(float)[:b * side].reshape(b, side))
             worst = max(worst, float(dist.max()))
-    return Ct, worst
+    return Ct, worst, 2 * imag
 
 
 def _theta_real(X: np.ndarray, fixed: int, pairs: int) -> np.ndarray:
@@ -506,10 +511,10 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     rounding (and, on shift blocks, by the Gram table's distance from shift
     invariance) alone.  Either way only the rows at the representatives
     enter the solve: each sector block T_s of T is formed from them, and
-    B_s = (T_s + T_s*)/2.  A sector s > m/2 whose T_s is the conjugate of
-    that of sector m - s within the gate takes the conjugates of that
-    sector's vectors; every other sector is solved in its Theta-real basis,
-    as a real matrix when the imaginary part of T_s there is within the gate.
+    B_s = (T_s + T_s*)/2.  When those rows are real within the gate, each
+    sector s > m/2 takes the conjugates of sector m - s's vectors; every
+    other sector is solved in its Theta-real basis, as a real matrix when
+    the imaginary part of T_s there is within the gate.
     The kept vectors W of each solve get one Newton-Schulz step
     W (3 I - W* W) / 2, which brings their loss of orthonormality (a few
     times k eps from the eigensolver) down to rounding.  The result holds the
@@ -529,23 +534,25 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
         del rotated                                # and freed before the solve
         if tracial > TRACIAL_TOL:
             plan = _sector_plan(T.n, T.m, T.shift, 1)
-        Ct, _ = _sector_rows(M, plan)
+        Ct, _, mirror = _sector_rows(M, plan)
     else:
-        Ct, tracial = _sector_rows(M, plan, gated=True)
+        Ct, tracial, mirror = _sector_rows(M, plan, gated=True)
         tracial /= T.scale
         if tracial > TRACIAL_TOL:
             plan = _sector_plan(T.n, T.m, T.shift, 1)
-            Ct, _ = _sector_rows(M, plan)
+            Ct, _, mirror = _sector_rows(M, plan)
     order = len(plan.sectors)
+    real = mirror <= gate                          # sector m - s is the conjugate of s
+    solved = order // 2 + 1 if real else order
+    del Ct[solved:]
     cut = 1.0 - math.sqrt(cfg.tol_converge)
     blocks, sectors = [None] * order, [0] * order
     spectra = [None] * order                       # (eigenvalues, number kept) of each solve
-    theta = mirror = defect2 = 0.0
-    # each sector s < m/2 is followed by its mirror m - s; the dels below free
-    # each matrix of the sector's side as soon as it is used (at degree 7 a
-    # sector is 2344 wide)
-    for s in sorted(range(order), key=lambda s: (min(s, order - s), s)):
+    theta = defect2 = 0.0
+    # the dels free each matrix of a sector's side once used (2344 wide at degree 7)
+    for s in range(solved):
         sector = plan.sectors[s]
+        mirrored = real and 0 < s < order - s      # sector order - s is lifted from s
         # T_s = C[s] on the sector's members, with Q's phases and scales: one
         # np.ix_ copy of Ct[s], scaled in place and read transposed, so that T_s
         # is column-major, the layout its invariance product is rounded in
@@ -555,21 +562,7 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
         Ts *= sector.root[:, None]
         Ts = Ts.T
         sectors[s] = Ts.shape[0]
-        f, p, G = sector.fixed, sector.pairs, slice(sector.fixed + sector.pairs, None)
-        if order - s < s:                          # the mirror of sector order - s
-            T0, U, Y = source
-            defect = float(np.abs(Ts - T0.conj()).max())
-            mirror = max(mirror, defect)
-            del T0, source
-            if defect <= gate:
-                if U.shape[1]:                     # a sector that keeps no vector adds 0
-                    Y = Y.conj()                   # conj(U), in this sector's basis
-                    Y[G] *= -1
-                    defect2 += _invariance_defect(_theta_real(Ts, f, p), Y)
-                blocks[s], spectra[s] = U.conj(), spectra[order - s]
-                continue
-        if 0 < s < order - s:                      # T_s, for the mirror gate of order - s
-            T0 = Ts.copy()
+        f, p = sector.fixed, sector.pairs
         At = _theta_real(Ts, f, p)                 # Q* T_s Q
         defect = float(np.abs(At.imag).max())
         theta = max(theta, defect)
@@ -590,17 +583,18 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
             Z = Y
             if p:
                 Z = Y.astype(complex)
-                a, b = Y[f:f + p], Y[G]
-                Z[f:f + p], Z[G] = a + 1j * b, a - 1j * b   # Q1 Y
-            defect2 += _invariance_defect(At, Y)
+                a, b = Y[f:f + p], Y[f + p:]
+                Z[f:f + p], Z[f + p:] = a + 1j * b, a - 1j * b   # Q1 Y
+            # a mirror's block S conj(A) S, vectors S conj(Y) (S = +-1): same share
+            defect2 += (1 + mirrored) * _invariance_defect(At, Y)
         del Ts, At
         U = np.zeros((side, k), dtype=complex)
         if k:
             U[sector.rows] = sector.lift[:, :, None] * Z
-        if 0 < s < order - s:                      # kept for sector order - s
-            source = T0, U, Y
-            del T0
         blocks[s], spectra[s] = U, (lam, k)
+        if mirrored:
+            blocks[order - s], spectra[order - s], sectors[order - s] = \
+                U.conj(), spectra[s], sectors[s]
     Vk = np.hstack(blocks)
     # lam ascends, so the kept eigenvalues farthest from 1 are a solve's ends
     converged = all(abs(x - 1.0) <= cfg.tol_converge
@@ -633,8 +627,8 @@ class DegreeProbe:
     traciality_residual: float             # |T - T rotated|, on the input
     theta_residual: float                  # max |Im Q* T_s Q| over the solved sectors: the
                                            # gate of their real eigh (Q: Theta-real basis)
-    mirror_residual: float                 # max |T_(m-s) - conj T_s| over the sectors s < m/2:
-                                           # the gate of lifting m - s from s; 0 if none is
+    mirror_residual: float                 # max |T - conj T| over the rows at the orbit
+                                           # representatives: the gate of lifting m - s from s
     invariance_residual: float             # |L T - L|_F of the tensor, read per sector;
                                            # at least the largest entry of L T - L
     class_residuals: dict

@@ -241,14 +241,16 @@ def check_free_orbitals(model: FlatModel, m: int,
 
 
 def _scan_start(n: int, m: int, budget: int, **tols) -> OrbitalScanReport:
-    """The opening both orbital checks share: refuse more than ``budget``
-    words and m < 1, and return the m = 1 report, which passes since a
-    single factor has no neighbour to clash with."""
+    """The opening both orbital checks share: refuse m < 1, a budget below
+    1 and more than ``budget`` words, and return the m = 1 report, which
+    passes since a single factor has no neighbour to clash with."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     total = n ** (2 * m)
     if total > budget:
         raise BudgetExceeded(f"scan touches {total} words > budget {budget}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return OrbitalScanReport(n=n, m=m, total=total, passed=True,
                              min_nonzero=1.0, max_zero=None, **tols)
 

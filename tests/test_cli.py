@@ -231,13 +231,18 @@ EXIT_CODE_CASES = [
     ("orbitals --n 5 --m 0", 2, "error: m must be >= 1"),
     ("orbitals --n 3 --m 2", 2, "error: the root-of-unity grid needs n >= 5"),
     ("orbitals --n 5 --m 3 --budget 10", 3, "budget"),
+    ("orbitals --n 5 --m 3 --budget -5", 2, "error: budget must be >= 1"),
+    ("orbitals --n 5 --m 3 --model classical --budget 0", 2, "error: budget must be >= 1"),
+    ("orbitals --n 5 --m 0 --budget -5", 2, "error: m must be >= 1"),
     ("haar --n 3 --mono 1:1,2:2,3:3,1:1,2:2,3:3", 2, "error: reduced degree 6 > 4"),
     ("haar --n 5 --mono 0:1", 2, "error: pair (0, 1) outside 1..5"),
     ("haar --n 5", 2, "error: provide --mono or the 'table' mode"),
     ("haar table --n 4", 2, "error: the class table needs --n >= 5"),
+    ("haar table --n 5 --mono 1:1", 2, "error: --mono does not apply to the 'table' mode"),
     ("probe --n 3", 2, "error: the root-of-unity grid needs n >= 5"),
     ("probe --n 5 --tol 1.5", 2, "error: tol_converge must lie in (0, 1)"),
     ("probe --n 4 --max-degree 2 --memory-cap 1000", 3, "error: degree 2 needs about"),
+    ("probe --n 5 --memory-cap 0", 2, "error: memory_cap must be >= 1"),
     ("probe --n 4 --max-degree 1 --out {tmp}/missing/r.json", 2, "error:"),
     ("basis gen --n 2000 --out {tmp}/b.json", 3, "error: out of memory"),
     ("orbitals --n 2000 --m 1", 3, "error: out of memory"),

@@ -196,15 +196,17 @@ class TestRowWorkspace:
         taken = np.stack([D[np.ix_(plan.reps, plan.orbits[d])] for d in range(m)])
         want = (chi @ taken.reshape(m, -1)).reshape(m, R, R)   # chi @ M[rep a, pi^d rep b]
         tracial = np.abs(D[plan.pi[plan.reps]][:, plan.pi] - D[plan.reps]).max()
+        imag = np.abs(D[plan.reps].imag).max()
         for rows in (None, 1, 7):              # one batch; batches of 1 and 7 rows
             if rows:
                 monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
             for M in (D, T.entries, _ServedByRows(D)):
                 for gated in (False, True):
-                    Ct, worst = cp._sector_rows(M, plan, gated)
+                    Ct, worst, mirror = cp._sector_rows(M, plan, gated)
                     got = np.array([block.T for block in Ct])
                     assert np.abs(got - want).max() <= 1e-15, (rows, type(M), gated)
                     assert worst == (tracial if gated else 0.0), (rows, type(M))
+                    assert mirror == 2 * imag, (rows, type(M), gated)
 
     def test_workspace_bounds_the_traced_peak(self, monkeypatch):
         # at n = 6, m = 4 the batch stage holds the workspace (and C, when
@@ -506,6 +508,9 @@ class TestConfig:
         # at tol >= 1 the complement's eigenvalue 0 would count as fixed
         with pytest.raises(ValueError):
             cp.ProbeConfig(tol_converge=1.0)
+        for cap in (0, -5):
+            with pytest.raises(ValueError):
+                cp.ProbeConfig(memory_cap=cap)
 
     def test_unknown_method(self, model4):
         T = cp.trace_state(model4, 1)
@@ -801,7 +806,8 @@ def _eigh_calls(monkeypatch):
 
 class TestDihedralSectors:
     """Sectors 0..m/2 are solved as real matrices in their Theta-real basis;
-    sector m - s takes the conjugates of sector s's vectors."""
+    when the rows at the representatives are real, sector m - s takes the
+    conjugates of sector s's vectors."""
 
     @pytest.mark.parametrize("n,max_degree", sorted(_DECK_TARGETS))
     def test_fix_moment_within_an_ulp(self, n, max_degree):
@@ -882,6 +888,55 @@ class TestDihedralSectors:
         s, w = split.degrees[-1], whole.degrees[-1]
         assert s.theta_residual > 1e-12 and w.theta_residual > 1e-12
         assert (s.mirror_residual > 1e-12) == (w.mirror_residual > 1e-12) == (solves == 4)
+
+    @pytest.mark.parametrize("n,m", [(4, 3), (4, 4), (5, 4), (6, 3)])
+    def test_mirror_gate_reads_the_rows_at_the_representatives(self, n, m):
+        # 2 max |Im M[reps]| is max |M[reps] - conj M[reps]| bit for bit, on
+        # every way of handing the probe its matrix, real or not, split or not
+        shift = n != 4
+        T = cp.gram_state(_model(n), m, shift)
+        D = cp._built_whole(T, 2 ** 30).entries
+        noisy = D + 1e-9 * _tracial_noise(T, 3)
+        skewed = noisy + 1e-6 * np.random.default_rng(0).standard_normal(D.shape)
+        for E in (D, noisy, skewed):            # real; complex; neither, nor tracial
+            for M in (E, _ServedByRows(E)) + ((T.entries,) if E is D else ()):
+                res = cp.cesaro_limit(cp.StateTensor(n, m, M, shift),
+                                      cp.ProbeConfig(tol_converge=1e-6))
+                reps = cp._sector_plan(n, m, shift, len(res.sectors)).reps
+                want = np.abs(E[reps] - E[reps].conj()).max() / T.scale
+                assert res.mirror_residual == want, (type(M), len(res.sectors))
+                assert (want > 1e-12) == (E is not D)
+                assert len(res.sectors) == (1 if E is skewed else m)
+
+    def test_mirror_gate_is_exactly_zero_on_the_4x4_grid(self):
+        # its trace states are real: every degree takes the mirrored solve
+        report = cp.inner_faithfulness_report(_model(4), cp.ProbeConfig(max_degree=6))
+        assert [d.mirror_residual for d in report.degrees] == [0.0] * 6
+        assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 14, 42, 132]
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (5, 4), (6, 3), (7, 3)])
+    def test_mirror_gate_matches_the_unsplit_oracle(self, n, m):
+        # every entry of a tracial T is an entry of its rows at the
+        # representatives, so the rows' distance from real is T's
+        shift = n != 4
+        T = cp.gram_state(_model(n), m, shift)
+        D = cp._built_whole(T, 2 ** 30).entries
+        noisy = cp.StateTensor(n, m, D + 1e-9 * _tracial_noise(T, 3), shift)
+        for M in (T, noisy):
+            got = cp.cesaro_limit(M, cp.ProbeConfig(tol_converge=1e-6)).mirror_residual
+            want = cesaro_oracle.unsplit_limit(M).mirror_residual
+            assert abs(got - want) <= 1e-15, (n, m)
+
+    @pytest.mark.parametrize("n,m", [(5, 3), (5, 4), (4, 4), (6, 3)])
+    def test_mirrored_share_of_a_loose_invariance_residual(self, n, m):
+        # at tol_converge 0.5 the kept vectors are far from fixed, so the
+        # residual is O(1) and a mirrored sector's share of it shows
+        cfg = cp.ProbeConfig(tol_converge=0.5)
+        T = cp.gram_state(_model(n), m, n != 4)
+        got, want = cp.cesaro_limit(T, cfg), cesaro_oracle.unsplit_limit(T, cfg)
+        assert got.fixed_dim == want.fixed_dim
+        assert got.invariance_residual > 1
+        assert abs(got.invariance_residual - want.invariance_residual) <= 1e-12
 
     def test_theta_basis_is_real_on_every_sector(self):
         # Q* T_s Q is real to rounding on every solved sector of both grids
