@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import (BudgetExceeded, DegreeTooHigh, DimensionTooSmall,
@@ -174,8 +175,18 @@ def _print_degree(degree, reps: int, seconds: float) -> None:
           f"fixed {degree.fixed_space_dim}, gap {gap}", file=sys.stderr, flush=True)
 
 
+def _require_directory_of(path: str) -> None:
+    """Raise FileNotFoundError unless the directory ``path`` would go into exists."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {path}: no directory {directory}")
+
+
 def cmd_probe(args) -> int:
     from . import convolution_probe as cp, flat_model
+    for path in (args.out, args.csv):     # before any work, not after it
+        if path:
+            _require_directory_of(path)
     model = flat_model.model_from_basis(_build_basis(args.n))
     cfg = cp.ProbeConfig(max_degree=args.max_degree,
                          tol_converge=args.tol,

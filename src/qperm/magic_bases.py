@@ -38,6 +38,9 @@ from .errors import DimensionTooSmall, IndexOutOfRange, NotMagic
 
 TOL_CONSTRUCT = 1e-12   # orthonormality residual allowance
 TOL_STRICT = 1e-9       # decision threshold for "strictly inside (0, 1)"
+# Gram-table entries the noncommutativity check screens at once: at n = 20 a
+# block's temporaries take no more memory than verify_magic's
+CHECK_BLOCK = 2 ** 15
 
 IndexPair = tuple[int, int]
 
@@ -184,8 +187,11 @@ def verify_suitably_noncommutative(basis: MagicBasis,
     pinned to their windows: resonant values must be real in [1 - 4/n, 1) and
     generic magnitudes must fall in (0, 4/n], each within ``tol_construct``.
     Each pair gets at most one violation, the magnitude check first, listed
-    in (i, j, k, l) order; a NaN entry fails every check.  The checks run on
-    one row index i at a time, as masks over the (j, k, l) slice G[i].
+    in (i, j, k, l) order; a NaN entry fails every check.
+
+    The whole test is one predicate over the Gram table, evaluated on blocks
+    of whole row indices i, ``CHECK_BLOCK`` table entries at a time; reasons
+    are worked out only for the entries it flags.
     """
     report = verify_magic(basis, tol_construct)
     if not report.magic_ok:
@@ -193,28 +199,42 @@ def verify_suitably_noncommutative(basis: MagicBasis,
         return report
     n = basis.n
     G = report.gram
-    idx = np.arange(n)
-    k_axis = idx[None, :, None]                                     # (1, k, 1)
-    j_minus_l = idx[:, None, None] - idx[None, None, :]              # (j, 1, l)
-    reasons = (None, "magnitude not strictly inside (0,1)",
+    fourier = basis.kind == "fourier"
+    reasons = ("magnitude not strictly inside (0,1)",
                "resonant value outside [1-4/n, 1)",
                "generic magnitude outside (0, 4/n]")
-    for i in range(n):
-        g = G[i]
-        mag = np.abs(g)
-        # reason code per (j, k, l): 0 none, else an index into ``reasons``
-        code = np.where((tol_strict < mag) & (mag < 1.0 - tol_strict), 0, 1)
-        if basis.kind == "fourier":
-            resonant = (k_axis - i + j_minus_l) % n == 0
-            bad_resonant = (np.abs(g.imag) > tol_construct) | ~(
-                (1.0 - 4.0 / n - tol_construct <= g.real) & (g.real < 1.0))
-            bad_generic = ~((0.0 < mag) & (mag <= 4.0 / n + tol_construct))
-            window = np.where(resonant, 2 * bad_resonant, 3 * bad_generic)
-            code = np.where(code == 0, window, code)
-        code = np.where((k_axis != i) & (j_minus_l != 0), code, 0)
-        for j, k, l in np.argwhere(code).tolist():
-            report.violations.append(((i + 1, j + 1), (k + 1, l + 1), complex(g[j, k, l]),
-                                      reasons[code[j, k, l]]))
+    rows = min(n, max(1, CHECK_BLOCK // n ** 3))
+    mag = np.empty((rows, n, n, n))
+    idx = np.arange(n)
+    j_axis, k_axis = idx[:, None], idx
+    for i0 in range(0, n, rows):
+        g = G[i0:i0 + rows]
+        b = len(g)
+        m = np.abs(g, out=mag[:b])
+        ok = (tol_strict < m) & (m < 1.0 - tol_strict)
+        if fourier:
+            ok &= (0.0 < m) & (m <= 4.0 / n + tol_construct)          # generic window
+            # flat index in the block of the resonant entry l = k - i + j mod n
+            r = np.arange(b)[:, None, None]
+            at = ((r * n + j_axis) * n + k_axis) * n + (k_axis - (r + i0) + j_axis) % n
+            z, zm = g.reshape(-1)[at], m.reshape(-1)[at]
+            ok.reshape(-1)[at] = ((tol_strict < zm) & (zm < 1.0 - tol_strict)
+                                  & ~(np.abs(z.imag) > tol_construct)
+                                  & (1.0 - 4.0 / n - tol_construct <= z.real)
+                                  & (z.real < 1.0))
+        ok[np.arange(b), :, np.arange(i0, i0 + b), :] = True          # k = i
+        ok[:, idx, :, idx] = True                                     # l = j
+        if ok.all():
+            continue
+        flagged = np.nonzero(~ok)                                     # C order
+        fm = m[flagged]
+        i, j, k, l = flagged
+        i = i + i0
+        code = np.where((tol_strict < fm) & (fm < 1.0 - tol_strict),
+                        np.where((k - i + j - l) % n == 0, 1, 2), 0)
+        quads = (np.column_stack((i, j, k, l)) + 1).tolist()
+        for (i, j, k, l), value, c in zip(quads, g[flagged].tolist(), code.tolist()):
+            report.violations.append(((i, j), (k, l), value, reasons[c]))
     report.suitably_noncommutative_ok = not report.violations
     return report
 
@@ -255,10 +275,15 @@ def write_basis(basis: MagicBasis, path: str) -> None:
     """
     n = basis.n
     xi = np.ascontiguousarray(basis.xi, dtype=complex).ravel()
-    _, first, inverse = np.unique(xi.view(np.dtype((np.void, 16))),
-                                  return_index=True, return_inverse=True)
-    distinct = [json.dumps([z.real, z.imag]) for z in xi[first].tolist()]
-    cells = [distinct[t] for t in inverse.ravel().tolist()]
+    re, im = xi.view(np.uint64).reshape(-1, 2).T
+    order = np.lexsort((im, re))
+    re, im = re[order], im[order]
+    start = np.ones(xi.size, dtype=bool)            # first cell of each run of equal bits
+    start[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    inverse = np.empty(xi.size, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    distinct = [json.dumps([z.real, z.imag]) for z in xi[order[start]].tolist()]
+    cells = [distinct[t] for t in inverse.tolist()]
     columns = ["[" + ", ".join(cells[c:c + n]) + "]" for c in range(0, n ** 3, n)]
     rows = ["[" + ", ".join(columns[r:r + n]) + "]" for r in range(0, n ** 2, n)]
     header = json.dumps({"n": n, "kind": basis.kind})[:-1]

@@ -166,11 +166,26 @@ class TestProbeCommand:
                     "--out", str(out_path), "--csv", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("m,estimate")
 
-    def test_csv_into_missing_directory(self, tmp_path, capsys):
-        csv_path = tmp_path / "missing" / "m.csv"
-        assert run(["probe", "--n", "4", "--max-degree", "1",
-                    "--csv", str(csv_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+    @staticmethod
+    def _refused_before_the_probe(tmp_path, capsys, monkeypatch, flag):
+        # nothing computed, nothing on stdout, exit 2 from main
+        from qperm import convolution_probe as cp
+        calls = []
+        monkeypatch.setattr(cp, "inner_faithfulness_report",
+                            lambda *a, **kw: calls.append(a))
+        path = tmp_path / "missing" / "m.out"
+        assert run(["probe", "--n", "4", "--max-degree", "1", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and str(path.parent) in captured.err
+        assert captured.out == ""
+        assert not calls
+        assert not path.parent.exists()
+
+    def test_csv_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--csv")
+
+    def test_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--out")
 
     def test_spectral_fields(self, capsys):
         assert run(["probe", "--n", "4", "--max-degree", "4"]) == 0

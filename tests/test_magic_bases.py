@@ -3,10 +3,13 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import brute_oracle
 import tensor_ops
@@ -234,6 +237,112 @@ class TestNoncommutativityArrayCheck:
             [(a, b, r) for a, b, _, r in want] == \
             [((1, 1), (2, 2), "magnitude not strictly inside (0,1)"),
              ((3, 4), (5, 6), "magnitude not strictly inside (0,1)")]
+
+
+def _window_edges(n, tol_strict, tol_construct):
+    """Groups of Gram values: special ones, then for each edge of a window of
+    the check the values on it and one ulp either side."""
+    def around(x):
+        return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+    nan, inf = float("nan"), float("inf")
+    groups = [[0.0, 1.0, -1.0, 1j, nan, inf, -inf, complex(nan, 0.0), complex(0.0, nan),
+               complex(inf, nan)]]
+    for edge in (0.0, tol_strict, 1.0 - tol_strict, 4.0 / n + tol_construct):
+        groups.append([w * x for x in around(edge) for w in (1.0, -1.0, 1j)])
+    for re in (1.0 - 4.0 / n - tol_construct, 1.0):
+        groups.append([complex(x, im) for x in around(re)
+                       for im in [0.0, *around(tol_construct), -tol_construct]])
+    return groups
+
+
+@st.composite
+def _perturbed_tables(draw, sizes):
+    """(n, kind, phase seed or None, tol_strict, tol_construct, overwrites):
+    a magic grid and the off-orbit Gram entries to overwrite, the resonant
+    ones among them, each as ((i, j, k, l), value) with 0-based indices."""
+    n = draw(st.sampled_from(sizes))
+    kind = draw(st.sampled_from(["fourier", "custom"]))
+    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    # a negative tol_strict lets the generic window's own 0 < |g| and the
+    # resonant window's re < 1 decide; at 0.3 the magnitude window is the
+    # narrower one, above the resonant window's floor 1 - 4/n at n = 5
+    tol_strict = draw(st.sampled_from([mb.TOL_STRICT, 0.0, 1e-3, -1e-3, 0.3]))
+    tol_construct = draw(st.sampled_from([mb.TOL_CONSTRUCT, 1e-6]))
+    groups = _window_edges(n, tol_strict, tol_construct)
+    overwrites = []
+    for _ in range(draw(st.integers(0, 40))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = (i + draw(st.integers(1, n - 1))) % n
+        l = draw(st.sampled_from([(k - i + j) % n, (j + draw(st.integers(1, n - 1))) % n]))
+        if l != j:
+            overwrites.append(((i, j, k, l), draw(st.sampled_from(draw(st.sampled_from(groups))))))
+    return n, kind, seed, tol_strict, tol_construct, overwrites
+
+
+def _bits(violations):
+    """Violations with each value as its two bit patterns, so NaNs compare."""
+    return [(a, b, np.array([value]).view(np.uint64).tolist(), reason)
+            for a, b, value, reason in violations]
+
+
+class TestNoncommutativityPredicate:
+    """The whole-table predicate against the quadruple loop of the oracle."""
+
+    def _check(self, case, block=None):
+        n, kind, seed, tol_strict, tol_construct, overwrites = case
+        xi = mb.build_fourier_basis(n).xi
+        if seed is not None:               # phases move the resonant values off the axis
+            xi = xi * np.exp(2j * np.pi * np.random.default_rng(seed).random((n, n)))[..., None]
+        basis = mb.MagicBasis(n=n, xi=xi, kind=kind)
+        G = mb.gram_table(basis)
+        for at, value in overwrites:
+            G[at] = value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mb, "gram_table", lambda b: G)
+            if block is not None:
+                mp.setattr(mb, "CHECK_BLOCK", block)
+            report = mb.verify_suitably_noncommutative(basis, tol_strict, tol_construct)
+        assert report.magic_ok
+        want = brute_oracle.noncommutativity_violations(
+            G, n, kind == "fourier", tol_strict, tol_construct)
+        assert _bits(report.violations) == _bits(want)
+        assert report.suitably_noncommutative_ok == (not want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_perturbed_tables(range(5, 10)), st.sampled_from([None, 1, 300, 1000]))
+    # a resonant value at the magnitude floor, inside the resonant window;
+    # a generic 0 that only the generic window's own 0 < |g| rejects
+    @example((5, "fourier", None, 0.3, mb.TOL_CONSTRUCT, [((0, 0, 1, 1), 0.3)]), None)
+    @example((5, "fourier", None, -1e-3, mb.TOL_CONSTRUCT, [((0, 0, 1, 2), 0.0)]), None)
+    def test_small_grids(self, case, block):
+        # blocks of one row index, of part of the rows, and of all of them
+        self._check(case, block)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(_perturbed_tables([20]))
+    def test_table_of_several_blocks(self, case):
+        assert 20 ** 4 > mb.CHECK_BLOCK
+        self._check(case)
+
+
+class TestCheckMemory:
+    def test_peak_beyond_the_gram_table(self):
+        # the check holds one block's magnitudes and masks (8 + 3 bytes an
+        # entry) and arrays of n^2 entries per row index at a time, never a
+        # temporary the size of the n^4 table; the margin also covers the
+        # n^3-entry row and column blocks of the magic check before it
+        n = 20
+        basis = mb.build_fourier_basis(n)
+        mb.verify_suitably_noncommutative(basis)
+        tracemalloc.start()
+        try:
+            report = mb.verify_suitably_noncommutative(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.suitably_noncommutative_ok
+        block = min(n, mb.CHECK_BLOCK // n ** 3) * n ** 3 * (8 + 3)
+        assert peak - report.gram.nbytes < block + 160 * 1024
 
 
 class TestGramReuse:
