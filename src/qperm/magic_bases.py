@@ -227,12 +227,11 @@ def verify_suitably_noncommutative(basis: MagicBasis,
         if ok.all():
             continue
         flagged = np.nonzero(~ok)                                     # C order
+        r, j, k, l = flagged
         fm = m[flagged]
-        i, j, k, l = flagged
-        i = i + i0
         code = np.where((tol_strict < fm) & (fm < 1.0 - tol_strict),
-                        np.where((k - i + j - l) % n == 0, 1, 2), 0)
-        quads = (np.column_stack((i, j, k, l)) + 1).tolist()
+                        np.where((k - (r + i0) + j - l) % n == 0, 1, 2), 0)
+        quads = (np.column_stack(flagged) + (i0 + 1, 1, 1, 1)).tolist()
         for (i, j, k, l), value, c in zip(quads, g[flagged].tolist(), code.tolist()):
             report.violations.append(((i, j), (k, l), value, reasons[c]))
     report.suitably_noncommutative_ok = not report.violations
