@@ -26,7 +26,9 @@ import functools
 import json
 import os
 import sys
+import warnings
 
+from . import convolution_probe as cp, flat_model, haar_exact, magic_bases
 from .errors import (BudgetExceeded, DegreeTooHigh, DimensionTooSmall,
                      EmptyMonomial, IndexOutOfRange, MemoryCap)
 
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--max-degree", type=int, default=4)
     p_probe.add_argument("--tol", type=float, default=1e-10)
     p_probe.add_argument("--memory-cap", type=int, default=2 * 2 ** 30)
+    # kept, with its one choice, for callers that still pass --method fixed_space
     p_probe.add_argument("--method", choices=("fixed_space",), default="fixed_space")
     p_probe.add_argument("--out", help="write the report JSON here")
     p_probe.add_argument("--csv", help="write fix-moment estimates as CSV here")
@@ -81,14 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_basis(n: int):
-    from . import magic_bases
     if n == 4:
         return magic_bases.build_pauli_basis_4()
     return magic_bases.build_fourier_basis(n)
 
 
 def cmd_basis(args) -> int:
-    from . import magic_bases
     if args.basis_command == "gen":
         basis = _build_basis(args.n)
         magic_bases.write_basis(basis, args.out)
@@ -98,8 +99,7 @@ def cmd_basis(args) -> int:
     try:
         basis = magic_bases.read_basis(args.path)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read basis: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"cannot read basis: {exc}") from exc
     report = magic_bases.verify_suitably_noncommutative(basis)
     magic = "ok" if report.magic_ok else "FAIL"
     noncomm = "ok" if report.suitably_noncommutative_ok else "FAIL"
@@ -112,7 +112,6 @@ def cmd_basis(args) -> int:
 
 
 def cmd_orbitals(args) -> int:
-    from . import flat_model
     budget = args.budget if args.budget is not None else flat_model.DEFAULT_BUDGET
     if args.model == "classical":
         cm = flat_model.classical_model(args.n)
@@ -138,8 +137,6 @@ def cmd_orbitals(args) -> int:
 
 
 def cmd_haar(args) -> int:
-    import warnings
-    from . import haar_exact, flat_model
     if args.mode == "table":
         if args.mono:
             raise ValueError("--mono does not apply to the 'table' mode")
@@ -176,22 +173,23 @@ def _print_degree(degree, reps: int, seconds: float) -> None:
 
 
 def _require_directory_of(path: str) -> None:
-    """Raise FileNotFoundError unless the directory ``path`` would go into exists."""
+    """Raise an OSError unless ``path`` can name a file to write: the
+    directory it would go into exists and ``path`` is not a directory."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
 
 def cmd_probe(args) -> int:
-    from . import convolution_probe as cp, flat_model
     for path in (args.out, args.csv):     # before any work, not after it
         if path:
             _require_directory_of(path)
     model = flat_model.model_from_basis(_build_basis(args.n))
     cfg = cp.ProbeConfig(max_degree=args.max_degree,
                          tol_converge=args.tol,
-                         memory_cap=args.memory_cap,
-                         method=args.method)
+                         memory_cap=args.memory_cap)
     report = cp.inner_faithfulness_report(model, cfg,
                                           progress=_print_degree if args.verbose else None)
     payload = json.dumps(report.to_dict())

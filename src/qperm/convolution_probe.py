@@ -86,7 +86,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -97,7 +97,8 @@ from .flat_model import FlatModel
 GIB = 2 ** 30
 SOLVE_SET = 8                              # see ProbeConfig.memory_cap
 ROW_BATCH = 2 ** 20                        # entries in one batch of rows
-TRACIAL_TOL = 1e-12                        # gate of the rotation split and the dihedral steps
+TRACIAL_TOL = 1e-12                        # gate of the rotation split, the dihedral steps
+                                           # and the shift reduction (``shift_invariant``)
 
 
 @dataclass
@@ -117,7 +118,7 @@ class ProbeConfig:
     # times below it (fixed allocations, such as the BLAS buffers, weigh more
     # at small R).
     memory_cap: int = 2 * GIB
-    method: str = "fixed_space"            # the only method
+    method: ClassVar[str] = "fixed_space"  # the only method; bench/tracing.py reads it
 
     def __post_init__(self):
         if self.max_degree < 1:
@@ -126,8 +127,6 @@ class ProbeConfig:
             raise ValueError("tol_converge must lie in (0, 1)")
         if self.memory_cap < 1:
             raise ValueError("memory_cap must be >= 1")
-        if self.method != "fixed_space":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -187,15 +186,15 @@ class StateTensor:
         return StateTensor(self.n, self.m, self.entries[np.ix_(pi, pi)], self.shift)
 
 
-def shift_invariant(gram: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether <xi_ij, xi_kl> is unchanged, within tol, by shifting i and k
-    together, and j and l together (indices mod n).
+def shift_invariant(gram: np.ndarray) -> bool:
+    """Whether <xi_ij, xi_kl> is unchanged, within ``TRACIAL_TOL``, by
+    shifting i and k together, and j and l together (indices mod n).
 
     Every trace-state entry is a cyclic product of Gram entries, so such a
     model's trace states can be stored as shift blocks."""
     back = np.arange(-1, len(gram) - 1)            # i - 1 mod n
-    return bool(np.abs(gram[back][:, :, back] - gram).max() <= tol
-                and np.abs(gram[:, back][..., back] - gram).max() <= tol)
+    return bool(np.abs(gram[back][:, :, back] - gram).max() <= TRACIAL_TOL
+                and np.abs(gram[:, back][..., back] - gram).max() <= TRACIAL_TOL)
 
 
 def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
@@ -281,24 +280,16 @@ def gram_state(model: FlatModel, m: int, shift: bool = False) -> StateTensor:
     return StateTensor(model.n, m, _GramRows(model, m, shift), shift)
 
 
-def trace_state(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
-    """Degree-m moment matrix of tr(.)/n composed with the model."""
-    return _built_whole(gram_state(model, m), memory_cap)
-
-
-def shift_block(model: FlatModel, m: int, memory_cap: int = 2 * GIB) -> StateTensor:
-    """``trace_state`` of a model whose Gram table passes ``shift_invariant``,
-    stored as its shift block of side n^(m-1)."""
-    return _built_whole(gram_state(model, m, shift=True), memory_cap)
-
-
-def _built_whole(T: StateTensor, memory_cap: int) -> StateTensor:
-    """A ``gram_state`` with all its rows built into one array."""
+def trace_state(model: FlatModel, m: int, shift: bool = False,
+                memory_cap: int = 2 * GIB) -> StateTensor:
+    """Degree-m moment matrix of tr(.)/n composed with the model, or its
+    shift block when ``shift``: a ``gram_state`` built whole."""
+    T = gram_state(model, m, shift)
     side = T.entries.shape[0]
     if 16 * side ** 2 > memory_cap:
-        raise MemoryCap(f"degree {T.m} tensor needs {16 * side ** 2} bytes "
+        raise MemoryCap(f"degree {m} tensor needs {16 * side ** 2} bytes "
                         f"> cap {memory_cap}")
-    return StateTensor(T.n, T.m, T.entries[:side], T.shift)
+    return StateTensor(T.n, m, T.entries[:side], shift)
 
 
 # --- Cesaro limits -----------------------------------------------------------
@@ -318,8 +309,8 @@ class CesaroResult:
     theta_residual: float                  # max |Im Q* T_s Q| / scale over solved sectors
     mirror_residual: float                 # max |T - conj T| / scale over the rows at reps
     invariance_residual: float             # |L T - L|_F, L = Vk Vk*, of the tensor
-    iterations: int = 0                    # no powers are taken; bench/tracing.py reads it
-    curve: list = field(default_factory=list)   # stays empty; bench/tracing.py reads it
+    iterations: ClassVar[int] = 0          # no powers are taken; bench/tracing.py reads it
+    curve: ClassVar[tuple] = ()            # so no curve either; bench/tracing.py reads it
 
 
 class _Sector(NamedTuple):
@@ -730,7 +721,9 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
     Hopf-image Haar values relative to the closed forms, or that the first
     degree without a certified fixed space leaves them open; it is data about
     the model, not a proof about the quantum group.  The first degree that
-    deviates or is not certified decides the verdict.
+    deviates or is not certified decides the verdict, read off the integer
+    fixed_dim: at n >= 4 the Hopf image fixes the C_m dimensions S_n^+ fixes,
+    so fewer means the cut dropped eigenvalues of 1, and is inconclusive.
 
     A model whose Gram table passes ``shift_invariant`` is probed on shift
     blocks, of side n^(m-1) in place of n^m; every field of the report is
@@ -783,7 +776,11 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
             verdict = (f"inconclusive at degree {m}: not every eigenvalue of the "
                        f"{result.fixed_dim}-dimensional fixed space lies within "
                        f"{cfg.tol_converge:.2e} of 1")
-        elif verdict is None and residual > 1e-6:
+        elif verdict is None and model.n >= 4 and result.fixed_dim < target:
+            verdict = (f"inconclusive at degree {m}: {result.fixed_dim} eigenvalues "
+                       f"passed the cut 1 - sqrt(tol), fewer than the C_{m} = {target} "
+                       f"that every model at n >= 4 fixes")
+        elif verdict is None and result.fixed_dim != target:
             verdict = (f"deviates at degree {m} by {residual:.6g} "
                        f"(fix-moment estimate vs Catalan target)")
     if verdict is None:

@@ -49,6 +49,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import magic_bases
 from .errors import (DegreeTooHigh, DimensionTooSmall, EmptyMonomial,
                      IndexOutOfRange, NotClassifiable)
 from .flat_model import (Monomial, classical_haar, pairs_clash, reduce_monomial,
@@ -57,7 +58,6 @@ from .flat_model import (Monomial, classical_haar, pairs_clash, reduce_monomial,
 ZERO = "zero"
 DEGREE_CLASS_TAGS = {1: ("d1",), 2: ("d2",), 3: ("d3",),
                      4: ("a1", "a2", "a3", "a4", "a5", "a6", "a7")}
-CLASS_TAGS = ("d1", "d2", "d3", "a1", "a2", "a3", "a4", "a5", "a6", "a7")
 _A_TAGS = DEGREE_CLASS_TAGS[4]
 
 REPRESENTATIVES: dict[str, Monomial] = {
@@ -141,15 +141,10 @@ assert len(_CANON_TO_TAG) == len(REPRESENTATIVES), "class orbits must be disjoin
 
 @dataclass(frozen=True)
 class MonomialClass:
-    tag: str                      # ZERO or one of CLASS_TAGS
-    representative: Monomial      # fixed representative ((),) for ZERO: empty
-
-    @property
-    def is_zero(self) -> bool:
-        return self.tag == ZERO
+    tag: str                      # ZERO or a key of REPRESENTATIVES
 
 
-_ZERO_CLASS = MonomialClass(tag=ZERO, representative=())
+_ZERO_CLASS = MonomialClass(ZERO)
 
 
 def canonicalize(mono: Monomial, n: int) -> MonomialClass:
@@ -171,7 +166,7 @@ def canonicalize(mono: Monomial, n: int) -> MonomialClass:
     tag = _CANON_TO_TAG.get(canonical_form(w))
     if tag is None:
         raise NotClassifiable(f"word {w} matched no class orbit")
-    return MonomialClass(tag=tag, representative=REPRESENTATIVES[tag])
+    return MonomialClass(tag)
 
 
 # --- exact values ------------------------------------------------------------
@@ -376,7 +371,6 @@ class BoundaryReport:
 
 
 def n4_boundary_report() -> BoundaryReport:
-    from . import magic_bases
     basis = magic_bases.build_pauli_basis_4()
 
     def exact_gram(a, b):

@@ -12,8 +12,9 @@ tuple order, and return a new one:
 * ``convolve`` is the convolution of two states, the product of their
   moment matrices.
 
-``cyclic_products_einsum`` is the reference for ``trace_state`` and
-``shift_block``: the cyclic Gram product as one multi-operand ``einsum``.
+``cyclic_products_einsum`` is the reference for ``trace_state``, in the full
+layout and as a shift block: the cyclic Gram product as one multi-operand
+``einsum``.
 
 ``limit_of`` forms the Cesaro limit Vk Vk* of a ``CesaroResult``, which the
 probe itself never builds.

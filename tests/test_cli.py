@@ -167,25 +167,35 @@ class TestProbeCommand:
         assert csv_path.read_text().startswith("m,estimate")
 
     @staticmethod
-    def _refused_before_the_probe(tmp_path, capsys, monkeypatch, flag):
-        # nothing computed, nothing on stdout, exit 2 from main
+    def _refused_before_the_probe(tmp_path, capsys, monkeypatch, flag, path):
+        # nothing computed, nothing on stdout, nothing written, exit 2 from main
         from qperm import convolution_probe as cp
         calls = []
         monkeypatch.setattr(cp, "inner_faithfulness_report",
                             lambda *a, **kw: calls.append(a))
-        path = tmp_path / "missing" / "m.out"
+        before = sorted(tmp_path.rglob("*"))
         assert run(["probe", "--n", "4", "--max-degree", "1", flag, str(path)]) == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err and str(path.parent) in captured.err
+        assert "error:" in captured.err and str(path) in captured.err
         assert captured.out == ""
         assert not calls
-        assert not path.parent.exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_csv_into_missing_directory(self, tmp_path, capsys, monkeypatch):
-        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--csv")
+        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--csv",
+                                       tmp_path / "missing" / "m.out")
 
     def test_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
-        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--out")
+        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--out",
+                                       tmp_path / "missing" / "m.out")
+
+    def test_csv_into_a_directory(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "d").mkdir()
+        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--csv", tmp_path / "d")
+
+    def test_out_into_a_directory(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "d").mkdir()
+        self._refused_before_the_probe(tmp_path, capsys, monkeypatch, "--out", tmp_path / "d")
 
     def test_spectral_fields(self, capsys):
         assert run(["probe", "--n", "4", "--max-degree", "4"]) == 0
