@@ -19,8 +19,7 @@ examples = [
     ((1, 1), (2, 2), (1, 3)),                # a rotation hits a zero product
 ]
 for word in examples:
-    cls = hx.canonicalize(word, 8)
-    print(f"{word} -> {cls.tag}")
+    print(f"{word} -> {hx.canonicalize(word, 8)}")
 
 # The degree-4 table at n = 5: S_5 value + slope * a4, and h(fix^4) = 14
 # pins a4 = -1/r(5) for S_5^+.

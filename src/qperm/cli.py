@@ -149,13 +149,13 @@ def cmd_haar(args) -> int:
     mono = flat_model.parse_monomial(args.mono)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", haar_exact.BoundaryDimensionWarning)
-        cls = haar_exact.canonicalize(mono, args.n)
+        tag = haar_exact.canonicalize(mono, args.n)
         value = haar_exact.haar_value_snplus(mono, args.n)
-    print(f"{cls.tag.upper()} = {value}")
-    if args.n >= 5 and cls.tag in haar_exact.DEGREE_CLASS_TAGS[4]:
-        lo, hi = haar_exact.exotic_bounds(args.n).intervals[cls.tag]
+    print(f"{tag.upper()} = {value}")
+    if args.n >= 5 and tag in haar_exact.DEGREE_CLASS_TAGS[4]:
+        lo, hi = haar_exact.exotic_bounds(args.n).intervals[tag]
         print(f"exotic-bound interval: ({lo}, {hi})")
-    if args.n == 4 and cls.tag in haar_exact.DEGREE_CLASS_TAGS[4]:
+    if args.n == 4 and tag in haar_exact.DEGREE_CLASS_TAGS[4]:
         rep = haar_exact.n4_boundary_report()
         print("n=4 boundary diagnostic (outside the n>=5 bounds range):")
         print(f"  degree-4 system value h(u11 u22 u11 u22) = {rep.formula_value}")

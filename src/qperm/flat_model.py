@@ -36,6 +36,8 @@ from .errors import (BudgetExceeded, DimensionTooSmall, EmptyMonomial,
 
 TOL_ZERO = 1e-12      # |coefficient| below this counts as a vanished word
 TOL_NONZERO = 1e-9    # |coefficient| above this counts as a surviving word
+TOL_COMMUTE = 1e-10   # commutator norm below this counts as commuting
+MAX_VIOLATIONS = 32   # violating words an orbital report lists at most
 DEFAULT_BUDGET = 10 ** 9
 
 Monomial = tuple[tuple[int, int], ...]
@@ -111,32 +113,26 @@ class FlatModel:
         return complex(self.gram[a[0] - 1, a[1] - 1, b[0] - 1, b[1] - 1])
 
 
-def model_from_basis(basis: magic_bases.MagicBasis,
-                     tol_construct: float = magic_bases.TOL_CONSTRUCT) -> FlatModel:
+def model_from_basis(basis: magic_bases.MagicBasis) -> FlatModel:
     """Build the flat model after checking the grid really is magic."""
-    G = magic_bases.require_magic(basis, tol_construct).gram
+    G = magic_bases.require_magic(basis).gram
     return FlatModel(basis=basis, n=basis.n, gram=G)
 
 
 @dataclass(frozen=True)
 class MonomialValue:
-    """coefficient * |xi_ket><xi_bra|, or the identity when the word is empty."""
+    """coefficient * |xi_ket><xi_bra|."""
 
     coefficient: complex
-    ket_index: tuple[int, int] | None
-    bra_index: tuple[int, int] | None
-    is_identity: bool = False
+    ket_index: tuple[int, int]
+    bra_index: tuple[int, int]
 
     def matrix(self, model: FlatModel) -> np.ndarray:
-        if self.is_identity:
-            return np.eye(model.n, dtype=complex)
         ket = model.basis.vector(*self.ket_index)
         bra = model.basis.vector(*self.bra_index)
         return self.coefficient * np.outer(ket, bra.conj())
 
     def trace(self, model: FlatModel) -> complex:
-        if self.is_identity:
-            return complex(model.n)
         return self.coefficient * model.gram_entry(self.bra_index, self.ket_index)
 
 
@@ -178,8 +174,6 @@ class OrbitalScanReport:
     min_nonzero: float
     max_zero: float | None
     violations: list = field(default_factory=list)
-    tol_zero: float = TOL_ZERO
-    tol_nonzero: float = TOL_NONZERO
 
     def gap_ratio(self) -> float | None:
         if self.max_zero is None:
@@ -195,15 +189,12 @@ class OrbitalScanReport:
             "gap_min_nonzero": self.min_nonzero,
             "gap_max_zero": self.max_zero,
             "violations": [[list(p) for p in w] for w in self.violations],
-            "tol_zero": self.tol_zero, "tol_nonzero": self.tol_nonzero,
+            "tol_zero": TOL_ZERO, "tol_nonzero": TOL_NONZERO,
         }
 
 
 def check_free_orbitals(model: FlatModel, m: int,
-                        budget: int = DEFAULT_BUDGET,
-                        tol_zero: float = TOL_ZERO,
-                        tol_nonzero: float = TOL_NONZERO,
-                        max_violations: int = 32) -> OrbitalScanReport:
+                        budget: int = DEFAULT_BUDGET) -> OrbitalScanReport:
     """Decide the free m-orbital property over all n^(2m) words of length m.
 
     A word's |coefficient| is the product of the Gram magnitudes M[p, q]
@@ -212,13 +203,13 @@ def check_free_orbitals(model: FlatModel, m: int,
     over the m - 1 steps that tracks whether a clash has happened yet, in
     O(m n^4) time and O(n^4) memory.  For c >= 0 the map x -> fl(x c) is
     monotone, so they equal the extremes of the word-by-word products bit
-    for bit.  A violation exists iff ``min_nonzero <= tol_zero`` or
-    ``max_zero > tol_zero``; only then does a pruned depth-first search list
-    the first ``max_violations`` of them in lexicographic word order.
+    for bit.  A violation exists iff ``min_nonzero <= TOL_ZERO`` or
+    ``max_zero > TOL_ZERO``; only then does a pruned depth-first search list
+    the first ``MAX_VIOLATIONS`` of them in lexicographic word order.
     ``budget`` bounds the number of words the verdict covers, n^(2m).
     """
     n = model.n
-    report = _scan_start(n, m, budget, tol_zero=tol_zero, tol_nonzero=tol_nonzero)
+    report = _scan_start(n, m, budget)
     if m == 1:
         return report
 
@@ -232,15 +223,15 @@ def check_free_orbitals(model: FlatModel, m: int,
     min_nonzero = float(lo.min())
     max_zero = float(hit.max())
 
-    passed = min_nonzero > max(tol_zero, tol_nonzero) and max_zero <= tol_zero
+    passed = min_nonzero > max(TOL_ZERO, TOL_NONZERO) and max_zero <= TOL_ZERO
     violations = []
-    if max_violations > 0 and (min_nonzero <= tol_zero or max_zero > tol_zero):
-        violations = _first_violations(M, clash, n, m, tol_zero, max_violations)
+    if min_nonzero <= TOL_ZERO or max_zero > TOL_ZERO:
+        violations = _first_violations(M, clash, n, m)
     return replace(report, passed=passed, min_nonzero=min_nonzero,
                    max_zero=max_zero, violations=violations)
 
 
-def _scan_start(n: int, m: int, budget: int, **tols) -> OrbitalScanReport:
+def _scan_start(n: int, m: int, budget: int) -> OrbitalScanReport:
     """The opening both orbital checks share: refuse m < 1, a budget below
     1 and more than ``budget`` words, and return the m = 1 report, which
     passes since a single factor has no neighbour to clash with."""
@@ -252,7 +243,7 @@ def _scan_start(n: int, m: int, budget: int, **tols) -> OrbitalScanReport:
     if total > budget:
         raise BudgetExceeded(f"scan touches {total} words > budget {budget}")
     return OrbitalScanReport(n=n, m=m, total=total, passed=True,
-                             min_nonzero=1.0, max_zero=None, **tols)
+                             min_nonzero=1.0, max_zero=None)
 
 
 def _path_tables(A: np.ndarray, clash: np.ndarray, steps: int) -> list:
@@ -278,12 +269,12 @@ def _path_tables(A: np.ndarray, clash: np.ndarray, steps: int) -> list:
     return tables
 
 
-def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
-                      tol_zero: float, cap: int) -> list:
-    """The first ``cap`` violating words of length m in lexicographic order.
+def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int) -> list:
+    """The first ``MAX_VIOLATIONS`` violating words of length m in
+    lexicographic order.
 
-    A violation is a clash-free word of product <= tol_zero or a word with a
-    clash of product > tol_zero.  The search extends a prefix one pair at a
+    A violation is a clash-free word of product <= TOL_ZERO or a word with a
+    clash of product > TOL_ZERO.  The search extends a prefix one pair at a
     time, carrying its end pair, its exact left-to-right product and whether
     it has clashed, and enters a child only when some completion of it may
     be a violation, judged from the path tables of the factors still to
@@ -303,19 +294,19 @@ def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
         cs = clashed | clash_row
         r = m - len(prefix) - 1
         if r == 0:
-            bad = np.where(cs, xs > tol_zero, xs <= tol_zero)
+            bad = np.where(cs, xs > TOL_ZERO, xs <= TOL_ZERO)
         else:
             lo, top, hit = tables[r]
             best = xs * np.where(cs, top, hit) * up + floor
             least = xs * lo * down - floor
-            bad = (best > tol_zero) | (~cs & (least <= tol_zero))
+            bad = (best > TOL_ZERO) | (~cs & (least <= TOL_ZERO))
         return prefix, xs, cs, iter(np.flatnonzero(bad).tolist())
 
     # an explicit stack of open prefixes: words may be longer than the
     # interpreter's recursion limit.  The empty prefix: every lead pair has
     # product 1 and no clash
     stack = [children((), np.ones(len(M)), np.zeros(len(M), dtype=bool), 1.0, False)]
-    while stack and len(found) < cap:
+    while stack and len(found) < MAX_VIOLATIONS:
         prefix, xs, cs, todo = stack[-1]
         s = next(todo, None)
         if s is None:
@@ -329,7 +320,7 @@ def _first_violations(M: np.ndarray, clash: np.ndarray, n: int, m: int,
 
 # --- commutation pattern -----------------------------------------------------
 
-def commutation_pattern(model: FlatModel, tol: float = 1e-10) -> np.ndarray:
+def commutation_pattern(model: FlatModel) -> np.ndarray:
     """Boolean (n^2, n^2) matrix: entry[(i,j),(k,l)] iff v_ij and v_kl commute.
 
     Pairs are enumerated row-major, pair (i, j) at index (i-1)*n + (j-1).
@@ -343,7 +334,7 @@ def commutation_pattern(model: FlatModel, tol: float = 1e-10) -> np.ndarray:
     # v_ij commutes with itself exactly; the closed form amplifies the one-ulp
     # noise in |<xi, xi>| = 1 to sqrt size, so pin the diagonal
     np.fill_diagonal(comm_norm, 0.0)
-    return comm_norm <= tol
+    return comm_norm <= TOL_COMMUTE
 
 
 def expected_commutation_pattern(n: int) -> np.ndarray:
@@ -399,8 +390,7 @@ def classical_zero(cm: ClassicalModel, mono: Monomial) -> bool:
 
 
 def check_free_orbitals_classical(cm: ClassicalModel, m: int,
-                                  budget: int = DEFAULT_BUDGET,
-                                  max_violations: int = 32) -> OrbitalScanReport:
+                                  budget: int = DEFAULT_BUDGET) -> OrbitalScanReport:
     """Classical analogue of the scan over all n^(2m) words, by structure.
 
     A word is classically zero iff some two of its factors clash (share
@@ -411,7 +401,7 @@ def check_free_orbitals_classical(cm: ClassicalModel, m: int,
     row and column, so such a word stays inside one perfect matching of
     pairs ({(1,1), (2,2)} or {(1,2), (2,1)}), no two of which clash.  For
     n, m >= 3 the word (1,1)...(1,1),(2,2),(1,3) is a violation.  Only then
-    does a search list the first ``max_violations`` violations in
+    does a search list the first ``MAX_VIOLATIONS`` violations in
     lexicographic order.  ``budget`` bounds the words the verdict covers,
     n^(2m); the gap statistics are 1.0 / 0.0, products being 0/1-valued."""
     n = cm.n
@@ -419,12 +409,12 @@ def check_free_orbitals_classical(cm: ClassicalModel, m: int,
     if m == 1:
         return report
     passed = m <= 2 or n <= 2
-    violations = [] if passed else _classical_violations(n, m, max_violations)
+    violations = [] if passed else _classical_violations(n, m)
     return replace(report, passed=passed, max_zero=0.0, violations=violations)
 
 
-def _classical_violations(n: int, m: int, cap: int) -> list:
-    """The first ``cap`` violations of length m >= 3 at n >= 3, in
+def _classical_violations(n: int, m: int) -> list:
+    """The first ``MAX_VIOLATIONS`` violations of length m >= 3 at n >= 3, in
     lexicographic order, by a depth-first search over pairs.
 
     A prefix carries its reach, the pairs that clash with one of its factors
@@ -445,13 +435,13 @@ def _classical_violations(n: int, m: int, cap: int) -> list:
     # an explicit stack, children pushed last-first: words may be longer
     # than the interpreter's recursion limit
     stack = [((), np.zeros(n * n, dtype=bool), False)]
-    while stack and len(found) < cap:
+    while stack and len(found) < MAX_VIOLATIONS:
         prefix, reach, clashed = stack.pop()
         row = clash[prefix[-1]] if prefix else reach   # no last factor: no clash
         hit = reach | clashed                 # the child makes the word clash
         if len(prefix) == m - 1:
             leaves = np.flatnonzero(~row & hit).tolist()
-            found += [prefix + (s,) for s in leaves[:cap - len(found)]]
+            found += [prefix + (s,) for s in leaves[:MAX_VIOLATIONS - len(found)]]
         else:
             grown = reach | row
             stack += [(prefix + (s,), grown, bool(hit[s]))

@@ -139,18 +139,10 @@ _CANON_TO_TAG = {canonical_form(rep): tag for tag, rep in REPRESENTATIVES.items(
 assert len(_CANON_TO_TAG) == len(REPRESENTATIVES), "class orbits must be disjoint"
 
 
-@dataclass(frozen=True)
-class MonomialClass:
-    tag: str                      # ZERO or a key of REPRESENTATIVES
+def canonicalize(mono: Monomial, n: int) -> str:
+    """Class tag of a generator word under all Haar-state invariances.
 
-
-_ZERO_CLASS = MonomialClass(ZERO)
-
-
-def canonicalize(mono: Monomial, n: int) -> MonomialClass:
-    """Class of a generator word under all Haar-state invariances.
-
-    Returns the ZERO class when the word vanishes as a cyclic word (two
+    Returns ZERO when the word vanishes as a cyclic word (two
     factors sharing exactly one of row/column become adjacent under some
     rotation), otherwise the unique tag whose representative shares the
     word's orbit.  Words whose reduced degree exceeds 4 raise DegreeTooHigh.
@@ -160,13 +152,13 @@ def canonicalize(mono: Monomial, n: int) -> MonomialClass:
     validate_monomial(mono, n)
     w = cyclic_reduce(mono)
     if w is None:
-        return _ZERO_CLASS
+        return ZERO
     if len(w) > 4:
         raise DegreeTooHigh(f"reduced degree {len(w)} > 4")
     tag = _CANON_TO_TAG.get(canonical_form(w))
     if tag is None:
         raise NotClassifiable(f"word {w} matched no class orbit")
-    return MonomialClass(tag)
+    return tag
 
 
 # --- exact values ------------------------------------------------------------
@@ -225,14 +217,14 @@ def haar_value_snplus(mono: Monomial, n: int) -> Fraction:
     """
     if not mono:
         return Fraction(1)
-    cls = canonicalize(mono, n)                # reduced degree > 4 raises
+    tag = canonicalize(mono, n)                # reduced degree > 4 raises
     if n < 4:
         return classical_haar(n, mono)
     if n == 4:
         warnings.warn(
             "n = 4 degree-4 evaluation: outside the n >= 5 bounds range; "
             "see n4_boundary_report()", BoundaryDimensionWarning, stacklevel=2)
-    return class_value(cls.tag, n)
+    return class_value(tag, n)
 
 
 @functools.cache
@@ -270,7 +262,7 @@ def _diagonal_classes(k: int, distinct_only_pairs: bool) -> tuple[tuple[str, int
     not depend on n, so it is built once per (k, distinct_only_pairs)."""
     out = []
     for pattern in _dense_patterns(k, distinct_only_pairs):
-        tag = canonicalize(tuple((t, t) for t in pattern), 4).tag
+        tag = canonicalize(tuple((t, t) for t in pattern), 4)
         if tag != ZERO:
             out.append((tag, len(set(pattern))))
     return tuple(out)

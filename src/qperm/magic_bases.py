@@ -38,6 +38,9 @@ from .errors import DimensionTooSmall, IndexOutOfRange, NotMagic
 
 TOL_CONSTRUCT = 1e-12   # orthonormality residual allowance
 TOL_STRICT = 1e-9       # decision threshold for "strictly inside (0, 1)"
+# violations a report lists at most; at least 1, as the verdicts read "no
+# violation listed"
+MAX_VIOLATIONS = 32
 # Gram-table entries the noncommutativity check screens at once: at n = 20 a
 # block's temporaries take no more memory than verify_magic's
 CHECK_BLOCK = 2 ** 15
@@ -83,9 +86,10 @@ class MagicBasis:
 class GramReport:
     """Outcome of the orthonormality / noncommutativity checks.
 
-    ``violations`` holds tuples ``(a, b, value, reason)`` with 1-based index
-    pairs a, b.  ``gram`` is the ``gram_table`` the checks ran on, kept so
-    that callers reuse it instead of building it again.
+    ``violations`` holds the first ``MAX_VIOLATIONS`` tuples
+    ``(a, b, value, reason)``, with 1-based index pairs a, b.  ``gram`` is
+    the ``gram_table`` the checks ran on, kept so that callers reuse it
+    instead of building it again.
     """
 
     n: int
@@ -152,12 +156,12 @@ def fourier_case(a: IndexPair, b: IndexPair, n: int) -> str:
     return "resonant" if ((k - i) + (j - l)) % n == 0 else "generic"
 
 
-def verify_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> GramReport:
+def verify_magic(basis: MagicBasis) -> GramReport:
     """Check that every row and column of the grid is an orthonormal basis.
 
     ``max_residual`` is the largest distance of a row or column Gram entry
     from the identity; violations list the entries off by more than
-    ``tol_construct``, rows before columns, each in (s, u, v) order for the
+    ``TOL_CONSTRUCT``, rows before columns, each in (s, u, v) order for the
     pair ((s, u), (s, v)) of row s or ((u, s), (v, s)) of column s.  A NaN
     entry is a violation and makes ``max_residual`` NaN.
     """
@@ -169,7 +173,8 @@ def verify_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> Gra
     for axis, block in blocks:
         resid = np.abs(block - np.eye(n))
         worst = float(np.maximum(worst, resid.max(initial=0.0)))   # NaN propagates
-        for s, u, v in (np.argwhere(~(resid <= tol_construct)) + 1).tolist():
+        room = MAX_VIOLATIONS - len(report.violations)
+        for s, u, v in (np.argwhere(~(resid <= TOL_CONSTRUCT))[:room] + 1).tolist():
             a, b = ((s, u), (s, v)) if axis == "row" else ((u, s), (v, s))
             report.violations.append((a, b, complex(block[s - 1, u - 1, v - 1]),
                                       f"{axis} gram"))
@@ -178,22 +183,21 @@ def verify_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> Gra
     return report
 
 
-def verify_suitably_noncommutative(basis: MagicBasis,
-                                   tol_strict: float = TOL_STRICT,
-                                   tol_construct: float = TOL_CONSTRUCT) -> GramReport:
+def verify_suitably_noncommutative(basis: MagicBasis) -> GramReport:
     """Check 0 < |<xi_ij, xi_kl>| < 1 for all i != k, j != l.
 
     For the root-of-unity grids the two off-orbit regimes are additionally
     pinned to their windows: resonant values must be real in [1 - 4/n, 1) and
-    generic magnitudes must fall in (0, 4/n], each within ``tol_construct``.
+    generic magnitudes must fall in (0, 4/n], each within ``TOL_CONSTRUCT``.
     Each pair gets at most one violation, the magnitude check first, listed
     in (i, j, k, l) order; a NaN entry fails every check.
 
     The whole test is one predicate over the Gram table, evaluated on blocks
     of whole row indices i, ``CHECK_BLOCK`` table entries at a time; reasons
-    are worked out only for the entries it flags.
+    are worked out only for the first entries it flags, as many as the list
+    still has room for, and once it is full no further block is screened.
     """
-    report = verify_magic(basis, tol_construct)
+    report = verify_magic(basis)
     if not report.magic_ok:
         report.suitably_noncommutative_ok = False
         return report
@@ -211,29 +215,32 @@ def verify_suitably_noncommutative(basis: MagicBasis,
         g = G[i0:i0 + rows]
         b = len(g)
         m = np.abs(g, out=mag[:b])
-        ok = (tol_strict < m) & (m < 1.0 - tol_strict)
+        ok = (TOL_STRICT < m) & (m < 1.0 - TOL_STRICT)
         if fourier:
-            ok &= (0.0 < m) & (m <= 4.0 / n + tol_construct)          # generic window
+            ok &= (0.0 < m) & (m <= 4.0 / n + TOL_CONSTRUCT)          # generic window
             # flat index in the block of the resonant entry l = k - i + j mod n
             r = np.arange(b)[:, None, None]
             at = ((r * n + j_axis) * n + k_axis) * n + (k_axis - (r + i0) + j_axis) % n
             z, zm = g.reshape(-1)[at], m.reshape(-1)[at]
-            ok.reshape(-1)[at] = ((tol_strict < zm) & (zm < 1.0 - tol_strict)
-                                  & ~(np.abs(z.imag) > tol_construct)
-                                  & (1.0 - 4.0 / n - tol_construct <= z.real)
+            ok.reshape(-1)[at] = ((TOL_STRICT < zm) & (zm < 1.0 - TOL_STRICT)
+                                  & ~(np.abs(z.imag) > TOL_CONSTRUCT)
+                                  & (1.0 - 4.0 / n - TOL_CONSTRUCT <= z.real)
                                   & (z.real < 1.0))
         ok[np.arange(b), :, np.arange(i0, i0 + b), :] = True          # k = i
         ok[:, idx, :, idx] = True                                     # l = j
         if ok.all():
             continue
-        flagged = np.nonzero(~ok)                                     # C order
+        room = MAX_VIOLATIONS - len(report.violations)
+        flagged = tuple(axis[:room] for axis in np.nonzero(~ok))      # C order
         r, j, k, l = flagged
         fm = m[flagged]
-        code = np.where((tol_strict < fm) & (fm < 1.0 - tol_strict),
+        code = np.where((TOL_STRICT < fm) & (fm < 1.0 - TOL_STRICT),
                         np.where((k - (r + i0) + j - l) % n == 0, 1, 2), 0)
         quads = (np.column_stack(flagged) + (i0 + 1, 1, 1, 1)).tolist()
         for (i, j, k, l), value, c in zip(quads, g[flagged].tolist(), code.tolist()):
             report.violations.append(((i, j), (k, l), value, reasons[c]))
+        if len(report.violations) >= MAX_VIOLATIONS:
+            break
     report.suitably_noncommutative_ok = not report.violations
     return report
 
@@ -296,9 +303,9 @@ def read_basis(path: str) -> MagicBasis:
         return basis_from_dict(json.load(fh))
 
 
-def require_magic(basis: MagicBasis, tol_construct: float = TOL_CONSTRUCT) -> GramReport:
+def require_magic(basis: MagicBasis) -> GramReport:
     """verify_magic, raising NotMagic instead of returning a failed report."""
-    report = verify_magic(basis, tol_construct)
+    report = verify_magic(basis)
     if not report.magic_ok:
         first = report.violations[0]
         raise NotMagic(f"grid is not magic: first violation {first[0]} vs {first[1]}")

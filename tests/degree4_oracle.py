@@ -31,10 +31,10 @@ _A_TAGS = hx.DEGREE_CLASS_TAGS[4]
 
 
 def _degree_le3_value(word: Monomial, n: int) -> Fraction:
-    cls = hx.canonicalize(word, n)
-    if cls.tag in _A_TAGS:
+    tag = hx.canonicalize(word, n)
+    if tag in _A_TAGS:
         raise ValueError("expected a word of reduced degree <= 3")
-    return hx.class_value(cls.tag, n)
+    return hx.class_value(tag, n)
 
 
 def assemble_expansion_equations(n: int) -> list[tuple[dict[str, Fraction], Fraction]]:
@@ -52,13 +52,13 @@ def assemble_expansion_equations(n: int) -> list[tuple[dict[str, Fraction], Frac
             if mult == 0:
                 continue
             pair = (fixed, k) if mode == "row" else (k, fixed)
-            cls = hx.canonicalize(base + (pair,), n)
-            if cls.tag == hx.ZERO:
+            tag = hx.canonicalize(base + (pair,), n)
+            if tag == hx.ZERO:
                 continue
-            if cls.tag in _A_TAGS:
-                coeffs[cls.tag] = coeffs.get(cls.tag, Fraction(0)) + mult
+            if tag in _A_TAGS:
+                coeffs[tag] = coeffs.get(tag, Fraction(0)) + mult
             else:
-                rhs -= mult * hx.class_value(cls.tag, n)
+                rhs -= mult * hx.class_value(tag, n)
         equations.append((coeffs, rhs))
     return equations
 

@@ -606,7 +606,9 @@ class TestShiftReduction:
     def test_gate_declines_perturbed_grid(self):
         xi = mb.build_fourier_basis(5).xi.copy()
         xi[0, 1, 2] += 1e-9
-        model = fm.model_from_basis(mb.MagicBasis(n=5, xi=xi), tol_construct=1e-8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mb, "TOL_CONSTRUCT", 1e-8)
+            model = fm.model_from_basis(mb.MagicBasis(n=5, xi=xi))
         assert not cp.shift_invariant(model.gram)
         report = cp.inner_faithfulness_report(
             model, cp.ProbeConfig(max_degree=4, tol_converge=1e-8))

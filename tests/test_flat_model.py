@@ -171,8 +171,10 @@ class TestFreeOrbitalScan:
     def test_violation_witnesses_decode_correctly(self, model4):
         # an absurd zero threshold flags clash-free words; the reported
         # witnesses must actually be clash-free words of small coefficient
-        report = fm.check_free_orbitals(model4, 3, tol_zero=0.2,
-                                        max_violations=16)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "TOL_ZERO", 0.2)
+            mp.setattr(fm, "MAX_VIOLATIONS", 16)
+            report = fm.check_free_orbitals(model4, 3)
         assert not report.passed
         assert report.violations
         for word in report.violations:
@@ -275,8 +277,10 @@ class TestClassicalModel:
 
     def test_violations_beyond_the_recursion_limit(self):
         m = 1200
-        report = fm.check_free_orbitals_classical(fm.classical_model(3), m,
-                                                  budget=3 ** (2 * m), max_violations=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "MAX_VIOLATIONS", 2)
+            report = fm.check_free_orbitals_classical(fm.classical_model(3), m,
+                                                      budget=3 ** (2 * m))
         lead = ((1, 1),) * (m - 2)
         assert report.violations == [lead + ((2, 2), (1, 3)), lead + ((2, 2), (3, 1))]
 
@@ -332,8 +336,9 @@ class TestClassicalAgainstOracle:
     @pytest.mark.parametrize("max_violations", [0, 1, 7, 32, 10 ** 6])
     def test_scan_violation_cap_matches_loop(self, max_violations):
         for n, m in [(4, 3), (3, 3), (5, 3), (3, 4), (4, 4), (3, 5)]:
-            report = fm.check_free_orbitals_classical(fm.classical_model(n), m,
-                                                      max_violations=max_violations)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fm, "MAX_VIOLATIONS", max_violations)
+                report = fm.check_free_orbitals_classical(fm.classical_model(n), m)
             passed, violations = _oracle_scan(n, m)
             assert (report.passed, report.violations) == \
                 (passed, violations[:max_violations]), (n, m)
@@ -382,9 +387,11 @@ class TestFlatAgainstOracle:
     def test_random_gram_magnitudes(self, case):
         model, m, tol_zero, tol_nonzero, cap = case
         n = model.n
-        report = fm.check_free_orbitals(model, m, tol_zero=tol_zero,
-                                        tol_nonzero=tol_nonzero,
-                                        max_violations=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "TOL_ZERO", tol_zero)
+            mp.setattr(fm, "TOL_NONZERO", tol_nonzero)
+            mp.setattr(fm, "MAX_VIOLATIONS", cap)
+            report = fm.check_free_orbitals(model, m)
         assert report.total == n ** (2 * m)
         if m == 1:
             assert _scan_fields(report) == (True, 1.0, None, [])
@@ -407,8 +414,10 @@ class TestFlatAgainstOracle:
     def test_scan_violation_cap_matches_oracle(self, model4, max_violations):
         # the cap truncates the list only: the verdict and the extremes run
         # over all 4^6 words (144 of them violate)
-        report = fm.check_free_orbitals(model4, 3, tol_zero=0.2,
-                                        max_violations=max_violations)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "TOL_ZERO", 0.2)
+            mp.setattr(fm, "MAX_VIOLATIONS", max_violations)
+            report = fm.check_free_orbitals(model4, 3)
         M = np.abs(model4.gram).reshape(16, 16)
         want = brute_oracle.flat_scan(M, 4, 3, 0.2, fm.TOL_NONZERO,
                                       max_violations)
@@ -421,7 +430,9 @@ class TestFlatAgainstOracle:
         # without a clash violates; the search runs on an explicit stack
         m = 1100
         model = fm.FlatModel(basis=None, n=2, gram=np.full((2,) * 4, 0.5, dtype=complex))
-        report = fm.check_free_orbitals(model, m, budget=4 ** m, max_violations=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "MAX_VIOLATIONS", 3)
+            report = fm.check_free_orbitals(model, m, budget=4 ** m)
         assert not report.passed
         assert (report.min_nonzero, report.max_zero) == (0.0, 0.0)
         lead = ((1, 1),) * (m - 2)

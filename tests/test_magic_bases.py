@@ -159,9 +159,13 @@ class TestVerification:
                 worst = max(worst, resid)
                 if resid > mb.TOL_CONSTRUCT:
                     violations.append((a, b, g, f"{axis} gram"))
-        report = mb.verify_magic(basis)
-        assert report.violations == violations
-        assert abs(report.max_residual - worst) <= 1e-15 * worst
+        # the list as capped, and whole under a cap above it
+        for cap in (mb.MAX_VIOLATIONS, 10 ** 6):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mb, "MAX_VIOLATIONS", cap)
+                report = mb.verify_magic(basis)
+            assert report.violations == violations[:cap]
+            assert abs(report.max_residual - worst) <= 1e-15 * worst
         with pytest.raises(NotMagic, match=rf"first violation \({violations[0][0][0]}, "):
             mb.require_magic(basis)
 
@@ -215,13 +219,17 @@ class TestNoncommutativityArrayCheck:
         pytest.param(basis, reasons, id=name)
         for name, basis, reasons in _noncommutativity_cases()])
     def test_matches_loop_oracle(self, basis, reasons):
-        report = mb.verify_suitably_noncommutative(basis)
-        assert report.magic_ok
         want = brute_oracle.noncommutativity_violations(
             mb.gram_table(basis), basis.n, basis.kind == "fourier")
-        assert report.violations == want
-        assert report.suitably_noncommutative_ok == (not want)
         assert {reason for *_, reason in want} == reasons
+        # the list as capped, and whole under a cap above it
+        for cap in (mb.MAX_VIOLATIONS, 10 ** 6):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mb, "MAX_VIOLATIONS", cap)
+                report = mb.verify_suitably_noncommutative(basis)
+            assert report.magic_ok
+            assert report.violations == want[:cap]
+            assert report.suitably_noncommutative_ok == (not want)
 
     def test_nan_entries_are_violations(self, monkeypatch):
         # NaN off the row/column orbits leaves the magic check passing; the
@@ -237,6 +245,53 @@ class TestNoncommutativityArrayCheck:
             [(a, b, r) for a, b, _, r in want] == \
             [((1, 1), (2, 2), "magnitude not strictly inside (0,1)"),
              ((3, 4), (5, 6), "magnitude not strictly inside (0,1)")]
+
+
+class TestViolationCap:
+    """A failing grid lists the first ``MAX_VIOLATIONS`` entries of the
+    oracle's list, and the verdicts stay those of the whole list."""
+
+    def test_latin_grid_at_20(self):
+        # every one of the 20^2 19^2 off-orbit overlaps is 0 or 1
+        basis = mb.MagicBasis(n=20, xi=_latin_grid(20), kind="fourier")
+        report = mb.verify_suitably_noncommutative(basis)
+        want = brute_oracle.noncommutativity_violations(report.gram, 20, True)
+        assert len(want) == 20 ** 2 * 19 ** 2
+        assert report.magic_ok and not report.suitably_noncommutative_ok
+        assert report.violations == want[:mb.MAX_VIOLATIONS]
+
+    @pytest.mark.parametrize("block", [1, 2 * 7 ** 3, 5 * 7 ** 3])
+    def test_cap_reached_across_blocks(self, block):
+        # six zero overlaps per row index and one more at i = 5, 43 in all:
+        # the list holds 31 after row index 5, and blocks of one, two and
+        # five row indices fill it part way through a later block
+        n = 7
+        basis = mb.build_fourier_basis(n)
+        G = mb.gram_table(basis)
+        for i in range(n):
+            G[i, 0, (i + 1) % n, 1:] = 0.0
+        G[4, 1, 5, 0] = 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mb, "gram_table", lambda b: G)
+            mp.setattr(mb, "CHECK_BLOCK", block)
+            report = mb.verify_suitably_noncommutative(basis)
+        want = brute_oracle.noncommutativity_violations(G, n, True)
+        assert len(want) == 43
+        assert not report.suitably_noncommutative_ok
+        assert report.violations == want[:mb.MAX_VIOLATIONS]
+
+    def test_magic_list_capped_rows_first(self):
+        # every vector equal: each off-diagonal row and column entry is 1
+        n = 5
+        basis = mb.MagicBasis(n=n, xi=np.full((n, n, n), 1 / math.sqrt(n), dtype=complex))
+        report = mb.verify_magic(basis)
+        assert not report.magic_ok
+        rows = [((s, u), (s, v)) for s, u, v in itertools.product(range(1, n + 1), repeat=3)
+                if u != v]
+        assert len(report.violations) == mb.MAX_VIOLATIONS < len(rows)
+        assert [(a, b) for a, b, _, _ in report.violations] == rows[:mb.MAX_VIOLATIONS]
+        with pytest.raises(NotMagic, match=r"first violation \(1, 1\) vs \(1, 2\)"):
+            mb.require_magic(basis)
 
 
 def _window_edges(n, tol_strict, tol_construct):
@@ -285,10 +340,15 @@ def _bits(violations):
             for a, b, value, reason in violations]
 
 
+# the list cap as it stands, and one above every list, so that the whole
+# list is compared with the oracle
+_CAPS = st.sampled_from([mb.MAX_VIOLATIONS, 10 ** 6])
+
+
 class TestNoncommutativityPredicate:
     """The whole-table predicate against the quadruple loop of the oracle."""
 
-    def _check(self, case, block=None):
+    def _check(self, case, block=None, cap=mb.MAX_VIOLATIONS):
         n, kind, seed, tol_strict, tol_construct, overwrites = case
         xi = mb.build_fourier_basis(n).xi
         if seed is not None:               # phases move the resonant values off the axis
@@ -301,28 +361,34 @@ class TestNoncommutativityPredicate:
             mp.setattr(mb, "gram_table", lambda b: G)
             if block is not None:
                 mp.setattr(mb, "CHECK_BLOCK", block)
-            report = mb.verify_suitably_noncommutative(basis, tol_strict, tol_construct)
+            mp.setattr(mb, "TOL_STRICT", tol_strict)
+            mp.setattr(mb, "TOL_CONSTRUCT", tol_construct)
+            mp.setattr(mb, "MAX_VIOLATIONS", cap)
+            report = mb.verify_suitably_noncommutative(basis)
         assert report.magic_ok
         want = brute_oracle.noncommutativity_violations(
             G, n, kind == "fourier", tol_strict, tol_construct)
-        assert _bits(report.violations) == _bits(want)
+        assert _bits(report.violations) == _bits(want[:cap])
         assert report.suitably_noncommutative_ok == (not want)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_perturbed_tables(range(5, 10)), st.sampled_from([None, 1, 300, 1000]))
+    @given(_perturbed_tables(range(5, 10)), st.sampled_from([None, 1, 300, 1000]),
+           _CAPS)
     # a resonant value at the magnitude floor, inside the resonant window;
     # a generic 0 that only the generic window's own 0 < |g| rejects
-    @example((5, "fourier", None, 0.3, mb.TOL_CONSTRUCT, [((0, 0, 1, 1), 0.3)]), None)
-    @example((5, "fourier", None, -1e-3, mb.TOL_CONSTRUCT, [((0, 0, 1, 2), 0.0)]), None)
-    def test_small_grids(self, case, block):
+    @example((5, "fourier", None, 0.3, mb.TOL_CONSTRUCT, [((0, 0, 1, 1), 0.3)]), None,
+             mb.MAX_VIOLATIONS)
+    @example((5, "fourier", None, -1e-3, mb.TOL_CONSTRUCT, [((0, 0, 1, 2), 0.0)]), None,
+             mb.MAX_VIOLATIONS)
+    def test_small_grids(self, case, block, cap):
         # blocks of one row index, of part of the rows, and of all of them
-        self._check(case, block)
+        self._check(case, block, cap)
 
     @settings(max_examples=8, deadline=None, derandomize=True)
-    @given(_perturbed_tables([20]))
-    def test_table_of_several_blocks(self, case):
+    @given(_perturbed_tables([20]), _CAPS)
+    def test_table_of_several_blocks(self, case, cap):
         assert 20 ** 4 > mb.CHECK_BLOCK
-        self._check(case)
+        self._check(case, cap=cap)
 
 
 class TestCheckMemory:
