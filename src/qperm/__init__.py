@@ -15,7 +15,8 @@ if os.environ.get("QPG_THREADS"):
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["QPG_THREADS"])
 
-from . import convolution_probe, errors, flat_model, haar_exact, magic_bases  # noqa: E402
+from . import (convolution_probe, errors, flat_model, haar_exact,  # noqa: E402
+               label_orbits, magic_bases)
 
 __version__ = "0.1.0"
 
@@ -24,6 +25,7 @@ __all__ = [
     "errors",
     "flat_model",
     "haar_exact",
+    "label_orbits",
     "magic_bases",
     "__version__",
 ]

@@ -72,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="Cesaro convolution probe")
     p_probe.add_argument("--n", type=int, required=True)
     p_probe.add_argument("--max-degree", type=int, default=4)
-    p_probe.add_argument("--tol", type=float, default=1e-10)
+    p_probe.add_argument("--tol", type=float, default=1e-10,
+                         help="eigenvalues above 1 - sqrt(tol) count as fixed, and "
+                              "each must lie within tol of 1, else inconclusive; in "
+                              "(0, 1) and above 2^-108, else exit 2.  On the orbit path "
+                              "the count is exact: tol is only range-checked and "
+                              "quoted in a consistent verdict")
     p_probe.add_argument("--memory-cap", type=int, default=2 * 2 ** 30)
     # kept, with its one choice, for callers that still pass --method fixed_space
     p_probe.add_argument("--method", choices=("fixed_space",), default="fixed_space")
@@ -164,12 +169,20 @@ def cmd_haar(args) -> int:
     return EXIT_OK
 
 
-def _print_degree(degree, reps: int, seconds: float) -> None:
-    """The ``probe --verbose`` line of one finished degree."""
+def _print_degree(degree, reps: int | None, seconds: float) -> None:
+    """The ``probe --verbose`` line of one finished degree: on the orbit
+    path its labels, orbits and DFT gate residual, on the others its
+    rotation-orbit representatives and sector sides."""
     gap = "none" if degree.spectral_gap is None else f"{degree.spectral_gap:.6g}"
+    if degree.reduction == "orbits":
+        labels, orbits = degree.sectors
+        solved = (f"{labels} labels, {orbits} orbits, "
+                  f"ghat residual {degree.traciality_residual:.1e}")
+    else:
+        solved = f"{reps} reps, sectors {degree.sectors}"
     print(f"degree {degree.m}: {degree.reduction}, side {degree.block_size}, "
-          f"{reps} reps, sectors {degree.sectors}, {seconds:.3f} s, "
-          f"fixed {degree.fixed_space_dim}, gap {gap}", file=sys.stderr, flush=True)
+          f"{solved}, {seconds:.3f} s, fixed {degree.fixed_space_dim}, gap {gap}",
+          file=sys.stderr, flush=True)
 
 
 def _require_directory_of(path: str) -> None:

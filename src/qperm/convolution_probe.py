@@ -76,6 +76,22 @@ the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1) and entries
 Vk[x] . conj(Vk[y]).  The invariance residual |L T - L|_F adds up over the
 sectors: its square is the sum of ||Y* A_s - Y*||_F^2, with A_s = Q* T_s Q
 and Y the kept vectors of sector s in its Theta-real basis.
+
+On the root-of-unity grids the fixed space is an orbit count.  A Gram
+table that passes ``shift_invariant`` and then ``label_graph`` (its 2-D
+DFT equals n on the graph of a permutation f of Z_n and 0 elsewhere, within
+TRACIAL_TOL) makes every shift block, in Fourier labels, the mixture
+(1/n) sum_alpha P_alpha of n label permutations, and ``cesaro_limit`` reads
+the fixed dimension, the gap and Vk off their orbits (``label_orbits``,
+whose docstring holds the proof), never reading the block's entries.
+
+The orbit path's dense solve grows with the largest orbit, the sector
+path's with R, the number of rotation orbits of the shift block, and at
+degree 4 the bound overtakes 2.5 R near n = 15, where the sector path
+becomes the faster (``_takes_orbits``).  A gated grid therefore takes the
+orbit path when its largest orbit bound is at most ORBIT_SIDE R and its
+working set fits the memory cap, or when only its working set fits; it
+keeps the sector path otherwise, as every other grid does.
 """
 
 from __future__ import annotations
@@ -84,21 +100,24 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from . import haar_exact
+from . import haar_exact, label_orbits
 from .errors import MemoryCap
 from .flat_model import FlatModel
 
 GIB = 2 ** 30
 SOLVE_SET = 8                              # see ProbeConfig.memory_cap
 ROW_BATCH = 2 ** 20                        # entries in one batch of rows
-TRACIAL_TOL = 1e-12                        # gate of the rotation split, the dihedral steps
-                                           # and the shift reduction (``shift_invariant``)
+TRACIAL_TOL = 1e-12                        # gate of the rotation split, the dihedral steps,
+                                           # the shift reduction (``shift_invariant``) and
+                                           # the orbit path (``label_graph``)
+ORBIT_WORK = 10                            # see _working_set
+ORBIT_SIDE = 2.5                           # see _takes_orbits
 
 
 @dataclass
@@ -116,7 +135,11 @@ class ProbeConfig:
     # degree 6, 96-234 MB on n = 4..6 and 1047 MB on n = 7 (R = 2812), 1.3-1.9
     # times below the formula; at degree 5, 7-122 MB on n = 4..8, 1.2-1.6
     # times below it (fixed allocations, such as the BLAS buffers, weigh more
-    # at small R).
+    # at small R).  On the orbit path (module docstring) the working set is
+    # the label permutations and their orbits, the largest batch of orbit
+    # blocks and, at m <= 4, Vk: 1.1-1.6 times the traced peak at n = 5..7
+    # and degrees 6-10.  A gated grid whose orbit working set exceeds the
+    # cap takes the sector path when that one fits (``_takes_orbits``).
     memory_cap: int = 2 * GIB
     method: ClassVar[str] = "fixed_space"  # the only method; bench/tracing.py reads it
 
@@ -125,8 +148,18 @@ class ProbeConfig:
             raise ValueError("max_degree must be >= 1")
         if not 0 < self.tol_converge < 1:
             raise ValueError("tol_converge must lie in (0, 1)")
+        if 1.0 - math.sqrt(self.tol_converge) == 1.0:     # tol <= 2^-108
+            raise ValueError("tol_converge must exceed 2^-108, below which the cut "
+                             "1 - sqrt(tol) rounds to 1")
         if self.memory_cap < 1:
             raise ValueError("memory_cap must be >= 1")
+
+
+class LabelGraph(NamedTuple):
+    """The support of a gated Gram table's 2-D DFT (``label_graph``)."""
+
+    f: tuple                   # g^(alpha, beta) = n exactly when beta = f[alpha]
+    residual: float            # max |g^ - n [beta = f(alpha)]|
 
 
 @dataclass(frozen=True)
@@ -147,12 +180,18 @@ class StateTensor:
     first index is 1.  In the orthonormal basis of shift orbits B is T
     restricted to the shift-invariant vectors, and T vanishes on their
     complement, so row sums, trace, products and the fixed space carry over.
+
+    ``graph``, set only on a shift block of a model whose Gram table passes
+    ``label_graph``, says that the block is the mixture of label permutations
+    of the module docstring; ``cesaro_limit`` then solves it on the label
+    orbits and never reads ``entries``.
     """
 
     n: int
     m: int
     entries: np.ndarray = field(repr=False)
     shift: bool = False
+    graph: LabelGraph | None = None        # set on a gated grid's trace state: see label_graph
 
     @property
     def scale(self) -> int:
@@ -195,6 +234,24 @@ def shift_invariant(gram: np.ndarray) -> bool:
     back = np.arange(-1, len(gram) - 1)            # i - 1 mod n
     return bool(np.abs(gram[back][:, :, back] - gram).max() <= TRACIAL_TOL
                 and np.abs(gram[:, back][..., back] - gram).max() <= TRACIAL_TOL)
+
+
+def label_graph(gram: np.ndarray) -> LabelGraph | None:
+    """The orbit path's second gate, for a Gram table that passed
+    ``shift_invariant``: the 2-D DFT g^(alpha, beta) = sum_(p,q) g(p, q)
+    omega^(alpha p + beta q) of g(p, q) = <xi_11, xi_(1+p, 1+q)> must equal
+    n on the graph of a permutation f and 0 elsewhere, within ``TRACIAL_TOL``.
+    Returns f and the largest distance, or None when the table fails."""
+    n = len(gram)
+    R = label_orbits.root_table(n)
+    ghat = R @ gram[0, 0] @ R
+    f = np.abs(ghat).argmax(axis=1)
+    ghat[np.arange(n), f] -= n
+    residual = float(np.abs(ghat).max())
+    f = tuple(f.tolist())
+    if residual > TRACIAL_TOL or len(set(f)) < n:
+        return None
+    return LabelGraph(f, residual)
 
 
 def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
@@ -255,8 +312,13 @@ class _GramRows:
 
     def __init__(self, model: FlatModel, m: int, shift: bool):
         self.model, self.m, self.shift = model, m, shift
-        self.tuples = _stored_tuples(model.n, m, shift)
-        self.shape = (len(self.tuples),) * 2
+        self.shape = (model.n ** (m - shift),) * 2
+
+    @property
+    def tuples(self) -> np.ndarray:
+        """The stored tuples, built on the first row taken (the orbit path
+        takes none)."""
+        return _stored_tuples(self.model.n, self.m, self.shift)
 
     def __getitem__(self, rows) -> np.ndarray:
         return self.take(rows)
@@ -482,6 +544,19 @@ def _invariance_defect(A: np.ndarray, Y: np.ndarray) -> float:
     return float(np.vdot(D, D).real)
 
 
+def _orbit_limit(T: StateTensor) -> CesaroResult:
+    """``cesaro_limit`` of a gated grid's shift block, read off its orbit
+    plan: the fixed space is exact, so ``converged`` holds at any tolerance;
+    the limit fixes each P_alpha's orbit indicators exactly, so the
+    invariance residual is 0; the complement's eigenvalue 0 enters the gap."""
+    plan = label_orbits.orbit_plan(T.n, T.m, T.graph.f)
+    return CesaroResult(T.n, T.m, shift=True, converged=True, fixed_dim=plan.fixed,
+                        gap=1.0 - plan.top, vectors=plan.vectors,
+                        sectors=[plan.labels, plan.counts[-1]],
+                        traciality_residual=T.graph.residual, theta_residual=0.0,
+                        mirror_residual=0.0, invariance_residual=0.0)
+
+
 def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult:
     """Limit of (1/r) sum_(s<=r) T^s: the orthogonal projector onto ker(T - I).
 
@@ -512,7 +587,13 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     kept eigenvectors Vk; the limit Vk Vk* itself is never formed.
     ``invariance_residual`` is |L T - L|_F, summed over the sectors as
     ||Y* T_s - Y*||_F^2 with Y the sector's kept vectors.
+
+    A shift block that carries a ``graph`` (the report sets it on the grids
+    that pass ``label_graph``) is solved on its label orbits instead
+    (``_orbit_limit``), and its entries are never read.
     """
+    if T.graph is not None:
+        return _orbit_limit(T)
     cfg = cfg or ProbeConfig()
     M = T.entries
     side = M.shape[0]
@@ -604,25 +685,38 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 
 @dataclass
 class DegreeProbe:
+    """One degree of the probe.  ``reduction`` names the path: "none" (the
+    n^m tensor in rotation sectors), "shift" (its shift block in rotation
+    sectors) or "orbits" (the label orbits of a gated grid).  Fields whose
+    meaning depends on the path say so; the others mean the same on all."""
+
     m: int
-    reduction: str                         # "shift" or "none"
-    block_size: int                        # side of the solved matrix
-    sectors: list                          # side of each rotation sector, solved or mirrored
-    converged: bool
+    reduction: str                         # "none", "shift" or "orbits"
+    block_size: int                        # side of the stored matrix: n^m, or n^(m-1)
+                                           # on shift blocks and on the orbit path
+    sectors: list                          # side of each rotation sector, solved or
+                                           # mirrored; orbits: [all-perp labels, their
+                                           # orbits f_m]
+    converged: bool                        # orbits: True, the count is exact
     fixed_space_dim: int
     spectral_gap: float | None
-    fix_moment_estimate: float
+    fix_moment_estimate: float             # trace of Vk Vk*; orbits: the count itself
     catalan_target: int
     catalan_residual: float
-    row_sum_error: float
-    traciality_residual: float             # |T - T rotated|, on the input
+    row_sum_error: float                   # orbits: 0.0 above degree 4, where the limit's
+                                           # rows sum to 1 exactly and no Vk is formed
+    traciality_residual: float             # |T - T rotated|, on the input; orbits: the
+                                           # DFT gate's max |g^ - n [beta = f(alpha)]|
     theta_residual: float                  # max |Im Q* T_s Q| over the solved sectors: the
-                                           # gate of their real eigh (Q: Theta-real basis)
+                                           # gate of their real eigh (Q: Theta-real basis);
+                                           # orbits: 0.0, no sector is solved
     mirror_residual: float                 # max |T - conj T| over the rows at the orbit
-                                           # representatives: the gate of lifting m - s from s
+                                           # representatives: the gate of lifting m - s from s;
+                                           # orbits: 0.0, no row is built
     invariance_residual: float             # |L T - L|_F of the tensor, read per sector;
-                                           # at least the largest entry of L T - L
-    class_residuals: dict
+                                           # at least the largest entry of L T - L; orbits:
+                                           # 0.0, each P_alpha fixes the orbit indicators
+    class_residuals: dict                  # orbits: read off Vk, formed at m <= 4
 
 
 @dataclass
@@ -701,16 +795,48 @@ def _orbit_count(n: int, m: int, shift: bool) -> int:
     return total // (m * len(shifts))
 
 
-def _working_set(n: int, m: int, shift: bool) -> int:
+def _working_set(n: int, m: int, shift: bool, orbits: bool = False) -> int:
     """Bytes the probe of degree m is allowed to need (see
-    ProbeConfig.memory_cap): the sector blocks C and SOLVE_SET more complex
-    matrices of side R, the number of representatives, and the workspace of
-    the gated row batches (``_workspace_entries``), counted apart from C,
-    though a single batch holds C in it."""
+    ProbeConfig.memory_cap).  On the sector path: the sector blocks C and
+    SOLVE_SET more complex matrices of side R, the number of
+    representatives, and the workspace of the gated row batches
+    (``_workspace_entries``), counted apart from C, though a single batch
+    holds C in it.  On the orbit path: the n label permutations of the
+    all-perp labels (``label_orbits.label_perms``), their build and their
+    orbits, ORBIT_WORK words per candidate label; twice the entries of the largest
+    batch of orbit blocks; and, at degrees with class residuals, the
+    permutations of all side labels and Vk, at most side x side, and its
+    DFT batch."""
+    if orbits:
+        labels = (n - 1) ** (m - 1)                # candidates, at least the all-perp labels
+        largest = min(labels, label_orbits.orbit_bound(n, m))
+        need = 8 * (n + ORBIT_WORK) * labels + 16 * max(label_orbits.GAP_BATCH, largest ** 2)
+        if m in haar_exact.DEGREE_CLASS_TAGS:
+            side = n ** (m - 1)
+            need += 8 * (n + ORBIT_WORK) * side + 16 * side ** 2 + 48 * label_orbits.GAP_BATCH
+        return need
     side = n ** (m - 1 if shift else m)
     R = _orbit_count(n, m, shift)
     batch = min(R, max(1, ROW_BATCH // side))
     return 16 * ((m + SOLVE_SET) * R ** 2 + _workspace_entries(side, R, m, batch, True))
+
+
+def _takes_orbits(n: int, m: int, cap: int) -> bool:
+    """Whether a gated grid is probed to degree m on the orbit path rather
+    than in rotation sectors.  Where both working sets fit the cap, the
+    orbit path is taken while its largest orbit block is at most ORBIT_SIDE
+    times the sector side R.  On the first report call of a fresh process
+    (2 vCPUs), at degree 4 the orbit path took 0.07-0.20 s against
+    0.15-0.28 s at n = 12, 13 (bound 2.2-2.4 R), both about 0.37 s at n = 14
+    (2.5 R), 0.67 against 0.56 s at n = 15 (2.6 R) and 10.6 against 4.1 s
+    at n = 20 (2.9 R); at degree 5 it was 2.7 times faster at n = 10
+    (1.5 R).  Where only one working set fits, that path; where neither
+    does, the smaller, whose need the refusal reports."""
+    orbit = _working_set(n, m, True, True)
+    sector = _working_set(n, m, True)
+    if orbit > cap or sector > cap:
+        return orbit < sector
+    return label_orbits.orbit_bound(n, m) <= ORBIT_SIDE * _orbit_count(n, m, True)
 
 
 def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
@@ -728,31 +854,44 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
     A model whose Gram table passes ``shift_invariant`` is probed on shift
     blocks, of side n^(m-1) in place of n^m; every field of the report is
     the same as on the full tensors.  Each degree is solved from its
-    ``gram_state``, so no matrix of the solved side squared is built.
+    ``gram_state``, so no matrix of the solved side squared is built.  When
+    the table also passes ``label_graph`` (evaluated once per call) and
+    ``_takes_orbits`` picks the orbit path for max_degree, every degree's
+    shift block carries the label permutation, and ``cesaro_limit`` solves
+    it on the label orbits; the fix moment is then the exact count.
     ``progress``, when given, is called after each degree with its
-    ``DegreeProbe``, the number of rotation-orbit representatives and the
-    seconds the degree took.
+    ``DegreeProbe``, the number of rotation-orbit representatives (None on
+    the orbit path) and the seconds the degree took.
     """
     cfg = cfg or ProbeConfig()
     shift = shift_invariant(model.gram)
-    need = _working_set(model.n, cfg.max_degree, shift)
+    graph = label_graph(model.gram) if shift else None
+    if graph is not None and not _takes_orbits(model.n, cfg.max_degree, cfg.memory_cap):
+        graph = None
+    need = _working_set(model.n, cfg.max_degree, shift, graph is not None)
     if need > cfg.memory_cap:
+        what = "label permutations and orbits" if graph else "sector blocks and rows"
         raise MemoryCap(f"degree {cfg.max_degree} needs about {need} bytes for its "
-                        f"sector blocks and rows > cap {cfg.memory_cap}; refusing up front")
+                        f"{what} > cap {cfg.memory_cap}; refusing up front")
     degrees = []
     worst_residual = 0.0
     verdict = None
     for m in range(1, cfg.max_degree + 1):
         start = time.perf_counter()
         T = gram_state(model, m, shift)
+        if graph is not None:
+            T = replace(T, graph=graph)
         result = cesaro_limit(T, cfg)
         Vk = result.vectors
-        est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))   # trace of Vk Vk*, real
+        if graph is not None:                      # the count is exact
+            est = float(result.fixed_dim)
+        else:                                      # trace of Vk Vk*, real
+            est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))
         target = haar_exact.catalan(m)
         residual = abs(est - target)
         degrees.append(DegreeProbe(
             m=m,
-            reduction="shift" if T.shift else "none",
+            reduction="orbits" if graph is not None else "shift" if T.shift else "none",
             block_size=T.entries.shape[0],
             sectors=result.sectors,
             converged=result.converged,
@@ -761,15 +900,19 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
             fix_moment_estimate=est,
             catalan_target=target,
             catalan_residual=residual,
-            row_sum_error=float(np.abs(Vk @ Vk.sum(axis=0).conj() - 1.0).max()),
+            # no Vk above degree 4 on the orbit path, where the limit's rows
+            # sum to 1 exactly and no class has a closed form
+            row_sum_error=0.0 if Vk is None else
+            float(np.abs(Vk @ Vk.sum(axis=0).conj() - 1.0).max()),
             traciality_residual=result.traciality_residual,
             theta_residual=result.theta_residual,
             mirror_residual=result.mirror_residual,
             invariance_residual=result.invariance_residual,
-            class_residuals=_class_residuals(T, Vk),
+            class_residuals={} if Vk is None else _class_residuals(T, Vk),
         ))
         if progress is not None:
-            reps = _sector_plan(T.n, m, T.shift, len(result.sectors)).reps.size
+            reps = None if graph is not None else \
+                _sector_plan(T.n, m, T.shift, len(result.sectors)).reps.size
             progress(degrees[-1], reps, time.perf_counter() - start)
         worst_residual = max(worst_residual, residual)
         if verdict is None and not result.converged:

@@ -1,0 +1,218 @@
+"""The orbit path of the convolution probe.
+
+On the root-of-unity grids the fixed space of ``convolution_probe``'s
+moment matrices is an orbit count, and no matrix of the stored side need
+be solved.  Let G[i, j, k, l] = g(k - i, l - j) (shift invariance), and
+take the labels a in Z_n^m as coordinates, phi_a(x) = n^(-m/2)
+omega^(a.x), omega = exp(2 pi i / n), with the 2-D DFT
+g^(alpha, beta) = sum_(p,q) g(p, q) omega^(alpha p + beta q).  Each Gram
+factor of an entry of T is then a sum over one pair (alpha_t, beta_t), and
+summing out the row and column indices forces alpha_t = alpha + S_t and
+beta_t = beta - (b_1 + ... + b_t), with S_t = a_1 + ... + a_t:
+
+    T^F[a, b] = n^(-1-m) sum_(alpha, beta) prod_(t=1..m) g^(alpha_t, beta_t)
+
+when sum a = sum b = 0 (the shift-invariant vectors), and 0 otherwise.  The
+gate (``convolution_probe.label_graph``, after ``shift_invariant``, both
+within TRACIAL_TOL) asks that g^(alpha, beta) = n [beta = f(alpha)] for a permutation f of
+Z_n.  Then a term is n^m when beta_t = f(alpha + S_t) for every t and 0
+otherwise, so T^F = (1/n) sum_alpha P_alpha, where P_alpha sends the label
+a to b, b_t = f(alpha + S_(t-1)) - f(alpha + S_t).  Read as a closed walk
+S_0 = 0, S_1, ..., S_m = 0 up to translation, a label is mapped by
+x -> -f(alpha + x) on the walk's vertices; f is a bijection, so P_alpha is a
+permutation that keeps the positions of the entries 0.  On the
+root-of-unity grids f(alpha) = -alpha, except that f(0) = 1 and f(-1) = 0.
+
+H^F = (1/2n) sum_alpha (P_alpha + P_alpha^T) averages unit vectors P v when
+|v| = 1, and the ball is strictly convex, so H^F v = v exactly when every
+P_alpha v = v: the fixed space is spanned by the indicators 1_o of the
+orbits o of the group the P_alpha generate, its dimension is their number,
+with no eigenvalue cut, and the limit is the orbit average
+sum_o 1_o 1_o^T / |o|.  Deleting the entries 0 of a label turns P_alpha
+into the P_alpha of the lower degree on the all-perp labels (those without
+an entry 0), so with f_k the number of orbits of the all-perp labels of
+degree k (f_0 = 1),
+
+    fixed_dim(m) = sum_k C(m, k) f_k,
+
+and the spectrum of H^F at degree m is the union of the all-perp spectra
+of the degrees k <= m; the complement of the shift-invariant vectors adds
+the eigenvalue 0.  The gap is 1 minus the largest second eigenvalue of
+(P_o + P_o^T)/2 on an all-perp orbit o of degree <= m, P_o the mixture on
+o.  Every label of an orbit is the walk moved by one element of the group
+K generated by the translations and x -> -f(x), and the walks moved by the
+n elements of one coset of the translations are one label.  The moved walk
+depends only on where the element sends the walk's d <= min(m, n) distinct
+vertices, an injection up to translation, so an orbit has at most
+(n - 1)! / (n - d)! labels (``orbit_bound``), (n-1)(n-2)(n-3) at degree 4;
+the largest orbit meets the bound at every n = 5..10, m <= 6 checked.  The
+orbit path (``orbit_plan``) forms the n permutations of the all-perp
+labels, finds their orbits by label propagation and the gap by one
+``eigvalsh`` per batch of orbits of one size; at the degrees with class residuals (m <= 4) it also forms Vk,
+the normalized indicators of the orbits of all n^(m-1) labels with sum 0,
+taken to the shift block by the (m-1)-fold DFT: the block's row
+(x_2 - x_1, ..., x_m - x_1) reads n^(-(m-1)/2) omega^(a_2 x_2 + ... + a_m x_m)
+of phi_a at x_1 = 0.  Above degree 4 nothing of the stored side is formed.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from . import haar_exact
+
+GAP_BATCH = 2 ** 20                        # entries of the orbit blocks one eigvalsh solves
+
+
+@functools.cache
+def root_table(n: int) -> np.ndarray:
+    """R[a, x] = omega^(a x), omega = exp(2 pi i / n); read-only."""
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    table = roots[np.outer(np.arange(n), np.arange(n)) % n]
+    table.flags.writeable = False
+    return table
+
+
+def orbit_bound(n: int, m: int) -> int:
+    """The most labels an all-perp orbit of degree m can have on a gated
+    grid: (n - 1)! / (n - d)!, d = min(m, n) (module docstring)."""
+    return math.perm(n - 1, min(m, n) - 1)
+
+
+class OrbitPlan(NamedTuple):
+    labels: int                # all-perp labels of degree m
+    orbit: np.ndarray          # orbit[x]: the least all-perp label in the orbit of label x
+    counts: tuple              # f_0..f_m: orbits of the all-perp labels of each degree
+    fixed: int                 # sum_k C(m, k) f_k, the fixed dimension
+    top: float                 # largest second eigenvalue of (P + P^T)/2 on the all-perp
+                               # orbits of every degree <= m; 0.0 when none has two labels
+    vectors: np.ndarray | None     # Vk in the shift-block layout where m has class residuals
+
+
+def label_perms(n: int, m: int, f: tuple, perp: bool) -> np.ndarray:
+    """P[alpha, x] = P_alpha x on the labels a in Z_n^m with sum a = 0 (see
+    the module docstring), numbered by (a_2..a_m) in lexicographic order,
+    with a_1 = -(a_2 + ... + a_m); when ``perp``, on the all-perp labels (no
+    entry 0), numbered among themselves in the same order."""
+    low = int(perp)
+    base, k = n - low, m - 1
+    small = np.min_scalar_type(-2 * n)
+    values = np.arange(low, n, dtype=small)
+    # S[:, t] = a_1 + ... + a_t = -(a_(t+1) + ... + a_m) mod n; S_0 = S_m = 0
+    S = np.zeros((base ** k, m + 1), dtype=small)
+    for t in range(m - 1, 0, -1):
+        a = np.tile(np.repeat(values, base ** (m - 1 - t)), base ** (t - 1))   # a_(t+1)
+        np.subtract(S[:, t + 1], a, out=S[:, t])
+        S[:, t] %= n
+    if perp:
+        keep = S[:, 1] != 0                        # a_1 != 0
+        lookup = np.full(len(S), -1, dtype=np.intp)
+        lookup[keep] = np.arange(np.count_nonzero(keep))
+        S = S[keep]
+    F = np.array(f, dtype=small)
+    P = np.empty((n, len(S)), dtype=np.intp)
+    code = np.empty(len(S), dtype=np.intp)
+    for alpha in range(n):
+        fc = F[(S + alpha) % n]                   # f(alpha + S_t)
+        code.fill(0)
+        for t in range(2, m + 1):                 # b_t = f(alpha + S_(t-1)) - f(alpha + S_t)
+            code *= base
+            code += (fc[:, t - 1] - fc[:, t]) % n - low
+        P[alpha] = lookup[code] if perp else code
+    return P
+
+
+def orbits(P: np.ndarray) -> np.ndarray:
+    """The least label of each label's orbit under the permutations P[alpha]:
+    each sweep lowers every label to the least of its images' labels, then
+    to its own label's label, until nothing moves.  At the fixed point the
+    labels do not increase along any P[alpha], so they are constant on its
+    cycles, and hence on orbits, and each orbit's least label keeps itself."""
+    label = np.arange(P.shape[1])
+    while True:
+        least = label.copy()
+        for p in P:
+            np.minimum(least, least[p], out=least)
+        least = least[least]
+        if np.array_equal(least, label):
+            return label
+        label = least
+
+
+def second_eigenvalue(P: np.ndarray, orbit: np.ndarray) -> float:
+    """The largest second eigenvalue of H_o = (P_o + P_o^T)/2 over the orbits
+    o of at least two labels, P_o = (1/n) sum_alpha P_alpha on o; 0.0 when
+    there is none.  Orbits of one size are stacked, ``GAP_BATCH`` entries
+    to one ``eigvalsh``."""
+    n, L = P.shape
+    size = np.bincount(orbit, minlength=L)      # at each orbit's least label
+    order = np.argsort(orbit, kind="stable")     # the labels, orbit by orbit
+    start = np.cumsum(size) - size               # where each orbit begins in order
+    local = np.empty(L, dtype=np.intp)           # a label's place in its orbit
+    local[order] = np.arange(L) - start[orbit[order]]
+    reps = np.flatnonzero(size >= 2)
+    top = 0.0
+    for s in sorted(set(size[reps].tolist())):
+        group = reps[size[reps] == s]
+        per = max(1, GAP_BATCH // s ** 2)
+        for first in range(0, group.size, per):
+            batch = group[first:first + per]
+            members = order[(start[batch][:, None] + np.arange(s)).reshape(-1)]
+            which = np.repeat(np.arange(batch.size), s)
+            here = local[members]
+            H = np.zeros((batch.size, s, s))
+            for p in P:
+                there = local[p[members]]
+                H[which, here, there] += 0.5 / n
+                H[which, there, here] += 0.5 / n
+            top = max(top, float(np.linalg.eigvalsh(H)[:, -2].max()))
+    return top
+
+
+def orbit_vectors(n: int, m: int, f: tuple) -> np.ndarray:
+    """Vk of the orbit path in the shift-block layout: the indicator
+    1_o / sqrt|o| of each orbit o of the n^(m-1) labels with sum 0, taken to
+    the stored rows by the (m-1)-fold n-point DFT X <- n^(-(m-1)/2)
+    sum_a omega^(a_2 X_2 + ... + a_m X_m), ``GAP_BATCH`` entries of
+    indicators at a time; read-only."""
+    side = n ** (m - 1)
+    orbit = orbits(label_perms(n, m, f, perp=False))
+    reps = np.flatnonzero(orbit == np.arange(side))
+    column = np.searchsorted(reps, orbit)
+    weight = 1 / np.sqrt(np.bincount(orbit, minlength=side)[orbit])
+    Vk = np.empty((side, reps.size), dtype=complex)
+    step = max(1, GAP_BATCH // side)
+    for first in range(0, reps.size, step):
+        chunk = min(step, reps.size - first)
+        V = np.zeros((side, chunk), dtype=complex)
+        mine = (column >= first) & (column < first + chunk)
+        V[mine, column[mine] - first] = weight[mine]
+        V = V.reshape((n,) * (m - 1) + (chunk,))
+        for _ in range(m - 1):                     # label axis a_t out, place axis X_t in
+            V = np.tensordot(V, root_table(n), axes=(0, 0))
+        Vk[:, first:first + chunk] = V.reshape(chunk, side).T
+    Vk *= n ** (-(m - 1) / 2)
+    Vk.flags.writeable = False
+    return Vk
+
+
+@functools.cache
+def orbit_plan(n: int, m: int, f: tuple) -> OrbitPlan:
+    """Labels, orbits, fixed dimension, gap and (where m has class
+    residuals) Vk of degree m on a grid that passed ``label_graph`` with
+    permutation f.  They depend on (n, m, f) alone, so each is built once
+    per process, from the plan of degree m - 1; the arrays are read-only."""
+    prev = orbit_plan(n, m - 1, f) if m > 1 else None
+    P = label_perms(n, m, f, perp=True)
+    orbit = orbits(P)
+    orbit.flags.writeable = False
+    count = int(np.count_nonzero(orbit == np.arange(orbit.size)))
+    counts = (prev.counts if prev else (1,)) + (count,)    # f_0 = 1: the all-zero label
+    top = max(prev.top if prev else 0.0, second_eigenvalue(P, orbit))
+    return OrbitPlan(orbit.size, orbit, counts,
+                      sum(math.comb(m, k) * c for k, c in enumerate(counts)), top,
+                      orbit_vectors(n, m, f) if m in haar_exact.DEGREE_CLASS_TAGS else None)

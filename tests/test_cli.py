@@ -208,13 +208,24 @@ class TestProbeCommand:
         assert degrees[3]["block_size"] == 256
 
     def test_n8_degree4_on_shift_blocks(self, capsys):
-        # a structural guard: the full path would solve a 4096 x 4096 matrix
+        # a structural guard: the full path would solve a 4096 x 4096 matrix;
+        # the orbit path solves the 301 all-perp labels, in 4 orbits
         assert run(["probe", "--n", "8", "--max-degree", "4"]) == 0
         degrees = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
         assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 15]
-        assert [d["reduction"] for d in degrees] == ["shift"] * 4
+        assert [d["reduction"] for d in degrees] == ["orbits"] * 4
         assert degrees[3]["block_size"] == 512
+        assert degrees[3]["sectors"] == [301, 4]
         assert all(d["converged"] for d in degrees)
+
+    @pytest.mark.parametrize("n,max_degree,fixed", [(5, 10, 86472), (6, 8, 4111)])
+    def test_orbit_path_frontier(self, capsys, n, max_degree, fixed):
+        # the S_n counts: set partitions of m points into at most n blocks
+        assert run(["probe", "--n", str(n), "--max-degree", str(max_degree)]) == 0
+        degrees = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
+        assert degrees[-1]["fixed_space_dim"] == fixed
+        assert degrees[-1]["fix_moment_estimate"] == float(fixed)
+        assert [d["reduction"] for d in degrees] == ["orbits"] * max_degree
 
     def test_n5_degree5(self, capsys):
         assert run(["probe", "--n", "5", "--max-degree", "5"]) == 0
@@ -222,11 +233,42 @@ class TestProbeCommand:
         assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 15, 52]
         assert degrees[4]["block_size"] == 625
 
-    def test_memory_cap_exit(self):
-        # beyond the default cap on each path: the full 4^8 side and the
-        # 5^7 side of the shift blocks
+    def test_large_fourier_grid_keeps_the_sector_path(self, capsys):
+        # the default probe at n = 21: the orbit path's working set, 2.2e9
+        # bytes, exceeds the cap, and its largest orbit, 20 19 18 = 6840
+        # labels, is 2.9 times the sector side R = 2321; the sector path
+        # answers as before the orbit path existed
+        assert run(["probe", "--n", "21"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        degrees = json.loads(out[0])["degrees"]
+        assert [d["reduction"] for d in degrees] == ["shift"] * 4
+        assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 15]
+        assert [d["sectors"] for d in degrees][3] == [2321, 2310, 2320, 2310]
+        assert abs(degrees[3]["spectral_gap"] - 0.00846232270739955) < 1e-13
+        assert out[1] == ("verdict: deviates at degree 4 by 1 "
+                          "(fix-moment estimate vs Catalan target)")
+
+    def test_orbit_path_over_the_cap_falls_back(self, capsys):
+        # n = 10, degree 4 under a 50 MB cap: the orbit path needs 83 MB, the
+        # sector path 29 MB
+        argv = ["probe", "--n", "10", "--max-degree", "4"]
+        assert run(argv) == 0
+        orbits = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
+        assert run(argv + ["--memory-cap", "50000000"]) == 0
+        sectors = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
+        assert [d["reduction"] for d in orbits] == ["orbits"] * 4
+        assert [d["reduction"] for d in sectors] == ["shift"] * 4
+        assert [d["fixed_space_dim"] for d in sectors] == [1, 2, 5, 15]
+        for o, s in zip(orbits, sectors):
+            assert abs(o["spectral_gap"] - s["spectral_gap"]) < 1e-12
+
+    def test_memory_cap_exit(self, capsys):
+        # beyond the default cap on each path: the full 4^8 side, and the
+        # label permutations of the orbit path, 8 (n + 10) (n-1)^(m-1) bytes:
+        # 2.0e9 at n = 5, m = 13 (admitted), 8.1e9 at m = 14
         assert run(["probe", "--n", "4", "--max-degree", "8"]) == 3
-        assert run(["probe", "--n", "5", "--max-degree", "8"]) == 3
+        assert run(["probe", "--n", "5", "--max-degree", "14"]) == 3
+        assert "label permutations and orbits > cap" in capsys.readouterr().err
 
     def test_verbose_prints_one_line_per_degree(self, capsys):
         assert run(["probe", "--n", "5", "--max-degree", "3"]) == 0
@@ -236,8 +278,13 @@ class TestProbeCommand:
         assert (verbose.out, plain.err) == (plain.out, "")
         lines = verbose.err.splitlines()
         assert [line.split(":")[0] for line in lines] == ["degree 1", "degree 2", "degree 3"]
-        assert lines[2].startswith("degree 3: shift, side 25, 9 reps, sectors [9, 8, 8], ")
+        assert lines[2].startswith("degree 3: orbits, side 25, 12 labels, 1 orbits, "
+                                   "ghat residual ")
         assert lines[2].endswith(" s, fixed 5, gap 0.552786")
+        assert run(["probe", "--n", "4", "--max-degree", "3", "--verbose"]) == 0
+        line = capsys.readouterr().err.splitlines()[2]
+        assert line.startswith("degree 3: none, side 64, 24 reps, sectors [24, 20, 20], ")
+        assert line.endswith(" s, fixed 5, gap 0.666667")
 
     def test_verdict_printed(self, capsys):
         assert run(["probe", "--n", "5", "--max-degree", "4"]) == 0
@@ -268,6 +315,10 @@ EXIT_CODE_CASES = [
     ("probe --n 5 --tol 1.5", 2, "error: tol_converge must lie in (0, 1)"),
     ("probe --n 4 --max-degree 2 --memory-cap 1000", 3, "error: degree 2 needs about"),
     ("probe --n 5 --memory-cap 0", 2, "error: memory_cap must be >= 1"),
+    ("probe --n 6 --memory-cap 1000", 3, "bytes for its sector blocks and rows > cap 1000"),
+    ("probe --n 5 --max-degree 9 --memory-cap 1000", 3,
+     "bytes for its label permutations and orbits > cap 1000"),
+    ("probe --n 4 --tol 3.0814879110195774e-33", 2, "error: tol_converge must exceed 2^-108"),
     ("probe --n 4 --max-degree 1 --out {tmp}/missing/r.json", 2, "error:"),
     ("basis gen --n 2000 --out {tmp}/b.json", 3, "error: out of memory"),
     ("orbitals --n 2000 --m 1", 3, "error: out of memory"),

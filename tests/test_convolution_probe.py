@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ import tensor_ops
 from qperm import convolution_probe as cp
 from qperm import flat_model as fm
 from qperm import haar_exact as hx
+from qperm import label_orbits as lo
 from qperm import magic_bases as mb
 from qperm.errors import MemoryCap
 
@@ -497,7 +499,7 @@ class TestProbeReport:
         assert report.degrees[-1].converged is False
         assert report.verdict.startswith("inconclusive at degree 2")
 
-    @pytest.mark.parametrize("tol", [2.0 ** -108, 2.0 ** -106])
+    @pytest.mark.parametrize("tol", [2.0 ** -106])
     def test_too_tight_a_cut_is_inconclusive(self, model4, tol):
         # eigenvalues of 1 computed an ulp below it fall under the cut
         # 1 - sqrt(tol); every model at n >= 4 fixes the C_m dimensions that
@@ -523,6 +525,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 cp.ProbeConfig(memory_cap=cap)
 
+    def test_cut_that_rounds_to_one_is_refused(self):
+        # at tol <= 2^-108 the cut 1 - sqrt(tol) is exactly 1.0
+        for tol in (2.0 ** -108, 1e-40, 5e-324):
+            with pytest.raises(ValueError, match="2\\^-108"):
+                cp.ProbeConfig(tol_converge=tol)
+        assert 1.0 - math.sqrt(cp.ProbeConfig(tol_converge=2.0 ** -107).tol_converge) < 1.0
+
 
 _FOURIER_MODELS = {}
 
@@ -531,6 +540,13 @@ def _fourier_model(n):
     if n not in _FOURIER_MODELS:
         _FOURIER_MODELS[n] = fm.model_from_basis(mb.build_fourier_basis(n))
     return _FOURIER_MODELS[n]
+
+
+@pytest.fixture
+def sector_path(monkeypatch):
+    """No grid passes the orbit path's gate: the Fourier grids take the
+    rotation-sector path, the oracle of the orbit path (``TestOrbitPath``)."""
+    monkeypatch.setattr(cp, "label_graph", lambda gram: None)
 
 
 def _full_path_report(model, cfg):
@@ -591,6 +607,7 @@ def _assert_reports_agree(reduced, full):
         _assert_degrees_agree(r, f, differ=("reduction", "block_size", "sectors"))
 
 
+@pytest.mark.usefixtures("sector_path")
 class TestShiftReduction:
     """Shift-invariant Gram tables are probed on blocks of side n^(m-1)."""
 
@@ -714,6 +731,7 @@ def _unsplit_report(model, cfg):
         return cp.inner_faithfulness_report(model, cfg)
 
 
+@pytest.mark.usefixtures("sector_path")
 class TestRotationSectors:
     """Tracial tensors are solved in the m sectors of the rotation."""
 
@@ -810,6 +828,7 @@ def _eigh_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("sector_path")
 class TestDihedralSectors:
     """Sectors 0..m/2 are solved as real matrices in their Theta-real basis;
     when the rows at the representatives are real, sector m - s takes the
@@ -980,3 +999,274 @@ class TestReportOutput:
         for array in (plan.rows, plan.cols, plan.values):
             with pytest.raises(ValueError):
                 array[0] = array[0]
+
+
+def _sn_count(n, m):
+    """Set partitions of m points into at most n blocks: sum_k S(m, k)."""
+    stirling = [[0] * (m + 1) for _ in range(m + 1)]
+    stirling[0][0] = 1
+    for i in range(1, m + 1):
+        for k in range(1, i + 1):
+            stirling[i][k] = k * stirling[i - 1][k] + stirling[i - 1][k - 1]
+    return sum(stirling[m][k] for k in range(1, min(n, m) + 1))
+
+
+def _perp_label_count(n, m):
+    return ((n - 1) ** m + (n - 1) * (-1) ** m) // n
+
+
+def _orbit_oracle(P):
+    """The least label of each label's orbit, by a union-find in Python."""
+    parent = list(range(P.shape[1]))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in P.tolist():
+        for x, y in enumerate(p):
+            a, b = root(x), root(y)
+            parent[max(a, b)] = min(a, b)
+    return np.array([root(x) for x in range(len(parent))], dtype=int)
+
+
+def _graph(n):
+    return cp.label_graph(_fourier_model(n).gram)
+
+
+# (n, the highest degree <= 6 that the rotation-sector path admits under the
+# default memory cap); n = 7 at degree 6 takes that path about 15 s
+_ADMITTED = [(5, 6), (6, 6), (7, 6), (8, 5)]
+
+
+class TestOrbitPath:
+    """Grids that pass ``label_graph`` are solved on the orbits of n label
+    permutations; the rotation-sector path is the oracle."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 11])
+    def test_gate_finds_the_swapped_negation(self, n):
+        # f(alpha) = -alpha, except that 0 and -1 trade their images
+        graph = _graph(n)
+        want = [-a % n for a in range(n)]
+        want[0], want[n - 1] = want[n - 1], want[0]
+        assert list(graph.f) == want and graph.f != tuple(want[::-1])
+        assert 0 < graph.residual <= 1e-13
+        # the distance from the graph, with roots of unity rounded otherwise
+        R = np.exp(2j * np.pi / n * np.outer(np.arange(n), np.arange(n)))
+        ghat = R @ _fourier_model(n).gram[0, 0] @ R
+        ghat[np.arange(n), list(graph.f)] -= n
+        assert np.abs(ghat).max() <= 1e-13
+
+    def test_gate_declines_the_4x4_grid(self, model4):
+        assert cp.label_graph(model4.gram) is None
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 3), (8, 3)])
+    def test_shift_block_is_the_mixture_of_label_permutations(self, n, m):
+        # in the labels a (sum 0, numbered by a_2..a_m), B's Fourier block is
+        # (1/n) sum_alpha P_alpha: the claim the orbit path rests on
+        B = cp.trace_state(_fourier_model(n), m, True).entries
+        side = n ** (m - 1)
+        labels = np.array(list(itertools.product(range(n), repeat=m - 1))).reshape(side, m - 1)
+        Phi = np.exp(2j * np.pi / n * (labels @ labels.T)) / n ** ((m - 1) / 2)
+        mixture = np.zeros((side, side))
+        for p in lo.label_perms(n, m, _graph(n).f, perp=False):
+            mixture[np.arange(side), p] += 1 / n
+        assert np.abs(Phi.conj().T @ B @ Phi - mixture).max() < 1e-14
+
+    @pytest.mark.parametrize("n,m", [(5, 1), (5, 2), (5, 4), (6, 5), (7, 3), (8, 4)])
+    def test_perp_labels_are_the_restriction(self, n, m):
+        f = _graph(n).f
+        full = lo.label_perms(n, m, f, perp=False)
+        tail = np.array(list(itertools.product(range(n), repeat=m - 1)),
+                        dtype=int).reshape(n ** (m - 1), m - 1)
+        perp = np.flatnonzero((tail != 0).all(axis=1) & (tail.sum(axis=1) % n != 0))
+        renumber = np.full(full.shape[1], -1)
+        renumber[perp] = np.arange(perp.size)
+        P = lo.label_perms(n, m, f, perp=True)
+        assert P.shape == (n, _perp_label_count(n, m))
+        assert np.array_equal(P, renumber[full[:, perp]])
+        for p in P:                                # each P_alpha a permutation
+            assert np.array_equal(np.sort(p), np.arange(p.size))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=60),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_orbits_match_union_find(self, k, size, seed):
+        rng = np.random.default_rng(seed)
+        P = np.array([rng.permutation(size) for _ in range(k)]).reshape(k, size)
+        assert np.array_equal(lo.orbits(P), _orbit_oracle(P))
+
+    @pytest.mark.parametrize("n,m", [(5, 5), (6, 5), (7, 4), (8, 4)])
+    def test_orbits_of_the_label_permutations(self, n, m):
+        P = lo.label_perms(n, m, _graph(n).f, perp=True)
+        assert np.array_equal(lo.orbits(P), _orbit_oracle(P))
+
+    @pytest.mark.parametrize("n,max_degree", [(5, 5), (6, 5), (7, 4)])
+    def test_gap_matches_the_dense_mixture(self, n, max_degree):
+        # the eigenvalues of the whole all-perp block (P + P^T)/2 below its f_m
+        # ones of 1; each degree's gap carries the lower degrees' maximum
+        f, top = _graph(n).f, 0.0
+        for m in range(1, max_degree + 1):
+            P = lo.label_perms(n, m, f, perp=True)
+            L = P.shape[1]
+            mixture = np.zeros((L, L))
+            for p in P:
+                mixture[np.arange(L), p] += 1 / n
+            lam = np.linalg.eigvalsh((mixture + mixture.T) / 2)
+            plan = lo.orbit_plan(n, m, f)
+            count = plan.counts[-1]
+            assert np.abs(lam[L - count:] - 1).max(initial=0) < 1e-12
+            if L > count:
+                top = max(top, lam[L - count - 1])
+            assert abs(plan.top - top) < 1e-12, (n, m)
+
+    @pytest.mark.parametrize("n,max_degree", [(5, 10), (6, 8), (7, 6), (8, 5)])
+    def test_fixed_dims_are_the_sn_counts(self, n, max_degree):
+        f = _graph(n).f
+        for m in range(1, max_degree + 1):
+            plan = lo.orbit_plan(n, m, f)
+            assert plan.labels == _perp_label_count(n, m)
+            assert plan.fixed == _sn_count(n, m), (n, m)
+            if plan.vectors is not None:           # as many orbits of all the labels
+                assert plan.vectors.shape == (n ** (m - 1), plan.fixed)
+
+    @pytest.mark.parametrize("n,max_degree", _ADMITTED)
+    def test_matches_the_sector_path(self, n, max_degree):
+        model = _fourier_model(n)
+        cfg = cp.ProbeConfig(max_degree=max_degree)
+        assert cp._working_set(n, max_degree, True) <= cfg.memory_cap
+        assert max_degree == 6 or cp._working_set(n, max_degree + 1, True) > cfg.memory_cap
+        orbits = cp.inner_faithfulness_report(model, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cp, "label_graph", lambda gram: None)
+            sectors = cp.inner_faithfulness_report(model, cfg)
+        assert orbits.verdict == sectors.verdict
+        graph = _graph(n)
+        for o, s in zip(orbits.degrees, sectors.degrees, strict=True):
+            assert (o.reduction, s.reduction) == ("orbits", "shift")
+            counts = lo.orbit_plan(n, o.m, graph.f).counts
+            assert o.sectors == [_perp_label_count(n, o.m), counts[-1]]
+            assert o.fixed_space_dim == sum(math.comb(o.m, k) * c for k, c in enumerate(counts))
+            assert o.traciality_residual == graph.residual <= 1e-12
+            assert o.theta_residual == o.mirror_residual == o.invariance_residual == 0.0
+            assert o.fix_moment_estimate == o.fixed_space_dim
+            _assert_degrees_agree(o, s, differ=("reduction", "sectors", "traciality_residual",
+                                                "theta_residual", "mirror_residual"))
+
+    @pytest.mark.parametrize("n,m", [(5, 4), (6, 3), (8, 4)])
+    def test_vectors_are_the_sector_paths_fixed_space(self, n, m):
+        # the same projector, whatever basis of it each path keeps
+        Vk = lo.orbit_plan(n, m, _graph(n).f).vectors
+        assert np.abs(Vk.conj().T @ Vk - np.eye(Vk.shape[1])).max() < 1e-13
+        ref = cp.cesaro_limit(cp.gram_state(_fourier_model(n), m, True))
+        assert np.abs(Vk @ Vk.conj().T - tensor_ops.limit_of(ref).entries).max() < 1e-12
+
+    def test_no_stored_vector_above_degree_four(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the probe built a matrix or rows of the stored side")
+
+        for name in ("trace_state", "_stored_tuples", "_sector_plan"):
+            monkeypatch.setattr(cp, name, refuse)
+        formed = []
+        vectors = lo.orbit_vectors
+        monkeypatch.setattr(lo, "orbit_vectors", lambda n, m, f: formed.append(m)
+                            or vectors(n, m, f))
+        lo.orbit_plan.cache_clear()
+        report = cp.inner_faithfulness_report(_fourier_model(5), cp.ProbeConfig(max_degree=7))
+        assert formed == [1, 2, 3, 4]
+        assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15, 52, 202, 855]
+        assert [d.row_sum_error for d in report.degrees][4:] == [0.0] * 3
+        assert [d.class_residuals for d in report.degrees][4:] == [{}] * 3
+
+    def test_plan_is_cached_and_read_only(self):
+        f = _graph(6).f
+        for m in (1, 2, 4, 5):
+            plan = lo.orbit_plan(6, m, f)
+            assert lo.orbit_plan(6, m, f) is plan
+            assert (plan.vectors is None) == (m > 4)
+            for array in (plan.orbit, plan.vectors):
+                if array is not None and array.size:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array.flat[0] = array.flat[0]
+
+    def test_shift_invariant_table_off_the_graph_falls_back(self, model5):
+        # g(1, 2) moved by 1e-9 everywhere: still shift-invariant, but its
+        # DFT lies about 1e-9 off the permutation graph
+        n = 5
+        i, j, k, l = np.ogrid[:n, :n, :n, :n]
+        gram = model5.gram + 1e-9 * (((k - i) % n == 1) & ((l - j) % n == 2))
+        assert cp.shift_invariant(gram) and cp.label_graph(gram) is None
+        model = fm.FlatModel(basis=model5.basis, n=n, gram=gram)
+        report = cp.inner_faithfulness_report(
+            model, cp.ProbeConfig(max_degree=4, tol_converge=1e-8))
+        assert [d.reduction for d in report.degrees] == ["shift"] * 4
+        assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15]
+
+    def test_perturbed_and_rephased_grids_fall_back(self, model5):
+        cfg = cp.ProbeConfig(max_degree=4, tol_converge=1e-8)
+        plain = cp.inner_faithfulness_report(model5, cfg)
+        xi = mb.build_fourier_basis(5).xi
+        perturbed = xi.copy()
+        perturbed[0, 1, 2] += 1e-9
+        phases = np.exp(2j * np.pi * np.random.default_rng(5).random((5, 5)))
+        for grid in (perturbed, xi * phases[:, :, None]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mb, "TOL_CONSTRUCT", 1e-8)
+                model = fm.model_from_basis(mb.MagicBasis(n=5, xi=grid))
+            report = cp.inner_faithfulness_report(model, cfg)
+            assert [d.reduction for d in report.degrees] == ["none"] * 4
+            assert report.verdict == plain.verdict
+            for d, p in zip(report.degrees, plain.degrees, strict=True):
+                assert d.fixed_space_dim == p.fixed_space_dim
+                assert abs(d.fix_moment_estimate - p.fix_moment_estimate) < 1e-8
+                assert abs(d.spectral_gap - p.spectral_gap) < 1e-8
+
+    @pytest.mark.parametrize("n,m", [(5, 4), (5, 6), (6, 5), (7, 6), (8, 4), (10, 4)])
+    def test_largest_orbit_meets_the_bound(self, n, m):
+        orbit = lo.orbit_plan(n, m, _graph(n).f).orbit
+        bound = lo.orbit_bound(n, m)
+        assert np.bincount(orbit).max() == bound == math.perm(n - 1, min(m, n) - 1)
+
+    @pytest.mark.parametrize("n,m,orbits", [
+        (6, 4, True), (14, 4, True), (10, 5, True),    # bound <= 2.5 R, both fit
+        (15, 4, False), (20, 4, False), (19, 3, False),    # bound > 2.5 R
+        (5, 10, True), (7, 6, True),                   # the sector path over the cap
+        (21, 4, False),                                # the orbit path over the cap
+    ])
+    def test_path_choice(self, n, m, orbits):
+        assert cp._takes_orbits(n, m, cp.ProbeConfig().memory_cap) is orbits
+        bound, R = lo.orbit_bound(n, m), cp._orbit_count(n, m, True)
+        cap = cp.ProbeConfig().memory_cap
+        fits = (cp._working_set(n, m, True, True) <= cap, cp._working_set(n, m, True) <= cap)
+        assert orbits == (fits[0] and (not fits[1] or bound <= 2.5 * R))
+
+    def test_neither_path_fits_reports_the_smaller(self):
+        # the orbit path's floor of batch buffers is about 67 MB, so at a
+        # 1000-byte cap the smaller need of n = 6, degree 4 is the sector one
+        assert not cp._takes_orbits(6, 4, 1000)
+        assert cp._takes_orbits(5, 9, 1000)
+        with pytest.raises(cp.MemoryCap, match="sector blocks and rows > cap 1000"):
+            cp.inner_faithfulness_report(_fourier_model(6), cp.ProbeConfig(memory_cap=1000))
+
+    @pytest.mark.parametrize("n,m,commutative", [(5, 4, False), (5, 8, False), (6, 7, False),
+                                                 (7, 6, False), (8, 4, False), (5, 4, True),
+                                                 (8, 4, True), (12, 4, True)])
+    def test_working_set_bounds_the_traced_peak(self, n, m, commutative):
+        # the plan of degree m, the lower ones built; the commutative grid
+        # xi_ij = e_(j-i) also passes the gate, with f = -id: every label is
+        # its own orbit, so Vk is side x side
+        f = tuple(-a % n for a in range(n)) if commutative else _graph(n).f
+        lo.orbit_plan.cache_clear()
+        for d in range(1, m):
+            lo.orbit_plan(n, d, f)
+        tracemalloc.start()
+        try:
+            plan = lo.orbit_plan(n, m, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lo.orbit_plan.cache_clear()
+        assert plan.fixed == (n ** (m - 1) if commutative else _sn_count(n, m))
+        assert peak <= cp._working_set(n, m, True, True), (peak, n, m)
