@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource limit.
 Handlers only compute and print; ``main`` maps the exceptions they let
 through to codes 2 and 3, an allocation the host refuses (MemoryError)
-included.
+included.  ``probe`` and ``orbitals`` check their options before they build
+a model, and share one flat model per n and process (``_model``).
 The environment variable QPG_THREADS caps the worker count of the underlying
 BLAS (see the ``qperm`` package docstring).
 """
@@ -88,10 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flat models ``_model`` keeps per process.  A model holds the n^4 entries of
+# its Gram table, 16 n^4 bytes (65 kB at n = 8, 10 MB at n = 28), so a
+# long-lived caller that sweeps n keeps the last few tables, not every one.
+MODEL_CACHE_SIZE = 8
+
+
 def _build_basis(n: int):
     if n == 4:
         return magic_bases.build_pauli_basis_4()
     return magic_bases.build_fourier_basis(n)
+
+
+@functools.lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _model(n: int) -> flat_model.FlatModel:
+    """The flat model of the constructed grid at n, which depends on n alone:
+    built and checked magic once per process, then shared by ``probe`` and
+    ``orbitals``.  Its grid and Gram table, the arrays the magic check ran
+    on, are read-only.  A build that raises caches nothing."""
+    model = flat_model.model_from_basis(_build_basis(n))
+    model.basis.xi.flags.writeable = False
+    model.gram.flags.writeable = False
+    return model
 
 
 def cmd_basis(args) -> int:
@@ -118,12 +137,12 @@ def cmd_basis(args) -> int:
 
 def cmd_orbitals(args) -> int:
     budget = args.budget if args.budget is not None else flat_model.DEFAULT_BUDGET
+    flat_model.scan_start(args.n, args.m, budget)     # refuse before any model
     if args.model == "classical":
         cm = flat_model.classical_model(args.n)
         report = flat_model.check_free_orbitals_classical(cm, args.m, budget=budget)
     else:
-        model = flat_model.model_from_basis(_build_basis(args.n))
-        report = flat_model.check_free_orbitals(model, args.m, budget=budget)
+        report = flat_model.check_free_orbitals(_model(args.n), args.m, budget=budget)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -199,11 +218,11 @@ def cmd_probe(args) -> int:
     for path in (args.out, args.csv):     # before any work, not after it
         if path:
             _require_directory_of(path)
-    model = flat_model.model_from_basis(_build_basis(args.n))
+    # ProbeConfig refuses bad settings; it comes before any model is built
     cfg = cp.ProbeConfig(max_degree=args.max_degree,
                          tol_converge=args.tol,
                          memory_cap=args.memory_cap)
-    report = cp.inner_faithfulness_report(model, cfg,
+    report = cp.inner_faithfulness_report(_model(args.n), cfg,
                                           progress=_print_degree if args.verbose else None)
     payload = json.dumps(report.to_dict())
     if args.out:

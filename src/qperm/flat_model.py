@@ -209,7 +209,7 @@ def check_free_orbitals(model: FlatModel, m: int,
     ``budget`` bounds the number of words the verdict covers, n^(2m).
     """
     n = model.n
-    report = _scan_start(n, m, budget)
+    report = scan_start(n, m, budget)
     if m == 1:
         return report
 
@@ -231,10 +231,11 @@ def check_free_orbitals(model: FlatModel, m: int,
                    max_zero=max_zero, violations=violations)
 
 
-def _scan_start(n: int, m: int, budget: int) -> OrbitalScanReport:
+def scan_start(n: int, m: int, budget: int) -> OrbitalScanReport:
     """The opening both orbital checks share: refuse m < 1, a budget below
     1 and more than ``budget`` words, and return the m = 1 report, which
-    passes since a single factor has no neighbour to clash with."""
+    passes since a single factor has no neighbour to clash with.  It needs
+    n alone, so a caller can run it before building the model."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if budget < 1:
@@ -405,7 +406,7 @@ def check_free_orbitals_classical(cm: ClassicalModel, m: int,
     lexicographic order.  ``budget`` bounds the words the verdict covers,
     n^(2m); the gap statistics are 1.0 / 0.0, products being 0/1-valued."""
     n = cm.n
-    report = _scan_start(n, m, budget)
+    report = scan_start(n, m, budget)
     if m == 1:
         return report
     passed = m <= 2 or n <= 2

@@ -292,6 +292,84 @@ class TestProbeCommand:
         assert "verdict: deviates at degree 4" in out
 
 
+class TestModelCache:
+    """``probe`` and ``orbitals`` share one flat model per n and process."""
+
+    @staticmethod
+    def _count_magic_checks(monkeypatch):
+        calls = []
+        check = mb.verify_magic
+        monkeypatch.setattr(mb, "verify_magic",
+                            lambda basis: calls.append(basis.n) or check(basis))
+        return calls
+
+    def test_magic_check_runs_once_per_n(self, monkeypatch, capsys):
+        calls = self._count_magic_checks(monkeypatch)
+        assert run(["probe", "--n", "5", "--max-degree", "3"]) == 0
+        assert run(["probe", "--n", "5", "--max-degree", "3"]) == 0
+        assert run(["orbitals", "--n", "5", "--m", "3"]) == 0
+        assert calls == [5]
+        assert run(["orbitals", "--n", "6", "--m", "2"]) == 0
+        assert calls == [5, 6]
+
+    def test_a_given_grid_is_checked_on_every_call(self, monkeypatch):
+        calls = self._count_magic_checks(monkeypatch)
+        basis = mb.build_fourier_basis(5)
+        cli.flat_model.model_from_basis(basis)
+        cli.flat_model.model_from_basis(basis)
+        assert calls == [5, 5]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cached_arrays_are_read_only(self, n):
+        model = cli._model(n)
+        with pytest.raises(ValueError):
+            model.gram[0, 0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            model.basis.xi[0, 0, 0] = 0
+        assert cli._model(n) is model
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_repeated_runs_match_the_cold_run(self, tmp_path, capsys, n):
+        out, csv = tmp_path / "r.json", tmp_path / "m.csv"
+        commands = (["probe", "--n", str(n), "--max-degree", "4"],
+                    ["probe", "--n", str(n), "--max-degree", "3",
+                     "--out", str(out), "--csv", str(csv)],
+                    ["orbitals", "--n", str(n), "--m", "3"],
+                    ["orbitals", "--n", str(n), "--m", "2", "--json"])
+
+        def outputs():
+            seen = []
+            for argv in commands:
+                code = run(argv)
+                seen.append((code, capsys.readouterr()))
+            return seen, out.read_bytes(), csv.read_bytes()
+
+        assert cli._model.cache_info().currsize == 0
+        cold = outputs()
+        assert cli._model.cache_info().misses == 1
+        assert outputs() == cold
+        assert cli._model.cache_info().misses == 1
+
+    def test_cache_is_bounded(self):
+        sweep = range(4, 4 + cli.MODEL_CACHE_SIZE + 3)
+        for n in sweep:
+            cli._model(n)
+            assert cli._model.cache_info().currsize <= cli.MODEL_CACHE_SIZE
+        assert cli._model.cache_info().currsize == cli.MODEL_CACHE_SIZE
+        cli._model(sweep[-1])
+        assert cli._model.cache_info().hits == 1
+
+    @pytest.mark.parametrize("argv", [
+        "probe --n 5 --max-degree 0", "probe --n 5 --tol 2", "probe --n 5 --memory-cap 0",
+        "orbitals --n 5 --m 0", "orbitals --n 5 --m 3 --budget 0",
+        "orbitals --n 5 --m 3 --budget 10",
+    ])
+    def test_refused_options_build_no_model(self, capsys, argv):
+        assert run(argv.split()) in (2, 3)
+        assert "error:" in capsys.readouterr().err
+        assert cli._model.cache_info().misses == 0
+
+
 # Bad inputs of every subcommand, with the exit code and a stderr fragment:
 # 2 for input errors, 3 for resource limits, a refused allocation included.
 # ``{tmp}/missing`` is a directory that does not exist.  The test classes
@@ -323,6 +401,13 @@ EXIT_CODE_CASES = [
     ("basis gen --n 2000 --out {tmp}/b.json", 3, "error: out of memory"),
     ("orbitals --n 2000 --m 1", 3, "error: out of memory"),
     ("probe --n 2000 --max-degree 1", 3, "error: out of memory"),
+    # options are refused before the grid is built, so never as out of memory
+    ("probe --n 2000 --max-degree 0", 2, "error: max_degree must be >= 1"),
+    ("probe --n 2000 --tol 2", 2, "error: tol_converge must lie in (0, 1)"),
+    ("probe --n 2000 --memory-cap 0", 2, "error: memory_cap must be >= 1"),
+    ("orbitals --n 2000 --m 0", 2, "error: m must be >= 1"),
+    ("orbitals --n 2000 --m 3 --budget 0", 2, "error: budget must be >= 1"),
+    ("orbitals --n 2000 --m 3", 3, "error: scan touches"),
 ]
 # From this n on the grid builder raises MemoryError, as numpy does when the
 # host refuses an allocation; the table's rows allocate nothing.
