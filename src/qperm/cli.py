@@ -15,7 +15,8 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource limit.
 Handlers only compute and print; ``main`` maps the exceptions they let
 through to codes 2 and 3, an allocation the host refuses (MemoryError)
 included.  ``probe`` and ``orbitals`` check their options before they build
-a model, and share one flat model per n and process (``_model``).
+a model, ``probe`` on a root-of-unity grid its memory need too, and they
+share one flat model per n and process (``_model``).
 The environment variable QPG_THREADS caps the worker count of the underlying
 BLAS (see the ``qperm`` package docstring).
 """
@@ -222,6 +223,8 @@ def cmd_probe(args) -> int:
     cfg = cp.ProbeConfig(max_degree=args.max_degree,
                          tol_converge=args.tol,
                          memory_cap=args.memory_cap)
+    if args.n >= 5:             # a root-of-unity grid: its need reads n and the degree alone
+        cp.refuse_over_cap(args.n, cfg)
     report = cp.inner_faithfulness_report(_model(args.n), cfg,
                                           progress=_print_degree if args.verbose else None)
     payload = json.dumps(report.to_dict())

@@ -71,19 +71,20 @@ sector (``theta_residual``), else it is solved complex in the same basis, and
 max |T - conj T| once, on the rows at the representatives, which hold every
 entry of T (``mirror_residual``), else every sector is solved itself.
 
-The report reads every field off the lifted orthonormal Vk and never forms
-the limit L = Vk Vk*: trace sum |Vk|^2, row sums Vk (Vk* 1) and entries
-Vk[x] . conj(Vk[y]).  The invariance residual |L T - L|_F adds up over the
-sectors: its square is the sum of ||Y* A_s - Y*||_F^2, with A_s = Q* T_s Q
+On this path the report reads every field off the lifted orthonormal Vk
+and never forms the limit L = Vk Vk*: trace sum |Vk|^2, row sums
+Vk (Vk* 1) and entries Vk[x] . conj(Vk[y]).  The invariance residual
+|L T - L|_F adds up over the sectors: its square is the sum of ||Y* A_s - Y*||_F^2, with A_s = Q* T_s Q
 and Y the kept vectors of sector s in its Theta-real basis.
 
 On the root-of-unity grids the fixed space is an orbit count.  A Gram
 table that passes ``shift_invariant`` and then ``label_graph`` (its 2-D
 DFT equals n on the graph of a permutation f of Z_n and 0 elsewhere, within
 TRACIAL_TOL) makes every shift block, in Fourier labels, the mixture
-(1/n) sum_alpha P_alpha of n label permutations, and ``cesaro_limit`` reads
-the fixed dimension, the gap and Vk off their orbits (``label_orbits``,
-whose docstring holds the proof), never reading the block's entries.
+(1/n) sum_alpha P_alpha of n label permutations.  The report then reads the
+fixed dimension and the gap off their orbits, and the class entries off a
+closed form over the orbits (``label_orbits``, whose docstring holds the
+proof); no row of the block is built and no ``cesaro_limit`` runs.
 
 The orbit path's dense solve grows with the largest orbit, the sector
 path's with R, the number of rotation orbits of the shift block, and at
@@ -100,7 +101,7 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, NamedTuple
 
@@ -137,9 +138,10 @@ class ProbeConfig:
     # times below it (fixed allocations, such as the BLAS buffers, weigh more
     # at small R).  On the orbit path (module docstring) the working set is
     # the label permutations and their orbits, the largest batch of orbit
-    # blocks and, at m <= 4, Vk: 1.1-1.6 times the traced peak at n = 5..7
-    # and degrees 6-10.  A gated grid whose orbit working set exceeds the
-    # cap takes the sector path when that one fits (``_takes_orbits``).
+    # blocks and, at m <= 4, the orbits of all the side labels for the class
+    # entries: 1.1-1.6 times the traced peak at n = 5..7 and degrees 6-10.
+    # A gated grid whose orbit working set exceeds the cap takes the sector
+    # path when that one fits (``_takes_orbits``).
     memory_cap: int = 2 * GIB
     method: ClassVar[str] = "fixed_space"  # the only method; bench/tracing.py reads it
 
@@ -180,18 +182,12 @@ class StateTensor:
     first index is 1.  In the orthonormal basis of shift orbits B is T
     restricted to the shift-invariant vectors, and T vanishes on their
     complement, so row sums, trace, products and the fixed space carry over.
-
-    ``graph``, set only on a shift block of a model whose Gram table passes
-    ``label_graph``, says that the block is the mixture of label permutations
-    of the module docstring; ``cesaro_limit`` then solves it on the label
-    orbits and never reads ``entries``.
     """
 
     n: int
     m: int
     entries: np.ndarray = field(repr=False)
     shift: bool = False
-    graph: LabelGraph | None = None        # set on a gated grid's trace state: see label_graph
 
     @property
     def scale(self) -> int:
@@ -313,12 +309,7 @@ class _GramRows:
     def __init__(self, model: FlatModel, m: int, shift: bool):
         self.model, self.m, self.shift = model, m, shift
         self.shape = (model.n ** (m - shift),) * 2
-
-    @property
-    def tuples(self) -> np.ndarray:
-        """The stored tuples, built on the first row taken (the orbit path
-        takes none)."""
-        return _stored_tuples(self.model.n, self.m, self.shift)
+        self.tuples = _stored_tuples(model.n, m, shift)
 
     def __getitem__(self, rows) -> np.ndarray:
         return self.take(rows)
@@ -544,19 +535,6 @@ def _invariance_defect(A: np.ndarray, Y: np.ndarray) -> float:
     return float(np.vdot(D, D).real)
 
 
-def _orbit_limit(T: StateTensor) -> CesaroResult:
-    """``cesaro_limit`` of a gated grid's shift block, read off its orbit
-    plan: the fixed space is exact, so ``converged`` holds at any tolerance;
-    the limit fixes each P_alpha's orbit indicators exactly, so the
-    invariance residual is 0; the complement's eigenvalue 0 enters the gap."""
-    plan = label_orbits.orbit_plan(T.n, T.m, T.graph.f)
-    return CesaroResult(T.n, T.m, shift=True, converged=True, fixed_dim=plan.fixed,
-                        gap=1.0 - plan.top, vectors=plan.vectors,
-                        sectors=[plan.labels, plan.counts[-1]],
-                        traciality_residual=T.graph.residual, theta_residual=0.0,
-                        mirror_residual=0.0, invariance_residual=0.0)
-
-
 def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult:
     """Limit of (1/r) sum_(s<=r) T^s: the orthogonal projector onto ker(T - I).
 
@@ -587,13 +565,7 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
     kept eigenvectors Vk; the limit Vk Vk* itself is never formed.
     ``invariance_residual`` is |L T - L|_F, summed over the sectors as
     ||Y* T_s - Y*||_F^2 with Y the sector's kept vectors.
-
-    A shift block that carries a ``graph`` (the report sets it on the grids
-    that pass ``label_graph``) is solved on its label orbits instead
-    (``_orbit_limit``), and its entries are never read.
     """
-    if T.graph is not None:
-        return _orbit_limit(T)
     cfg = cfg or ProbeConfig()
     M = T.entries
     side = M.shape[0]
@@ -703,8 +675,8 @@ class DegreeProbe:
     fix_moment_estimate: float             # trace of Vk Vk*; orbits: the count itself
     catalan_target: int
     catalan_residual: float
-    row_sum_error: float                   # orbits: 0.0 above degree 4, where the limit's
-                                           # rows sum to 1 exactly and no Vk is formed
+    row_sum_error: float                   # orbits: 0.0, the rows of an orbit average sum
+                                           # to 1 exactly
     traciality_residual: float             # |T - T rotated|, on the input; orbits: the
                                            # DFT gate's max |g^ - n [beta = f(alpha)]|
     theta_residual: float                  # max |Im Q* T_s Q| over the solved sectors: the
@@ -716,7 +688,8 @@ class DegreeProbe:
     invariance_residual: float             # |L T - L|_F of the tensor, read per sector;
                                            # at least the largest entry of L T - L; orbits:
                                            # 0.0, each P_alpha fixes the orbit indicators
-    class_residuals: dict                  # orbits: read off Vk, formed at m <= 4
+    class_residuals: dict                  # orbits: from the closed form of the limit's
+                                           # entries (``label_orbits.limit_entries``)
 
 
 @dataclass
@@ -746,6 +719,7 @@ class ProbeReport:
 
 class _ClassPlan(NamedTuple):
     tags: tuple                # classes of degree m whose representative fits in n labels
+    pairs: tuple               # 0-based (row tuple, column tuple) of each representative
     rows: np.ndarray           # row and column of each representative's entry
     cols: np.ndarray           # in the stored layout
     exact: tuple               # (numerator, denominator) of each closed form
@@ -754,16 +728,18 @@ class _ClassPlan(NamedTuple):
 
 @functools.cache
 def _class_plan(n: int, m: int, shift: bool) -> _ClassPlan:
-    """Where each class representative of degree m sits in a matrix stored
-    as StateTensor(n, m, ., shift), and its exact Haar value; built once
-    per shape, with read-only arrays."""
+    """Where each class representative of degree m sits: its index tuples,
+    which the orbit path reads, and its entry in a matrix stored as
+    StateTensor(n, m, ., shift), which the sector path reads; and its exact
+    Haar value.  Built once per shape, with read-only arrays."""
     tags = tuple(tag for tag in haar_exact.DEGREE_CLASS_TAGS.get(m, ())
                  if max(map(max, haar_exact.REPRESENTATIVES[tag])) <= n)
     exact = tuple(haar_exact.class_value(tag, n) for tag in tags)
     pairs = np.array([haar_exact.REPRESENTATIVES[tag] for tag in tags],
                      dtype=int).reshape(len(tags), m, 2) - 1
     layout = StateTensor(n, m, None, shift)
-    plan = _ClassPlan(tags, layout.index(pairs[..., 0]), layout.index(pairs[..., 1]),
+    tuples = tuple(tuple(map(tuple, p)) for p in pairs.transpose(0, 2, 1).tolist())
+    plan = _ClassPlan(tags, tuples, layout.index(pairs[..., 0]), layout.index(pairs[..., 1]),
                       tuple((e.numerator, e.denominator) for e in exact),
                       np.array([complex(e) for e in exact], dtype=complex))
     for array in (plan.rows, plan.cols, plan.values):
@@ -771,11 +747,9 @@ def _class_plan(n: int, m: int, shift: bool) -> _ClassPlan:
     return plan
 
 
-def _class_residuals(T: StateTensor, Vk: np.ndarray) -> dict:
+def _class_residuals(plan: _ClassPlan, est: np.ndarray) -> dict:
     """|limit entry - exact closed form| for every class representative of
-    degree m, keyed by class tag; the limit Vk Vk* is stored like T."""
-    plan = _class_plan(T.n, T.m, T.shift)
-    est = np.einsum("ij,ij->i", Vk[plan.rows], Vk[plan.cols].conj()) / T.scale
+    the plan, keyed by class tag, from the limit's entries ``est`` there."""
     return {tag: {"estimate": [re, im], "exact": list(exact), "residual": residual}
             for tag, re, im, exact, residual in zip(
                 plan.tags, est.real.tolist(), est.imag.tolist(), plan.exact,
@@ -803,17 +777,16 @@ def _working_set(n: int, m: int, shift: bool, orbits: bool = False) -> int:
     (``_workspace_entries``), counted apart from C, though a single batch
     holds C in it.  On the orbit path: the n label permutations of the
     all-perp labels (``label_orbits.label_perms``), their build and their
-    orbits, ORBIT_WORK words per candidate label; twice the entries of the largest
-    batch of orbit blocks; and, at degrees with class residuals, the
-    permutations of all side labels and Vk, at most side x side, and its
-    DFT batch."""
+    orbits, ORBIT_WORK words per candidate label; twice the entries of the
+    largest batch of orbit blocks; and, at degrees with class residuals, the
+    same for all the side labels, whose orbits give the class entries
+    (``label_orbits.limit_entries``)."""
     if orbits:
         labels = (n - 1) ** (m - 1)                # candidates, at least the all-perp labels
         largest = min(labels, label_orbits.orbit_bound(n, m))
         need = 8 * (n + ORBIT_WORK) * labels + 16 * max(label_orbits.GAP_BATCH, largest ** 2)
         if m in haar_exact.DEGREE_CLASS_TAGS:
-            side = n ** (m - 1)
-            need += 8 * (n + ORBIT_WORK) * side + 16 * side ** 2 + 48 * label_orbits.GAP_BATCH
+            need += 8 * (n + ORBIT_WORK) * n ** (m - 1)
         return need
     side = n ** (m - 1 if shift else m)
     R = _orbit_count(n, m, shift)
@@ -839,6 +812,24 @@ def _takes_orbits(n: int, m: int, cap: int) -> bool:
     return label_orbits.orbit_bound(n, m) <= ORBIT_SIDE * _orbit_count(n, m, True)
 
 
+def refuse_over_cap(n: int, cfg: ProbeConfig, shift: bool = True,
+                    orbits: bool | None = None) -> None:
+    """Raise MemoryCap when the probe of degree max_degree needs more than
+    memory_cap (``_working_set``) on the path that ``shift`` and ``orbits``
+    name.  With ``orbits`` None, on the shift-block path ``_takes_orbits``
+    picks: the least need of any path the report can take at n (a full
+    tensor never needs less than its shift block), so that the check reads
+    n and the degree alone, and what it refuses the report refuses too."""
+    m, cap = cfg.max_degree, cfg.memory_cap
+    if orbits is None:
+        orbits = _takes_orbits(n, m, cap)
+    need = _working_set(n, m, shift, orbits)
+    if need > cap:
+        what = "label permutations and orbits" if orbits else "sector blocks and rows"
+        raise MemoryCap(f"degree {m} needs about {need} bytes for its {what} "
+                        f"> cap {cap}; refusing up front")
+
+
 def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
                               progress: Callable | None = None) -> ProbeReport:
     """Run the probe at degrees 1..max_degree and aggregate the evidence.
@@ -856,79 +847,75 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
     the same as on the full tensors.  Each degree is solved from its
     ``gram_state``, so no matrix of the solved side squared is built.  When
     the table also passes ``label_graph`` (evaluated once per call) and
-    ``_takes_orbits`` picks the orbit path for max_degree, every degree's
-    shift block carries the label permutation, and ``cesaro_limit`` solves
-    it on the label orbits; the fix moment is then the exact count.
+    ``_takes_orbits`` picks the orbit path for max_degree, every degree is
+    read off its ``label_orbits.orbit_plan`` and the class entries off
+    ``label_orbits.limit_entries``; the fix moment is then the exact count.
     ``progress``, when given, is called after each degree with its
     ``DegreeProbe``, the number of rotation-orbit representatives (None on
     the orbit path) and the seconds the degree took.
     """
     cfg = cfg or ProbeConfig()
+    n = model.n
     shift = shift_invariant(model.gram)
     graph = label_graph(model.gram) if shift else None
-    if graph is not None and not _takes_orbits(model.n, cfg.max_degree, cfg.memory_cap):
+    if graph is not None and not _takes_orbits(n, cfg.max_degree, cfg.memory_cap):
         graph = None
-    need = _working_set(model.n, cfg.max_degree, shift, graph is not None)
-    if need > cfg.memory_cap:
-        what = "label permutations and orbits" if graph else "sector blocks and rows"
-        raise MemoryCap(f"degree {cfg.max_degree} needs about {need} bytes for its "
-                        f"{what} > cap {cfg.memory_cap}; refusing up front")
+    refuse_over_cap(n, cfg, shift, graph is not None)
     degrees = []
     worst_residual = 0.0
     verdict = None
     for m in range(1, cfg.max_degree + 1):
         start = time.perf_counter()
-        T = gram_state(model, m, shift)
+        classes = _class_plan(n, m, shift)
         if graph is not None:
-            T = replace(T, graph=graph)
-        result = cesaro_limit(T, cfg)
-        Vk = result.vectors
-        if graph is not None:                      # the count is exact
-            est = float(result.fixed_dim)
-        else:                                      # trace of Vk Vk*, real
-            est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))
+            plan = label_orbits.orbit_plan(n, m, graph.f)
+            entries = label_orbits.limit_entries(n, m, graph.f, classes.pairs) \
+                if classes.tags else classes.values     # no class: both are empty
+            est, reps = float(plan.fixed), None    # the count is exact
+            path = dict(reduction="orbits", block_size=n ** (m - 1),
+                        sectors=[plan.labels, plan.counts[-1]], converged=True,
+                        fixed_space_dim=plan.fixed, spectral_gap=1.0 - plan.top,
+                        row_sum_error=0.0, traciality_residual=graph.residual,
+                        theta_residual=0.0, mirror_residual=0.0, invariance_residual=0.0)
+        else:
+            T = gram_state(model, m, shift)
+            result = cesaro_limit(T, cfg)
+            Vk = result.vectors
+            entries = np.einsum("ij,ij->i", Vk[classes.rows], Vk[classes.cols].conj()) / T.scale
+            est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))     # trace of Vk Vk*, real
+            reps = None if progress is None else \
+                _sector_plan(n, m, shift, len(result.sectors)).reps.size
+            path = dict(reduction="shift" if shift else "none", block_size=T.entries.shape[0],
+                        sectors=result.sectors, converged=result.converged,
+                        fixed_space_dim=result.fixed_dim, spectral_gap=result.gap,
+                        row_sum_error=float(np.abs(Vk @ Vk.sum(axis=0).conj() - 1.0).max()),
+                        traciality_residual=result.traciality_residual,
+                        theta_residual=result.theta_residual,
+                        mirror_residual=result.mirror_residual,
+                        invariance_residual=result.invariance_residual)
         target = haar_exact.catalan(m)
-        residual = abs(est - target)
-        degrees.append(DegreeProbe(
-            m=m,
-            reduction="orbits" if graph is not None else "shift" if T.shift else "none",
-            block_size=T.entries.shape[0],
-            sectors=result.sectors,
-            converged=result.converged,
-            fixed_space_dim=result.fixed_dim,
-            spectral_gap=result.gap,
-            fix_moment_estimate=est,
-            catalan_target=target,
-            catalan_residual=residual,
-            # no Vk above degree 4 on the orbit path, where the limit's rows
-            # sum to 1 exactly and no class has a closed form
-            row_sum_error=0.0 if Vk is None else
-            float(np.abs(Vk @ Vk.sum(axis=0).conj() - 1.0).max()),
-            traciality_residual=result.traciality_residual,
-            theta_residual=result.theta_residual,
-            mirror_residual=result.mirror_residual,
-            invariance_residual=result.invariance_residual,
-            class_residuals={} if Vk is None else _class_residuals(T, Vk),
-        ))
+        degree = DegreeProbe(m=m, fix_moment_estimate=est, catalan_target=target,
+                             catalan_residual=abs(est - target),
+                             class_residuals=_class_residuals(classes, entries), **path)
+        degrees.append(degree)
         if progress is not None:
-            reps = None if graph is not None else \
-                _sector_plan(T.n, m, T.shift, len(result.sectors)).reps.size
-            progress(degrees[-1], reps, time.perf_counter() - start)
-        worst_residual = max(worst_residual, residual)
-        if verdict is None and not result.converged:
+            progress(degree, reps, time.perf_counter() - start)
+        worst_residual = max(worst_residual, degree.catalan_residual)
+        fixed = degree.fixed_space_dim
+        if verdict is None and not degree.converged:
             verdict = (f"inconclusive at degree {m}: not every eigenvalue of the "
-                       f"{result.fixed_dim}-dimensional fixed space lies within "
+                       f"{fixed}-dimensional fixed space lies within "
                        f"{cfg.tol_converge:.2e} of 1")
-        elif verdict is None and model.n >= 4 and result.fixed_dim < target:
-            verdict = (f"inconclusive at degree {m}: {result.fixed_dim} eigenvalues "
+        elif verdict is None and n >= 4 and fixed < target:
+            verdict = (f"inconclusive at degree {m}: {fixed} eigenvalues "
                        f"passed the cut 1 - sqrt(tol), fewer than the C_{m} = {target} "
                        f"that every model at n >= 4 fixes")
-        elif verdict is None and result.fixed_dim != target:
-            verdict = (f"deviates at degree {m} by {residual:.6g} "
+        elif verdict is None and fixed != target:
+            verdict = (f"deviates at degree {m} by {degree.catalan_residual:.6g} "
                        f"(fix-moment estimate vs Catalan target)")
     if verdict is None:
         verdict = (f"consistent with inner faithfulness up to degree "
                    f"{cfg.max_degree} at tolerance {max(worst_residual, cfg.tol_converge):.2e}")
-    return ProbeReport(n=model.n, basis_kind=model.basis.kind,
+    return ProbeReport(n=n, basis_kind=model.basis.kind,
                        degrees=degrees, verdict=verdict,
                        tol_converge=cfg.tol_converge)

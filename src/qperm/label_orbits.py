@@ -48,11 +48,15 @@ vertices, an injection up to translation, so an orbit has at most
 the largest orbit meets the bound at every n = 5..10, m <= 6 checked.  The
 orbit path (``orbit_plan``) forms the n permutations of the all-perp
 labels, finds their orbits by label propagation and the gap by one
-``eigvalsh`` per batch of orbits of one size; at the degrees with class residuals (m <= 4) it also forms Vk,
-the normalized indicators of the orbits of all n^(m-1) labels with sum 0,
-taken to the shift block by the (m-1)-fold DFT: the block's row
-(x_2 - x_1, ..., x_m - x_1) reads n^(-(m-1)/2) omega^(a_2 x_2 + ... + a_m x_m)
-of phi_a at x_1 = 0.  Above degree 4 nothing of the stored side is formed.
+``eigvalsh`` per batch of orbits of one size.  Nothing of the stored side
+is formed.  Entries of the limit come in closed form (``limit_entries``):
+phi_a(x) = n^(-m/2) omega^(a.x) takes the orbit average to
+
+    L[x, y] = n^(-m) sum_o |o|^(-1) A_o(x) conj A_o(y),
+    A_o(x) = sum_(a in o) omega^(a.x),
+
+over the orbits o of all n^(m-1) labels with sum 0, and a.x depends only on
+the differences x_t - x_1, as sum a = 0.
 """
 
 from __future__ import annotations
@@ -62,8 +66,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-from . import haar_exact
 
 GAP_BATCH = 2 ** 20                        # entries of the orbit blocks one eigvalsh solves
 
@@ -90,7 +92,6 @@ class OrbitPlan(NamedTuple):
     fixed: int                 # sum_k C(m, k) f_k, the fixed dimension
     top: float                 # largest second eigenvalue of (P + P^T)/2 on the all-perp
                                # orbits of every degree <= m; 0.0 when none has two labels
-    vectors: np.ndarray | None     # Vk in the shift-block layout where m has class residuals
 
 
 def label_perms(n: int, m: int, f: tuple, perp: bool) -> np.ndarray:
@@ -173,39 +174,36 @@ def second_eigenvalue(P: np.ndarray, orbit: np.ndarray) -> float:
     return top
 
 
-def orbit_vectors(n: int, m: int, f: tuple) -> np.ndarray:
-    """Vk of the orbit path in the shift-block layout: the indicator
-    1_o / sqrt|o| of each orbit o of the n^(m-1) labels with sum 0, taken to
-    the stored rows by the (m-1)-fold n-point DFT X <- n^(-(m-1)/2)
-    sum_a omega^(a_2 X_2 + ... + a_m X_m), ``GAP_BATCH`` entries of
-    indicators at a time; read-only."""
-    side = n ** (m - 1)
+@functools.cache
+def limit_entries(n: int, m: int, f: tuple, pairs: tuple) -> np.ndarray:
+    """L[x, y] of the module docstring at each pair (x, y) of 0-based index
+    m-tuples in ``pairs``, on a grid that passed ``label_graph`` with
+    permutation f: the orbits of all the labels with sum 0, then
+    A_o(x) for each distinct x - x_1 among the tuples; read-only."""
     orbit = orbits(label_perms(n, m, f, perp=False))
-    reps = np.flatnonzero(orbit == np.arange(side))
-    column = np.searchsorted(reps, orbit)
-    weight = 1 / np.sqrt(np.bincount(orbit, minlength=side)[orbit])
-    Vk = np.empty((side, reps.size), dtype=complex)
-    step = max(1, GAP_BATCH // side)
-    for first in range(0, reps.size, step):
-        chunk = min(step, reps.size - first)
-        V = np.zeros((side, chunk), dtype=complex)
-        mine = (column >= first) & (column < first + chunk)
-        V[mine, column[mine] - first] = weight[mine]
-        V = V.reshape((n,) * (m - 1) + (chunk,))
-        for _ in range(m - 1):                     # label axis a_t out, place axis X_t in
-            V = np.tensordot(V, root_table(n), axes=(0, 0))
-        Vk[:, first:first + chunk] = V.reshape(chunk, side).T
-    Vk *= n ** (-(m - 1) / 2)
-    Vk.flags.writeable = False
-    return Vk
+    size = np.bincount(orbit)
+    reps = np.flatnonzero(size)
+    column = np.searchsorted(reps, orbit)           # the orbit of each label
+    digits = np.indices((n,) * (m - 1)).reshape(m - 1, n ** (m - 1))   # a_2..a_m of each label
+    xy = np.array(pairs, dtype=np.intp).reshape(-1, m)
+    moved, where = np.unique((xy[:, 1:] - xy[:, :1]) % n, axis=0, return_inverse=True)
+    A = np.empty((len(moved), reps.size), dtype=complex)
+    for k, x in enumerate(moved):                   # a.x = a_2 (x_2 - x_1) + ...
+        phase = root_table(n)[1][x @ digits % n]
+        A[k] = np.bincount(column, phase.real, reps.size) + \
+            1j * np.bincount(column, phase.imag, reps.size)
+    x, y = where.reshape(-1, 2).T
+    L = ((A / size[reps]) @ A.conj().T)[x, y] / n ** m
+    L.flags.writeable = False
+    return L
 
 
 @functools.cache
 def orbit_plan(n: int, m: int, f: tuple) -> OrbitPlan:
-    """Labels, orbits, fixed dimension, gap and (where m has class
-    residuals) Vk of degree m on a grid that passed ``label_graph`` with
-    permutation f.  They depend on (n, m, f) alone, so each is built once
-    per process, from the plan of degree m - 1; the arrays are read-only."""
+    """Labels, orbits, fixed dimension and gap of degree m on a grid that
+    passed ``label_graph`` with permutation f.  They depend on (n, m, f)
+    alone, so each is built once per process, from the plan of degree
+    m - 1; the arrays are read-only."""
     prev = orbit_plan(n, m - 1, f) if m > 1 else None
     P = label_perms(n, m, f, perp=True)
     orbit = orbits(P)
@@ -214,5 +212,4 @@ def orbit_plan(n: int, m: int, f: tuple) -> OrbitPlan:
     counts = (prev.counts if prev else (1,)) + (count,)    # f_0 = 1: the all-zero label
     top = max(prev.top if prev else 0.0, second_eigenvalue(P, orbit))
     return OrbitPlan(orbit.size, orbit, counts,
-                      sum(math.comb(m, k) * c for k, c in enumerate(counts)), top,
-                      orbit_vectors(n, m, f) if m in haar_exact.DEGREE_CLASS_TAGS else None)
+                      sum(math.comb(m, k) * c for k, c in enumerate(counts)), top)

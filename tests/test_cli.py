@@ -249,12 +249,12 @@ class TestProbeCommand:
                           "(fix-moment estimate vs Catalan target)")
 
     def test_orbit_path_over_the_cap_falls_back(self, capsys):
-        # n = 10, degree 4 under a 50 MB cap: the orbit path needs 83 MB, the
-        # sector path 29 MB
-        argv = ["probe", "--n", "10", "--max-degree", "4"]
+        # n = 8, degree 4 under a 10^7-byte cap: the orbit path needs 16.9 MB,
+        # the sector path 7.9 MB
+        argv = ["probe", "--n", "8", "--max-degree", "4"]
         assert run(argv) == 0
         orbits = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
-        assert run(argv + ["--memory-cap", "50000000"]) == 0
+        assert run(argv + ["--memory-cap", "10000000"]) == 0
         sectors = json.loads(capsys.readouterr().out.splitlines()[0])["degrees"]
         assert [d["reduction"] for d in orbits] == ["orbits"] * 4
         assert [d["reduction"] for d in sectors] == ["shift"] * 4
@@ -269,6 +269,16 @@ class TestProbeCommand:
         assert run(["probe", "--n", "4", "--max-degree", "8"]) == 3
         assert run(["probe", "--n", "5", "--max-degree", "14"]) == 3
         assert "label permutations and orbits > cap" in capsys.readouterr().err
+
+    def test_refused_before_the_grid_is_built(self, capsys, monkeypatch):
+        # the root-of-unity grid's need reads n and the degree alone: at
+        # n = 60 both paths need more than the default cap at degree 4
+        monkeypatch.setattr(cli, "_model", lambda n: pytest.fail("built the grid"))
+        assert run(["probe", "--n", "60"]) == 3
+        assert "bytes for its sector blocks and rows > cap" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert run(["probe", "--n", "60"]) == 3
+        assert cli._model.cache_info().currsize == 0
 
     def test_verbose_prints_one_line_per_degree(self, capsys):
         assert run(["probe", "--n", "5", "--max-degree", "3"]) == 0

@@ -979,13 +979,17 @@ class TestReportOutput:
         report = cp.inner_faithfulness_report(_model(n), cp.ProbeConfig(max_degree=max_degree))
         assert json.dumps(report.to_dict()) == json.dumps(tensor_ops.report_to_dict(report))
 
+    @pytest.mark.usefixtures("sector_path")
     @pytest.mark.parametrize("n,max_degree", [(4, 4), (5, 4), (6, 4), (7, 3)])
     def test_class_residuals_match_per_tag(self, n, max_degree):
+        # the report's class residuals on the sector path, against one dot
+        # product of the same solve's Vk per class
         model = _model(n)
-        for m in range(1, max_degree + 1):
-            T = cp.trace_state(model, m, n != 4)
-            Vk = cp.cesaro_limit(T).vectors
-            got, ref = cp._class_residuals(T, Vk), tensor_ops.class_residuals_per_tag(T, Vk)
+        report = cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=max_degree))
+        for degree in report.degrees:
+            T = cp.gram_state(model, degree.m, n != 4)
+            got = degree.class_residuals
+            ref = tensor_ops.class_residuals_per_tag(T, cp.cesaro_limit(T).vectors)
             assert list(got) == list(ref)
             for tag, info in got.items():
                 assert info["exact"] == ref[tag]["exact"]
@@ -996,6 +1000,7 @@ class TestReportOutput:
         plan = cp._class_plan(6, 4, True)
         assert cp._class_plan(6, 4, True) is plan
         assert plan.tags == hx.DEGREE_CLASS_TAGS[4]
+        assert plan.pairs[3] == ((0, 1, 0, 1), (0, 1, 2, 3))      # a4 = u11 u22 u13 u24
         for array in (plan.rows, plan.cols, plan.values):
             with pytest.raises(ValueError):
                 array[0] = array[0]
@@ -1128,8 +1133,9 @@ class TestOrbitPath:
             plan = lo.orbit_plan(n, m, f)
             assert plan.labels == _perp_label_count(n, m)
             assert plan.fixed == _sn_count(n, m), (n, m)
-            if plan.vectors is not None:           # as many orbits of all the labels
-                assert plan.vectors.shape == (n ** (m - 1), plan.fixed)
+            if n ** (m - 1) <= 10 ** 5:            # as many orbits of all the labels
+                every = lo.orbits(lo.label_perms(n, m, f, perp=False))
+                assert np.count_nonzero(every == np.arange(every.size)) == plan.fixed
 
     @pytest.mark.parametrize("n,max_degree", _ADMITTED)
     def test_matches_the_sector_path(self, n, max_degree):
@@ -1156,37 +1162,44 @@ class TestOrbitPath:
 
     @pytest.mark.parametrize("n,m", [(5, 4), (6, 3), (8, 4)])
     def test_vectors_are_the_sector_paths_fixed_space(self, n, m):
-        # the same projector, whatever basis of it each path keeps
-        Vk = lo.orbit_plan(n, m, _graph(n).f).vectors
-        assert np.abs(Vk.conj().T @ Vk - np.eye(Vk.shape[1])).max() < 1e-13
-        ref = cp.cesaro_limit(cp.gram_state(_fourier_model(n), m, True))
-        assert np.abs(Vk @ Vk.conj().T - tensor_ops.limit_of(ref).entries).max() < 1e-12
+        # the closed form L[x, y] at every entry of the shift block, against
+        # the projector onto the sector path's fixed space
+        ref = tensor_ops.limit_of(cp.cesaro_limit(cp.gram_state(_fourier_model(n), m, True)))
+        tuples = ref.tuples().tolist()
+        pairs = tuple((tuple(x), tuple(y)) for x in tuples for y in tuples)
+        L = lo.limit_entries(n, m, _graph(n).f, pairs).reshape(ref.entries.shape)
+        lo.limit_entries.cache_clear()
+        assert np.abs(L - ref.entries / ref.scale).max() < 1e-12
 
     def test_no_stored_vector_above_degree_four(self, monkeypatch):
+        # nor at or below it: every degree is read off the orbit plan and the
+        # closed form of the class entries, and no solve of the stored side runs
         def refuse(*args):
             raise AssertionError("the probe built a matrix or rows of the stored side")
 
-        for name in ("trace_state", "_stored_tuples", "_sector_plan"):
+        for name in ("gram_state", "trace_state", "_stored_tuples", "_sector_plan",
+                     "cesaro_limit"):
             monkeypatch.setattr(cp, name, refuse)
-        formed = []
-        vectors = lo.orbit_vectors
-        monkeypatch.setattr(lo, "orbit_vectors", lambda n, m, f: formed.append(m)
-                            or vectors(n, m, f))
         lo.orbit_plan.cache_clear()
+        lo.limit_entries.cache_clear()
         report = cp.inner_faithfulness_report(_fourier_model(5), cp.ProbeConfig(max_degree=7))
-        assert formed == [1, 2, 3, 4]
+        assert [d.reduction for d in report.degrees] == ["orbits"] * 7
         assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15, 52, 202, 855]
-        assert [d.row_sum_error for d in report.degrees][4:] == [0.0] * 3
-        assert [d.class_residuals for d in report.degrees][4:] == [{}] * 3
+        assert [d.row_sum_error for d in report.degrees] == [0.0] * 7
+        assert [len(d.class_residuals) for d in report.degrees] == [1, 1, 1, 7, 0, 0, 0]
 
     def test_plan_is_cached_and_read_only(self):
         f = _graph(6).f
         for m in (1, 2, 4, 5):
             plan = lo.orbit_plan(6, m, f)
             assert lo.orbit_plan(6, m, f) is plan
-            assert (plan.vectors is None) == (m > 4)
-            for array in (plan.orbit, plan.vectors):
-                if array is not None and array.size:
+            arrays = [plan.orbit]
+            if m <= 4:                             # the cached class entries
+                pairs = cp._class_plan(6, m, True).pairs
+                arrays.append(lo.limit_entries(6, m, f, pairs))
+                assert lo.limit_entries(6, m, f, pairs) is arrays[-1]
+            for array in arrays:
+                if array.size:
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):
                         array.flat[0] = array.flat[0]
@@ -1233,7 +1246,8 @@ class TestOrbitPath:
         (6, 4, True), (14, 4, True), (10, 5, True),    # bound <= 2.5 R, both fit
         (15, 4, False), (20, 4, False), (19, 3, False),    # bound > 2.5 R
         (5, 10, True), (7, 6, True),                   # the sector path over the cap
-        (21, 4, False),                                # the orbit path over the cap
+        (21, 4, False),                                # both fit, bound 2.9 R
+        (24, 4, True),                                 # the sector path over the cap
     ])
     def test_path_choice(self, n, m, orbits):
         assert cp._takes_orbits(n, m, cp.ProbeConfig().memory_cap) is orbits
@@ -1243,7 +1257,7 @@ class TestOrbitPath:
         assert orbits == (fits[0] and (not fits[1] or bound <= 2.5 * R))
 
     def test_neither_path_fits_reports_the_smaller(self):
-        # the orbit path's floor of batch buffers is about 67 MB, so at a
+        # the orbit path's floor of batch buffers is about 17 MB, so at a
         # 1000-byte cap the smaller need of n = 6, degree 4 is the sector one
         assert not cp._takes_orbits(6, 4, 1000)
         assert cp._takes_orbits(5, 9, 1000)
@@ -1254,19 +1268,25 @@ class TestOrbitPath:
                                                  (7, 6, False), (8, 4, False), (5, 4, True),
                                                  (8, 4, True), (12, 4, True)])
     def test_working_set_bounds_the_traced_peak(self, n, m, commutative):
-        # the plan of degree m, the lower ones built; the commutative grid
-        # xi_ij = e_(j-i) also passes the gate, with f = -id: every label is
-        # its own orbit, so Vk is side x side
+        # the plan of degree m, the lower ones built, and its class entries;
+        # the commutative grid xi_ij = e_(j-i) also passes the gate, with
+        # f = -id: every label is its own orbit, so the class entries sum
+        # over side orbits
         f = tuple(-a % n for a in range(n)) if commutative else _graph(n).f
+        pairs = cp._class_plan(n, m, True).pairs
         lo.orbit_plan.cache_clear()
+        lo.limit_entries.cache_clear()
         for d in range(1, m):
             lo.orbit_plan(n, d, f)
         tracemalloc.start()
         try:
             plan = lo.orbit_plan(n, m, f)
+            if pairs:
+                lo.limit_entries(n, m, f, pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         lo.orbit_plan.cache_clear()
+        lo.limit_entries.cache_clear()
         assert plan.fixed == (n ** (m - 1) if commutative else _sn_count(n, m))
         assert peak <= cp._working_set(n, m, True, True), (peak, n, m)
