@@ -74,8 +74,9 @@ entry of T (``mirror_residual``), else every sector is solved itself.
 On this path the report reads every field off the lifted orthonormal Vk
 and never forms the limit L = Vk Vk*: trace sum |Vk|^2, row sums
 Vk (Vk* 1) and entries Vk[x] . conj(Vk[y]).  The invariance residual
-|L T - L|_F adds up over the sectors: its square is the sum of ||Y* A_s - Y*||_F^2, with A_s = Q* T_s Q
-and Y the kept vectors of sector s in its Theta-real basis.
+|L T - L|_F adds up over the sectors: its square is the sum of
+||Y* A_s - Y*||_F^2, with A_s = Q* T_s Q and Y the kept vectors of sector
+s in its Theta-real basis.
 
 On the root-of-unity grids the fixed space is an orbit count.  A Gram
 table that passes ``shift_invariant`` and then ``label_graph`` (its 2-D
