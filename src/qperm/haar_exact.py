@@ -45,7 +45,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -285,19 +287,23 @@ def _diagonal_sum(n: int, k: int, value, distinct_only_pairs: bool = False) -> F
 
 @dataclass(frozen=True)
 class BoundsTable:
-    """Open intervals (lower, upper) for the seven degree-4 classes."""
+    """Open intervals (lower, upper) for the seven degree-4 classes, in a
+    read-only mapping, as ``exotic_bounds`` hands out one table per n."""
 
     n: int
-    intervals: dict[str, tuple[Fraction, Fraction]]
+    intervals: Mapping[str, tuple[Fraction, Fraction]]
 
 
+@functools.lru_cache(maxsize=64)
 def exotic_bounds(n: int) -> BoundsTable:
     """Bounds valid for any quantum permutation group with free three-orbitals.
 
     Positivity of a1 = h(|u22 u11 u22|^2) and a2 = h(|u22 u11 u23|^2) confines
     the parameter to a4 in (-(n-4)!/n!, 0); pushing the window through the
     affine table ``degree4_affine`` bounds every class.  Requires n >= 5 (the
-    window collapses against the n = 4 boundary).
+    window collapses against the n = 4 boundary).  The table depends on n
+    alone, so it is built once per n and process; a caller that sweeps n
+    keeps the last 64.
     """
     if n < 5:
         raise DimensionTooSmall("exotic bounds need n >= 5")
@@ -306,7 +312,7 @@ def exotic_bounds(n: int) -> BoundsTable:
     for tag, (c, s) in degree4_affine(n).items():
         lo, hi = sorted((c + s * window[0], c + s * window[1]))
         intervals[tag] = (lo, hi)
-    return BoundsTable(n=n, intervals=intervals)
+    return BoundsTable(n=n, intervals=types.MappingProxyType(intervals))
 
 
 def fix4_exotic_bound(n: int) -> Fraction:

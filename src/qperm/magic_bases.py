@@ -62,8 +62,10 @@ class MagicBasis:
     """An n x n grid of vectors in C^n, ``xi[i-1, j-1]`` being the (i, j) entry.
 
     ``exact_thirds`` carries integer numerators over denominator 3 when the
-    grid has exact rational coordinates (the 4x4 construction), enabling
-    exact Gram values in tests; it is None for the root-of-unity grids.
+    grid has exact rational coordinates (the 4x4 construction).
+    ``gram_table`` reads them in place of ``xi``, and ``exact_vector`` gives
+    them as ``Fraction`` values.  It is None for the root-of-unity grids and
+    for grids read from a file.
     """
 
     n: int
@@ -140,8 +142,21 @@ def gram(basis: MagicBasis, a: IndexPair, b: IndexPair) -> complex:
 
 
 def gram_table(basis: MagicBasis) -> np.ndarray:
-    """All inner products at once, shape (n, n, n, n): G[i-1,j-1,k-1,l-1]."""
-    return np.einsum("ijp,klp->ijkl", basis.xi.conj(), basis.xi)
+    """All inner products at once, shape (n, n, n, n): G[i-1,j-1,k-1,l-1].
+
+    The table is one matrix product X* X^T of the n^2 x n grid matrix X.  A
+    grid with ``exact_thirds`` takes the product of its integer thirds
+    instead, divided once by 9, so each entry is its exact value rounded
+    once.  Entries too large for a float come out inf or NaN without a
+    warning, and the checks flag them.
+    """
+    n = basis.n
+    if basis.exact_thirds is not None:
+        t = np.array(basis.exact_thirds, dtype=np.int64).reshape(n * n, n)
+        return (t @ t.T / 9).astype(complex).reshape(n, n, n, n)
+    x = basis.xi.reshape(n * n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x.conj() @ x.T).reshape(n, n, n, n)
 
 
 def fourier_case(a: IndexPair, b: IndexPair, n: int) -> str:

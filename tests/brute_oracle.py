@@ -11,7 +11,9 @@ and shares no code with ``qperm``:
 * ``flat_scan`` multiplies Gram magnitudes along all n^(2m) words of
   length m, one leading pair at a time;
 * ``fourier_basis_loop`` builds the root-of-unity grid one coordinate at a
-  time, each from its own ``cmath.exp``.
+  time, each from its own ``cmath.exp``;
+* ``gram_einsum`` sums the n coordinate products of every inner product by
+  ``np.einsum``, with no matrix product.
 """
 
 import cmath
@@ -156,3 +158,8 @@ def fourier_basis_loop(n):
                     k = (p * (i - j)) % n
                 xi[i - 1, j - 1, p - 1] = root * cmath.exp(2j * math.pi * k / n)
     return xi
+
+
+def gram_einsum(xi):
+    """The (n, n, n, n) table of <xi_ij, xi_kl> from the (n, n, n) grid xi."""
+    return np.einsum("ijp,klp->ijkl", xi.conj(), xi)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +72,18 @@ class TestBasisCommands:
         path.write_text(json.dumps(data))
         assert run(["basis", "verify", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_verify_overflowing_file_fails_quietly(self, tmp_path):
+        # finite coordinates whose products overflow: <xi_11, xi_11> = 1e400
+        e1, e2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        xi = [[[[1e200, 0.0], [0.0, 0.0]], e2], [e2, e1]]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n": 2, "xi": xi}))
+        out, err, code = _fresh_process(["basis", "verify", str(path)], tmp_path)
+        assert (code, err) == (1, "")
+        assert "violation (1, 1) vs (1, 1)" in out
+        residual = out.split("max residual ")[1].split(")")[0]
+        assert not math.isfinite(float(residual))
 
     def test_round_trip_bit_for_bit(self, tmp_path):
         path = tmp_path / "b6.json"

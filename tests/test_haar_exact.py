@@ -255,6 +255,14 @@ class TestBounds:
         with pytest.raises(DimensionTooSmall):
             hx.exotic_bounds(4)
 
+    def test_one_read_only_table_per_n(self):
+        bounds = hx.exotic_bounds(7)
+        assert hx.exotic_bounds(7) is bounds
+        assert hx.exotic_bounds(8) is not bounds
+        with pytest.raises(TypeError):
+            bounds.intervals["a4"] = (Fraction(0), Fraction(1))
+        assert bounds.intervals["a4"] == (Fraction(-1, 840), Fraction(0))
+
     @pytest.mark.parametrize("n", [5, 6, 9])
     def test_fix4_bound(self, n):
         bound = hx.fix4_exotic_bound(n)
@@ -380,6 +388,7 @@ class TestClassicalOracle:
             raise AssertionError("math.factorial called")
 
         monkeypatch.setattr(math, "factorial", refuse)
+        hx.exotic_bounds.cache_clear()           # build the tables again
         assert values() == expected
 
 

@@ -120,6 +120,57 @@ class TestFourierBasis:
                 assert 1e-12 < abs(g) <= 4 / n + 1e-12
 
 
+@st.composite
+def _unit_grids(draw):
+    """An (n, n, n) grid of random unit vectors, n = 1..12: complex or real,
+    C-contiguous or a strided view of a larger array."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    real = draw(st.booleans())
+    xi = rng.standard_normal((n, n, 2 * n))
+    if not real:
+        xi = xi + 1j * rng.standard_normal((n, n, 2 * n))
+    xi /= np.linalg.norm(xi, axis=2, keepdims=True) / math.sqrt(2)
+    return xi[:, :, ::2] if draw(st.booleans()) else np.ascontiguousarray(xi[:, :, :n])
+
+
+class TestGramTable:
+    """The one-product table against the einsum oracle and the exact values."""
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_fourier_matches_oracle_and_closed_form(self, n):
+        basis = mb.build_fourier_basis(n)
+        G = mb.gram_table(basis)
+        assert G.shape == (n, n, n, n)
+        assert np.abs(G - brute_oracle.gram_einsum(basis.xi)).max() < 1e-14
+        rng = np.random.default_rng(n)
+        for i, j, k, l in rng.integers(1, n + 1, (2000, 4)).tolist():
+            want = tensor_ops.fourier_gram_closed_form(n, (i, j), (k, l))
+            assert abs(G[i - 1, j - 1, k - 1, l - 1] - want) < 1e-14
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_unit_grids())
+    @example(np.arange(1.0, 28.0).reshape(3, 3, 3) / 10)                 # real
+    @example(np.asfortranarray(mb.build_fourier_basis(5).xi))           # column-major
+    @example(mb.build_fourier_basis(6).xi.transpose(1, 0, 2))           # rows and columns swapped
+    def test_random_grids_match_oracle(self, xi):
+        n = xi.shape[0]
+        G = mb.gram_table(mb.MagicBasis(n=n, xi=xi))
+        want = brute_oracle.gram_einsum(xi)
+        assert G.shape == want.shape and G.dtype == want.dtype
+        assert np.abs(G - want).max() < 1e-14
+
+    def test_pauli4_is_the_exact_table_rounded_once(self):
+        basis = mb.build_pauli_basis_4()
+        G = mb.gram_table(basis)
+        for a, b in itertools.product(itertools.product(range(1, 5), repeat=2), repeat=2):
+            exact = sum(x * y for x, y in zip(basis.exact_vector(*a), basis.exact_vector(*b)))
+            assert G[a[0] - 1, a[1] - 1, b[0] - 1, b[1] - 1] == float(exact), (a, b)
+        # bit for bit the einsum table, whose sums happen to round the same
+        want = brute_oracle.gram_einsum(basis.xi)
+        assert np.array_equal(G.view(np.uint64), want.view(np.uint64))
+
+
 class TestVerification:
     @pytest.mark.parametrize("n", ALL_N)
     def test_constructed_bases_verify(self, n):
