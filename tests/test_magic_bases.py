@@ -122,8 +122,8 @@ class TestFourierBasis:
 
 @st.composite
 def _unit_grids(draw):
-    """An (n, n, n) grid of random unit vectors, n = 1..12: complex or real,
-    C-contiguous or a strided view of a larger array."""
+    """An (n, n, n) grid of random vectors of about unit length, n = 1..12:
+    complex or real, C-contiguous or a strided view of a larger array."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     real = draw(st.booleans())
@@ -150,7 +150,7 @@ class TestGramTable:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_unit_grids())
-    @example(np.arange(1.0, 28.0).reshape(3, 3, 3) / 10)                 # real
+    @example(np.arange(1.0, 28.0).reshape(3, 3, 3) / 27)                 # real
     @example(np.asfortranarray(mb.build_fourier_basis(5).xi))           # column-major
     @example(mb.build_fourier_basis(6).xi.transpose(1, 0, 2))           # rows and columns swapped
     def test_random_grids_match_oracle(self, xi):
