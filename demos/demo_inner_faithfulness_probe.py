@@ -6,8 +6,9 @@ matrix multiplication, so the probe takes the Cesaro limit of the powers of
 the degree-m moment matrix and compares it against exact values.  That limit
 is the orthogonal projector onto the fixed space of the matrix: its dimension
 is the fix moment, and the spectral gap below it certifies the dimension.
-For grids with a shift symmetry the probe solves a block of side n^(m-1)
-and reads the same answer off it.  Because the trace is a trace, rotating
+For grids with a label symmetry (translations of the labels mod n, or XOR
+of the labels, up to a gauge of phases) the probe solves a block of side
+n^(m-1) and reads the same answer off it.  Because the trace is a trace, rotating
 index tuples leaves the matrix unchanged, so it splits further into m
 rotation sectors, each solved on its own.
 
@@ -50,8 +51,10 @@ for d in report5.degrees:
           f" fixed space of dimension {d.fixed_space_dim}, gap {d.spectral_gap:.6f})")
 
 # The root-of-unity Gram tables are unchanged by shifting row indices
-# together and column indices together, so the probe solves a block of side
-# n^(m-1) in place of the n^m x n^m moment matrix; the report says which.
+# together and column indices together, and the 4x4 one by XORing them up
+# to a sign on each pair, so the probe solves a block of side n^(m-1) in
+# place of the n^m x n^m moment matrix; the report says which ("shift",
+# "xor", or "orbits" where the blocks reduce further to label orbits).
 # That makes n = 8 at degree 4 cheap, and the same moments 1, 2, 5, 15 show
 # up for n = 6, 7 and 8.  The 4x4 model is the only constructed one the
 # probe cannot distinguish from the full quantum permutation group.

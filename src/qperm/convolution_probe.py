@@ -22,17 +22,21 @@ Hermitian part H = (T + T*)/2 <= I.  The limit is therefore read off one
 Hermitian eigendecomposition of H; its rank is the fix moment, and the
 distance from 1 of the kept eigenvalues certifies the answer.
 
-When the Gram table is unchanged by shifting row indices together, and
-column indices together (the root-of-unity grids), so is T: shifting every
-row index, or every column index, of a tuple leaves an entry unchanged.  T
-then vanishes off the shift-invariant vectors, and the probe solves the block
-B = n T[i1=1, k1=1] of side n^(m-1) in place of T; every report field is
-read off B exactly (see ``StateTensor``).  Other grids keep the full tensor.
+When moving every row label, or every column label, by one element of a
+label group leaves the Gram table unchanged up to a gauge of unit phases
+(``label_orbits.label_symmetry``, decided once per model), it leaves T
+unchanged too: moving every row index, or every column index, of a tuple
+leaves an entry unchanged.  The group is the translations mod n on the
+root-of-unity grids, re-phased or not, and XOR of the labels on the 4x4
+grid.  T then vanishes off the invariant vectors, and the probe solves the
+block B = n T[i1=1, k1=1] of side n^(m-1) in place of T; every report field
+is read off B exactly (see ``StateTensor``).  Other grids keep the full
+tensor.
 
 Beneath that choice the solved matrix splits further.  The trace is a
 trace, so T is unchanged when both index tuples are rotated by one position
 (the permutation pi of ``StateTensor.rotation``), on the full tensor and on
-the shift block alike.  Then T commutes with pi, which has order m, and T is
+the shift blocks alike.  Then T commutes with pi, which has order m, and T is
 block diagonal over the characters chi^s of Z_m, chi = exp(2 pi i / m).
 Sector s has one basis vector per pi-orbit X whose size |X| satisfies
 m | s |X|, namely chi^(s d) / sqrt(|X|) at the orbit's d-th element, so its
@@ -79,7 +83,8 @@ Vk (Vk* 1) and entries Vk[x] . conj(Vk[y]).  The invariance residual
 s in its Theta-real basis.
 
 On the root-of-unity grids the fixed space is an orbit count.  A Gram
-table that passes ``shift_invariant`` and then ``label_graph`` (its 2-D
+table that passes ``label_orbits.shift_invariant`` with no gauge and then
+``label_orbits.label_graph`` (its 2-D
 DFT equals n on the graph of a permutation f of Z_n and 0 elsewhere, within
 TRACIAL_TOL) makes every shift block, in Fourier labels, the mixture
 (1/n) sum_alpha P_alpha of n label permutations.  The report then reads the
@@ -111,13 +116,11 @@ import numpy as np
 from . import haar_exact, label_orbits
 from .errors import MemoryCap
 from .flat_model import FlatModel
+from .label_orbits import TRACIAL_TOL
 
 GIB = 2 ** 30
 SOLVE_SET = 8                              # see ProbeConfig.memory_cap
 ROW_BATCH = 2 ** 20                        # entries in one batch of rows
-TRACIAL_TOL = 1e-12                        # gate of the rotation split, the dihedral steps,
-                                           # the shift reduction (``shift_invariant``) and
-                                           # the orbit path (``label_graph``)
 ORBIT_WORK = 10                            # see _working_set
 ORBIT_SIDE = 2.5                           # see _takes_orbits
 
@@ -132,15 +135,20 @@ class ProbeConfig:
     # more such matrices for one sector's solve, and the workspace of the row
     # batches (``_workspace_entries``).  Peak RSS over the baseline, read
     # with resource.getrusage in a subprocess per probe: at degree 7, 787 MB
-    # on Fourier n = 5 (R = 2233) and 852 MB on the 4x4 grid (R = 2344), 10.3
-    # and 10.2 matrices of side R, against 1205 and 1322 MB allowed; at
-    # degree 6, 96-234 MB on n = 4..6 and 1047 MB on n = 7 (R = 2812), 1.3-1.9
-    # times below the formula; at degree 5, 7-122 MB on n = 4..8, 1.2-1.6
-    # times below it (fixed allocations, such as the BLAS buffers, weigh more
-    # at small R).  On the orbit path (module docstring) the working set is
-    # the label permutations and their orbits, the largest batch of orbit
-    # blocks and, at m <= 4, the orbits of all the side labels for the class
-    # entries: 1.1-1.6 times the traced peak at n = 5..7 and degrees 6-10.
+    # on Fourier n = 5 (R = 2233), 10.3 matrices of side R, against 1205 MB
+    # allowed, and at degree 8, 780 MB on the 4x4 grid's XOR blocks
+    # (R = 2086), 11.2 matrices, against 1182 MB; at degree 6, 96-234 MB on
+    # n = 4..6 (the 4x4 grid then on its full tensor) and 1047 MB on n = 7
+    # (R = 2812), 1.3-1.9 times below the formula, and 18 and 119 MB on the
+    # 4x4 XOR blocks at degrees 6 and 7, 1.1 and 1.3 times below it; at
+    # degree 5, 7-122 MB on n = 4..8 (the 4x4 grid on its full tensor),
+    # 1.2-1.6 times below it (fixed allocations, such as the BLAS buffers,
+    # weigh more at small R: 3.3 MB against 1.4 MB allowed on the 4x4 XOR
+    # blocks, whose R is 52).  On the orbit path (module docstring) the
+    # working set is the label permutations and their orbits, the largest
+    # batch of orbit blocks and, at m <= 4, the orbits of all the side labels
+    # for the class entries: 1.1-1.6 times the traced peak at n = 5..7 and
+    # degrees 6-10.
     # A gated grid whose orbit working set exceeds the cap takes the sector
     # path when that one fits (``_takes_orbits``).
     memory_cap: int = 2 * GIB
@@ -158,13 +166,6 @@ class ProbeConfig:
             raise ValueError("memory_cap must be >= 1")
 
 
-class LabelGraph(NamedTuple):
-    """The support of a gated Gram table's 2-D DFT (``label_graph``)."""
-
-    f: tuple                   # g^(alpha, beta) = n exactly when beta = f[alpha]
-    residual: float            # max |g^ - n [beta = f(alpha)]|
-
-
 @dataclass(frozen=True)
 class StateTensor:
     """Degree-m moment matrix of a state, shape (n^m, n^m).
@@ -176,19 +177,22 @@ class StateTensor:
     computes the rows it is indexed with; ``cesaro_limit`` reads only rows.
 
     A state that is unchanged when every row index, or every column index, of
-    a tuple is shifted by the same amount mod n (see ``shift_invariant``) can
-    be stored as its shift block (``shift=True``).  Then ``entries`` is
-    B = n T[i1=1, k1=1], of side n^(m-1), indexed by the remaining entries of
-    the tuples, and T[x, y] = B[X, Y] / n, where X is x shifted so that its
-    first index is 1.  In the orthonormal basis of shift orbits B is T
-    restricted to the shift-invariant vectors, and T vanishes on their
-    complement, so row sums, trace, products and the fixed space carry over.
+    a tuple is moved by the same element c of a label group acting freely on
+    Z_n (``label_orbits.label_symmetry``) can be stored as its shift block.
+    ``shift`` names the group: "shift", x -> x + c mod n, or "xor",
+    x -> x XOR c (n a power of two); None stores the whole tensor.  Then
+    ``entries`` is B = n T[i1=1, k1=1], of side n^(m-1), indexed by the
+    remaining entries of the tuples, and T[x, y] = B[X, Y] / n, where X is
+    x moved so that its first index is 1: x_t - x_1 mod n, or x_t XOR x_1.
+    In the orthonormal basis of the orbits of the moves B is T restricted to
+    the invariant vectors, and T vanishes on their complement, so row sums,
+    trace, products and the fixed space carry over.
     """
 
     n: int
     m: int
     entries: np.ndarray = field(repr=False)
-    shift: bool = False
+    shift: str | None = None                   # None, "shift" or "xor"
 
     @property
     def scale(self) -> int:
@@ -198,7 +202,9 @@ class StateTensor:
     def index(self, tuples: np.ndarray) -> np.ndarray:
         """Row (or column) of ``entries`` holding each 0-based index tuple
         along the last axis of ``tuples``."""
-        if self.shift:
+        if self.shift == "xor":
+            tuples = tuples[..., 1:] ^ tuples[..., :1]
+        elif self.shift:
             tuples = (tuples[..., 1:] - tuples[..., :1]) % self.n
         return tuples @ self.n ** np.arange(tuples.shape[-1] - 1, -1, -1)
 
@@ -222,35 +228,6 @@ class StateTensor:
         return StateTensor(self.n, self.m, self.entries[np.ix_(pi, pi)], self.shift)
 
 
-def shift_invariant(gram: np.ndarray) -> bool:
-    """Whether <xi_ij, xi_kl> is unchanged, within ``TRACIAL_TOL``, by
-    shifting i and k together, and j and l together (indices mod n).
-
-    Every trace-state entry is a cyclic product of Gram entries, so such a
-    model's trace states can be stored as shift blocks."""
-    back = np.arange(-1, len(gram) - 1)            # i - 1 mod n
-    return bool(np.abs(gram[back][:, :, back] - gram).max() <= TRACIAL_TOL
-                and np.abs(gram[:, back][..., back] - gram).max() <= TRACIAL_TOL)
-
-
-def label_graph(gram: np.ndarray) -> LabelGraph | None:
-    """The orbit path's second gate, for a Gram table that passed
-    ``shift_invariant``: the 2-D DFT g^(alpha, beta) = sum_(p,q) g(p, q)
-    omega^(alpha p + beta q) of g(p, q) = <xi_11, xi_(1+p, 1+q)> must equal
-    n on the graph of a permutation f and 0 elsewhere, within ``TRACIAL_TOL``.
-    Returns f and the largest distance, or None when the table fails."""
-    n = len(gram)
-    R = label_orbits.root_table(n)
-    ghat = R @ gram[0, 0] @ R
-    f = np.abs(ghat).argmax(axis=1)
-    ghat[np.arange(n), f] -= n
-    residual = float(np.abs(ghat).max())
-    f = tuple(f.tolist())
-    if residual > TRACIAL_TOL or len(set(f)) < n:
-        return None
-    return LabelGraph(f, residual)
-
-
 def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
                  pinned: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """n times the degree-m trace state at the row tuples ``tuples`` (shape
@@ -261,7 +238,8 @@ def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
 
     ``pinned`` fixes the first pair p1 at (1, 1): the row tuples then start
     with 0, and the rows are those of the shift block B = n T[i1=1, k1=1]
-    over the column tuples of the other m - 1 pairs.
+    over the column tuples of the other m - 1 pairs, whichever label group
+    the block is stored over.
 
     The rows are written into ``out`` when it is given (C-contiguous, of
     shape (rows, n^free)) and returned: the last product fills it and the
@@ -293,7 +271,7 @@ def _cyclic_rows(model: FlatModel, m: int, tuples: np.ndarray,
 
 
 @functools.cache
-def _stored_tuples(n: int, m: int, shift: bool) -> np.ndarray:
+def _stored_tuples(n: int, m: int, shift: str | None) -> np.ndarray:
     """``StateTensor.tuples`` of a shape, built once per shape, read-only."""
     tuples = StateTensor(n, m, None, shift).tuples()
     tuples.flags.writeable = False
@@ -307,9 +285,9 @@ class _GramRows:
     ``np.take`` along axis 0 fills them into a given array.  Nothing of
     side^2 size is ever held."""
 
-    def __init__(self, model: FlatModel, m: int, shift: bool):
+    def __init__(self, model: FlatModel, m: int, shift: str | None):
         self.model, self.m, self.shift = model, m, shift
-        self.shape = (model.n ** (m - shift),) * 2
+        self.shape = (model.n ** (m - bool(shift)),) * 2
         self.tuples = _stored_tuples(model.n, m, shift)
 
     def __getitem__(self, rows) -> np.ndarray:
@@ -322,22 +300,23 @@ class _GramRows:
         given.  A row number out of range raises whatever ``mode``."""
         if axis != 0:
             raise ValueError("a _GramRows is taken along axis 0 only")
-        out = _cyclic_rows(self.model, self.m, self.tuples[rows], self.shift, out)
+        out = _cyclic_rows(self.model, self.m, self.tuples[rows], bool(self.shift), out)
         if not self.shift:
             out /= self.model.n
         return out
 
 
-def gram_state(model: FlatModel, m: int, shift: bool = False) -> StateTensor:
-    """The degree-m trace state, or its shift block when ``shift``, with its
+def gram_state(model: FlatModel, m: int, shift: str | None = None) -> StateTensor:
+    """The degree-m trace state, or its shift block over the label group
+    ``shift`` (see ``StateTensor``), with its
     rows computed on demand (see ``_GramRows``): what the probe solves."""
     return StateTensor(model.n, m, _GramRows(model, m, shift), shift)
 
 
-def trace_state(model: FlatModel, m: int, shift: bool = False,
+def trace_state(model: FlatModel, m: int, shift: str | None = None,
                 memory_cap: int = 2 * GIB) -> StateTensor:
     """Degree-m moment matrix of tr(.)/n composed with the model, or its
-    shift block when ``shift``: a ``gram_state`` built whole."""
+    shift block over the label group ``shift``: a ``gram_state`` built whole."""
     T = gram_state(model, m, shift)
     side = T.entries.shape[0]
     if 16 * side ** 2 > memory_cap:
@@ -352,7 +331,7 @@ def trace_state(model: FlatModel, m: int, shift: bool = False,
 class CesaroResult:
     n: int
     m: int
-    shift: bool                            # layout of the input, which the limit keeps
+    shift: str | None                      # layout of the input, which the limit keeps
     converged: bool                        # every kept eigenvalue within tol of 1
     fixed_dim: int                         # rank of the limit, i.e. its fix moment
     gap: float | None                      # 1 - largest eigenvalue of H left out
@@ -396,7 +375,7 @@ def _pair_scales(size: int) -> tuple:
 
 
 @functools.cache
-def _sector_plan(n: int, m: int, shift: bool, order: int) -> _SectorPlan:
+def _sector_plan(n: int, m: int, shift: str | None, order: int) -> _SectorPlan:
     """Orbits and sectors of Z_order, generated by the rotation pi, on the
     rows of a degree-m matrix stored as StateTensor(n, m, ., shift); order
     is m, or 1 for the whole matrix as one sector.
@@ -609,7 +588,7 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
         sectors[s] = Ts.shape[0]
         f, p = sector.fixed, sector.pairs
         At = _theta_real(Ts, f, p)                 # Q* T_s Q
-        defect = float(np.abs(At.imag).max())
+        defect = float(np.abs(At.imag).max(initial=0.0))     # a sector may be empty
         theta = max(theta, defect)
         A = At.real + At.real.T                    # Q* B_s Q, B_s = (T_s + T_s*) / 2
         A *= 0.5
@@ -659,12 +638,13 @@ def cesaro_limit(T: StateTensor, cfg: ProbeConfig | None = None) -> CesaroResult
 @dataclass
 class DegreeProbe:
     """One degree of the probe.  ``reduction`` names the path: "none" (the
-    n^m tensor in rotation sectors), "shift" (its shift block in rotation
-    sectors) or "orbits" (the label orbits of a gated grid).  Fields whose
-    meaning depends on the path say so; the others mean the same on all."""
+    n^m tensor in rotation sectors), "shift" or "xor" (its shift block over
+    translations or XOR of the labels, in rotation sectors) or "orbits" (the
+    label orbits of a gated grid).  Fields whose meaning depends on the path
+    say so; the others mean the same on all."""
 
     m: int
-    reduction: str                         # "none", "shift" or "orbits"
+    reduction: str                         # "none", "shift", "xor" or "orbits"
     block_size: int                        # side of the stored matrix: n^m, or n^(m-1)
                                            # on shift blocks and on the orbit path
     sectors: list                          # side of each rotation sector, solved or
@@ -728,7 +708,7 @@ class _ClassPlan(NamedTuple):
 
 
 @functools.cache
-def _class_plan(n: int, m: int, shift: bool) -> _ClassPlan:
+def _class_plan(n: int, m: int, shift: str | None) -> _ClassPlan:
     """Where each class representative of degree m sits: its index tuples,
     which the orbit path reads, and its entry in a matrix stored as
     StateTensor(n, m, ., shift), which the sector path reads; and its exact
@@ -758,19 +738,24 @@ def _class_residuals(plan: _ClassPlan, est: np.ndarray) -> dict:
 
 
 @functools.cache
-def _orbit_count(n: int, m: int, shift: bool) -> int:
+def _orbit_count(n: int, m: int, shift: str | None) -> int:
     """Number of pi-orbits on the stored rows of StateTensor(n, m, ., shift),
     by Burnside, without building them.  Rotating an m-tuple by d positions
-    splits it into g = gcd(m, d) cycles of length m/g; it fixes n^g tuples,
-    and on shift blocks, where a stored row is a tuple up to a common shift
-    c mod n, it fixes n^g tuples shifted by c when (m/g) c = 0 mod n."""
-    shifts = range(n) if shift else (0,)
-    total = sum(n ** math.gcd(m, d) for d in range(m) for c in shifts
-                if m // math.gcd(m, d) * c % n == 0)
-    return total // (m * len(shifts))
+    splits it into g = gcd(m, d) cycles of length k = m/g; it fixes n^g
+    tuples.  On shift blocks a stored row is a tuple up to one of n label
+    moves c, and the rotation fixes n^g tuples moved by c exactly when c^k
+    is the identity: k c = 0 mod n for translations, and for XOR c = 0 or
+    k even."""
+    def returns(k: int, c: int) -> bool:           # c^k is the identity
+        return c == 0 or k % 2 == 0 if shift == "xor" else k * c % n == 0
+
+    moves = range(n) if shift else (0,)
+    total = sum(n ** math.gcd(m, d) for d in range(m) for c in moves
+                if returns(m // math.gcd(m, d), c))
+    return total // (m * len(moves))
 
 
-def _working_set(n: int, m: int, shift: bool, orbits: bool = False) -> int:
+def _working_set(n: int, m: int, shift: str | None, orbits: bool = False) -> int:
     """Bytes the probe of degree m is allowed to need (see
     ProbeConfig.memory_cap).  On the sector path: the sector blocks C and
     SOLVE_SET more complex matrices of side R, the number of
@@ -789,7 +774,7 @@ def _working_set(n: int, m: int, shift: bool, orbits: bool = False) -> int:
         if m in haar_exact.DEGREE_CLASS_TAGS:
             need += 8 * (n + ORBIT_WORK) * n ** (m - 1)
         return need
-    side = n ** (m - 1 if shift else m)
+    side = n ** (m - bool(shift))
     R = _orbit_count(n, m, shift)
     batch = min(R, max(1, ROW_BATCH // side))
     return 16 * ((m + SOLVE_SET) * R ** 2 + _workspace_entries(side, R, m, batch, True))
@@ -806,18 +791,18 @@ def _takes_orbits(n: int, m: int, cap: int) -> bool:
     at n = 20 (2.9 R); at degree 5 it was 2.7 times faster at n = 10
     (1.5 R).  Where only one working set fits, that path; where neither
     does, the smaller, whose need the refusal reports."""
-    orbit = _working_set(n, m, True, True)
-    sector = _working_set(n, m, True)
+    orbit = _working_set(n, m, "shift", True)
+    sector = _working_set(n, m, "shift")
     if orbit > cap or sector > cap:
         return orbit < sector
-    return label_orbits.orbit_bound(n, m) <= ORBIT_SIDE * _orbit_count(n, m, True)
+    return label_orbits.orbit_bound(n, m) <= ORBIT_SIDE * _orbit_count(n, m, "shift")
 
 
-def refuse_over_cap(n: int, cfg: ProbeConfig, shift: bool = True,
+def refuse_over_cap(n: int, cfg: ProbeConfig, shift: str | None = "shift",
                     orbits: bool | None = None) -> None:
     """Raise MemoryCap when the probe of degree max_degree needs more than
     memory_cap (``_working_set``) on the path that ``shift`` and ``orbits``
-    name.  With ``orbits`` None, on the shift-block path ``_takes_orbits``
+    name.  With ``orbits`` None, on the translation-block path ``_takes_orbits``
     picks: the least need of any path the report can take at n (a full
     tensor never needs less than its shift block), so that the check reads
     n and the degree alone, and what it refuses the report refuses too."""
@@ -843,11 +828,12 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
     fixed_dim: at n >= 4 the Hopf image fixes the C_m dimensions S_n^+ fixes,
     so fewer means the cut dropped eigenvalues of 1, and is inconclusive.
 
-    A model whose Gram table passes ``shift_invariant`` is probed on shift
-    blocks, of side n^(m-1) in place of n^m; every field of the report is
-    the same as on the full tensors.  Each degree is solved from its
-    ``gram_state``, so no matrix of the solved side squared is built.  When
-    the table also passes ``label_graph`` (evaluated once per call) and
+    A model with a label group (``FlatModel.symmetry``, decided once per
+    model) is probed on shift blocks over that group, of side n^(m-1) in
+    place of n^m; every field of the report is the same as on the full
+    tensors, and ``reduction`` names the group ("shift" or "xor").  Each
+    degree is solved from its ``gram_state``, so no matrix of the solved
+    side squared is built.  When the table also has a label graph and
     ``_takes_orbits`` picks the orbit path for max_degree, every degree is
     read off its ``label_orbits.orbit_plan`` and the class entries off
     ``label_orbits.limit_entries``; the fix moment is then the exact count.
@@ -857,8 +843,7 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
     """
     cfg = cfg or ProbeConfig()
     n = model.n
-    shift = shift_invariant(model.gram)
-    graph = label_graph(model.gram) if shift else None
+    shift, graph = model.symmetry
     if graph is not None and not _takes_orbits(n, cfg.max_degree, cfg.memory_cap):
         graph = None
     refuse_over_cap(n, cfg, shift, graph is not None)
@@ -886,7 +871,7 @@ def inner_faithfulness_report(model: FlatModel, cfg: ProbeConfig | None = None,
             est = float(np.sum(Vk.real ** 2 + Vk.imag ** 2))     # trace of Vk Vk*, real
             reps = None if progress is None else \
                 _sector_plan(n, m, shift, len(result.sectors)).reps.size
-            path = dict(reduction="shift" if shift else "none", block_size=T.entries.shape[0],
+            path = dict(reduction=shift or "none", block_size=T.entries.shape[0],
                         sectors=result.sectors, converged=result.converged,
                         fixed_space_dim=result.fixed_dim, spectral_gap=result.gap,
                         row_sum_error=float(np.abs(Vk @ Vk.sum(axis=0).conj() - 1.0).max()),

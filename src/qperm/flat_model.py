@@ -24,13 +24,14 @@ comma-separated ``row:column`` items, e.g. ``"1:1,2:2,1:1,2:2"``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from . import magic_bases
+from . import label_orbits, magic_bases
 from .errors import (BudgetExceeded, DimensionTooSmall, EmptyMonomial,
                      IndexOutOfRange)
 
@@ -99,11 +100,22 @@ def reduce_monomial(mono: Monomial) -> Monomial | None:
 
 @dataclass(frozen=True)
 class FlatModel:
-    """Magic unitary of rank-one projections plus its precomputed Gram table."""
+    """Magic unitary of rank-one projections plus its precomputed Gram table.
+
+    ``symmetry`` is read off the table on first use and kept, so the table
+    must not change after the model's first probe (``cli._model`` makes it
+    read-only)."""
 
     basis: magic_bases.MagicBasis
     n: int
     gram: np.ndarray = field(repr=False)       # (n, n, n, n) complex
+
+    @functools.cached_property
+    def symmetry(self) -> label_orbits.LabelSymmetry:
+        """The label group the probe stores this model's trace states over,
+        and the orbit path's label graph (``label_orbits.label_symmetry``):
+        decided once per model, not once per probe."""
+        return label_orbits.label_symmetry(self.gram)
 
     def projection(self, i: int, j: int) -> np.ndarray:
         v = self.basis.vector(i, j)

@@ -1,4 +1,22 @@
-"""The orbit path of the convolution probe.
+"""The label symmetry of a Gram table, and the orbit path of the
+convolution probe.
+
+``label_symmetry`` decides once per flat model (``FlatModel.symmetry``)
+how the probe stores its trace states.  Every trace-state entry is a
+cyclic product of Gram entries, so a move sigma of the pairs (i, j) that
+leaves G unchanged up to a gauge, G[sigma p, sigma q] = D_p G[p, q]
+conj(D_q) for a diagonal D of unit phases, leaves every entry unchanged:
+the phases cancel around the cycle.  The moves tried are those of all row
+labels together, and of all column labels together, by a generator of a
+group acting freely on Z_n: translation by 1 mod n ("shift"), or, when n
+is a power of two, XOR with each power of two below n ("xor"); every
+other move of the group is a product of these, and gauges multiply.  The
+gauge is read off a breadth-first tree over the nonzero Gram entries
+(``gauge_residual``), and a move passes when the table it gives is within
+TRACIAL_TOL of D G D*; a badly built D can only make the gate decline.
+Translations are tried first, so the root-of-unity grids, re-phased or
+not, are stored as translation blocks, and the 4x4 grid, whose Gram
+table needs a sign gauge for every XOR move, as XOR blocks.
 
 On the root-of-unity grids the fixed space of ``convolution_probe``'s
 moment matrices is an orbit count, and no matrix of the stored side need
@@ -13,11 +31,12 @@ beta_t = beta - (b_1 + ... + b_t), with S_t = a_1 + ... + a_t:
     T^F[a, b] = n^(-1-m) sum_(alpha, beta) prod_(t=1..m) g^(alpha_t, beta_t)
 
 when sum a = sum b = 0 (the shift-invariant vectors), and 0 otherwise.  The
-gate (``convolution_probe.label_graph``, after ``shift_invariant``, both
-within TRACIAL_TOL) asks that g^(alpha, beta) = n [beta = f(alpha)] for a permutation f of
-Z_n.  Then a term is n^m when beta_t = f(alpha + S_t) for every t and 0
-otherwise, so T^F = (1/n) sum_alpha P_alpha, where P_alpha sends the label
-a to b, b_t = f(alpha + S_(t-1)) - f(alpha + S_t).  Read as a closed walk
+gate (``label_graph``, after the plain ``shift_invariant``, both within
+TRACIAL_TOL; the proof reads G itself, so no gauge is allowed) asks that
+g^(alpha, beta) = n [beta = f(alpha)] for a permutation f of Z_n.  Then a
+term is n^m when beta_t = f(alpha + S_t) for every t and 0 otherwise, so
+T^F = (1/n) sum_alpha P_alpha, where P_alpha sends the label a to b,
+b_t = f(alpha + S_(t-1)) - f(alpha + S_t).  Read as a closed walk
 S_0 = 0, S_1, ..., S_m = 0 up to translation, a label is mapped by
 x -> -f(alpha + x) on the walk's vertices; f is a bijection, so P_alpha is a
 permutation that keeps the positions of the entries 0.  On the
@@ -68,6 +87,25 @@ from typing import NamedTuple
 import numpy as np
 
 GAP_BATCH = 2 ** 20                        # entries of the orbit blocks one eigvalsh solves
+TRACIAL_TOL = 1e-12                        # gate of the label symmetry (``label_symmetry``,
+                                           # ``label_graph``) and of the probe's rotation split
+                                           # and dihedral steps (``convolution_probe``)
+
+
+class LabelGraph(NamedTuple):
+    """The support of a gated Gram table's 2-D DFT (``label_graph``)."""
+
+    f: tuple                   # g^(alpha, beta) = n exactly when beta = f[alpha]
+    residual: float            # max |g^ - n [beta = f(alpha)]|
+
+
+class LabelSymmetry(NamedTuple):
+    """What ``label_symmetry`` finds in a Gram table."""
+
+    group: str | None          # the label moves that keep the trace states: "shift"
+                               # (translations mod n), "xor" (XOR of the labels) or None
+    graph: LabelGraph | None   # the orbit path's label graph: only on a table that is
+                               # shift-invariant without a gauge
 
 
 @functools.cache
@@ -77,6 +115,88 @@ def root_table(n: int) -> np.ndarray:
     table = roots[np.outer(np.arange(n), np.arange(n)) % n]
     table.flags.writeable = False
     return table
+
+
+def shift_invariant(gram: np.ndarray) -> bool:
+    """Whether <xi_ij, xi_kl> is unchanged, within ``TRACIAL_TOL``, by
+    shifting i and k together, and j and l together (indices mod n), with
+    no gauge: the first gate of the orbit path."""
+    back = np.arange(-1, len(gram) - 1)            # i - 1 mod n
+    return bool(np.abs(gram[back][:, :, back] - gram).max() <= TRACIAL_TOL
+                and np.abs(gram[:, back][..., back] - gram).max() <= TRACIAL_TOL)
+
+
+def label_graph(gram: np.ndarray) -> LabelGraph | None:
+    """The orbit path's second gate, for a Gram table that passed
+    ``shift_invariant``: the 2-D DFT g^(alpha, beta) = sum_(p,q) g(p, q)
+    omega^(alpha p + beta q) of g(p, q) = <xi_11, xi_(1+p, 1+q)> must equal
+    n on the graph of a permutation f and 0 elsewhere, within ``TRACIAL_TOL``.
+    Returns f and the largest distance, or None when the table fails."""
+    n = len(gram)
+    R = root_table(n)
+    ghat = R @ gram[0, 0] @ R
+    f = np.abs(ghat).argmax(axis=1)
+    ghat[np.arange(n), f] -= n
+    residual = float(np.abs(ghat).max())
+    f = tuple(f.tolist())
+    if residual > TRACIAL_TOL or len(set(f)) < n:
+        return None
+    return LabelGraph(f, residual)
+
+
+def gauge_residual(gram: np.ndarray, moved: np.ndarray) -> float:
+    """max |M - D G D*|, with G = ``gram`` and M = ``moved`` read as
+    matrices over the n^2 pairs, for the diagonal D of unit phases read off
+    a breadth-first tree over the nonzero entries of G: D = 1 at the pair
+    (1, 1), and each round every pair q not yet placed that a placed pair p
+    reaches, through its largest |G[p, q]| above ``TRACIAL_TOL``, takes the
+    phase that makes M[p, q] = D_p G[p, q] conj(D_q).  inf when the tree
+    leaves a pair out, nan when a phase is undefined: the gate declines
+    either way."""
+    size = gram.shape[0] ** 2
+    G, M = gram.reshape(size, size), moved.reshape(size, size)
+    weight = np.abs(G)
+    D = np.zeros(size, dtype=complex)
+    D[0] = 1.0
+    placed = np.zeros(size, dtype=bool)
+    placed[0] = True
+    while not placed.all():
+        todo = np.flatnonzero(~placed)
+        w = np.where(placed[:, None], weight[:, todo], 0.0)
+        parent = w.argmax(axis=0)
+        reached = w[parent, np.arange(todo.size)] > TRACIAL_TOL
+        if not reached.any():
+            return math.inf
+        p, q = parent[reached], todo[reached]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phase = (M[p, q] / (D[p] * G[p, q])).conj()
+            D[q] = phase / np.abs(phase)
+        placed[q] = True
+    return float(np.abs(M - D[:, None] * G * D.conj()).max())
+
+
+def _kept_up_to_gauge(gram: np.ndarray, move: np.ndarray) -> bool:
+    """Whether moving every row label, and apart from that every column
+    label, by the label permutation ``move`` leaves the Gram table unchanged
+    up to a gauge, within ``TRACIAL_TOL``."""
+    return all(gauge_residual(gram, moved) <= TRACIAL_TOL
+               for moved in (gram[move][:, :, move], gram[:, move][..., move]))
+
+
+def label_symmetry(gram: np.ndarray) -> LabelSymmetry:
+    """The label group of a Gram table (module docstring), and its label
+    graph when the table is shift-invariant without a gauge.  It never
+    reads how the grid was built."""
+    n = len(gram)
+    labels = np.arange(n)
+    if shift_invariant(gram):
+        return LabelSymmetry("shift", label_graph(gram))
+    if _kept_up_to_gauge(gram, (labels + 1) % n):
+        return LabelSymmetry("shift", None)
+    if n & (n - 1) == 0 and all(_kept_up_to_gauge(gram, labels ^ c)
+                                for c in (1 << k for k in range(n.bit_length() - 1))):
+        return LabelSymmetry("xor", None)
+    return LabelSymmetry(None, None)
 
 
 def orbit_bound(n: int, m: int) -> int:

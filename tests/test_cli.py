@@ -216,9 +216,21 @@ class TestProbeCommand:
         assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 14]
         assert abs(degrees[3]["spectral_gap"] - 8 / 27) < 1e-9
         assert all(d["converged"] for d in degrees)
-        # the 4x4 grid's Gram table is not shift-invariant
-        assert degrees[3]["reduction"] == "none"
-        assert degrees[3]["block_size"] == 256
+        # the 4x4 grid's Gram table is not shift-invariant, but XOR-invariant
+        # up to a sign gauge: blocks of side 4^(m-1)
+        assert degrees[3]["reduction"] == "xor"
+        assert degrees[3]["block_size"] == 64
+
+    def test_4x4_frontier_on_xor_blocks(self, capsys):
+        # degree 7 solves blocks of side 4096 in place of 16384: Catalan to C_7
+        assert run(["probe", "--n", "4", "--max-degree", "7"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        degrees = json.loads(out[0])["degrees"]
+        assert [d["reduction"] for d in degrees] == ["xor"] * 7
+        assert [d["fixed_space_dim"] for d in degrees] == [1, 2, 5, 14, 42, 132, 429]
+        assert degrees[-1]["block_size"] == 4096
+        assert all(d["converged"] for d in degrees)
+        assert out[1].startswith("verdict: consistent with inner faithfulness up to degree 7")
 
     def test_n8_degree4_on_shift_blocks(self, capsys):
         # a structural guard: the full path would solve a 4096 x 4096 matrix;
@@ -276,10 +288,12 @@ class TestProbeCommand:
             assert abs(o["spectral_gap"] - s["spectral_gap"]) < 1e-12
 
     def test_memory_cap_exit(self, capsys):
-        # beyond the default cap on each path: the full 4^8 side, and the
+        # beyond the default cap on each path: the 4x4 grid's XOR blocks of
+        # side 4^8 at degree 9 (degree 8 is admitted, at 1.2e9 bytes), and the
         # label permutations of the orbit path, 8 (n + 10) (n-1)^(m-1) bytes:
         # 2.0e9 at n = 5, m = 13 (admitted), 8.1e9 at m = 14
-        assert run(["probe", "--n", "4", "--max-degree", "8"]) == 3
+        assert run(["probe", "--n", "4", "--max-degree", "9"]) == 3
+        assert "sector blocks and rows > cap" in capsys.readouterr().err
         assert run(["probe", "--n", "5", "--max-degree", "14"]) == 3
         assert "label permutations and orbits > cap" in capsys.readouterr().err
 
@@ -306,7 +320,7 @@ class TestProbeCommand:
         assert lines[2].endswith(" s, fixed 5, gap 0.552786")
         assert run(["probe", "--n", "4", "--max-degree", "3", "--verbose"]) == 0
         line = capsys.readouterr().err.splitlines()[2]
-        assert line.startswith("degree 3: none, side 64, 24 reps, sectors [24, 20, 20], ")
+        assert line.startswith("degree 3: xor, side 16, 6 reps, sectors [6, 5, 5], ")
         assert line.endswith(" s, fixed 5, gap 0.666667")
 
     def test_verdict_printed(self, capsys):
@@ -334,6 +348,14 @@ class TestModelCache:
         assert calls == [5]
         assert run(["orbitals", "--n", "6", "--m", "2"]) == 0
         assert calls == [5, 6]
+
+    def test_label_symmetry_is_decided_once_per_n(self, monkeypatch, capsys):
+        calls, gate = [], cli.flat_model.label_orbits.label_symmetry
+        monkeypatch.setattr(cli.flat_model.label_orbits, "label_symmetry",
+                            lambda gram: calls.append(len(gram)) or gate(gram))
+        for n in (4, 4, 5, 4, 5):
+            assert run(["probe", "--n", str(n), "--max-degree", "2"]) == 0
+        assert calls == [4, 5]
 
     def test_a_given_grid_is_checked_on_every_call(self, monkeypatch):
         calls = self._count_magic_checks(monkeypatch)

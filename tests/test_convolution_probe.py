@@ -53,12 +53,15 @@ class TestTraceState:
         with pytest.raises(MemoryCap):
             cp.trace_state(model5, 6, memory_cap=2 * 2 ** 30)
 
-    @pytest.mark.parametrize("n,m", [(5, 1), (5, 2), (5, 3), (5, 4), (6, 3)])
-    def test_shift_block_lifts_to_trace_state(self, n, m):
-        model = _fourier_model(n)
+    @pytest.mark.parametrize("n,m", [(5, 1), (5, 2), (5, 3), (5, 4), (6, 3),
+                                     (4, 1), (4, 2), (4, 3), (4, 4)])
+    def test_shift_block_lifts_to_trace_state(self, model4, n, m):
+        # translation blocks on the root-of-unity grids, XOR blocks on the 4x4 grid
+        model = model4 if n == 4 else _fourier_model(n)
         T = cp.trace_state(model, m)
-        B = cp.trace_state(model, m, shift=True)
-        assert B.shift and B.entries.shape == (n ** (m - 1),) * 2
+        B = cp.trace_state(model, m, model.symmetry.group)
+        assert B.shift == ("xor" if n == 4 else "shift")
+        assert B.entries.shape == (n ** (m - 1),) * 2
         rows = B.index(T.tuples())
         lifted = B.entries[np.ix_(rows, rows)] / n
         assert np.abs(lifted - T.entries).max() < 1e-15
@@ -86,9 +89,9 @@ class TestCyclicProducts:
         model = model4 if n == 4 else _fourier_model(n)
         ref = tensor_ops.cyclic_products_einsum(model, m, pinned=False) / n
         assert np.abs(cp.trace_state(model, m).entries - ref).max() <= 1e-15
-        if cp.shift_invariant(model.gram):
-            ref = tensor_ops.cyclic_products_einsum(model, m, pinned=True)
-            assert np.abs(cp.trace_state(model, m, True).entries - ref).max() <= 1e-15
+        ref = tensor_ops.cyclic_products_einsum(model, m, pinned=True)
+        block = cp.trace_state(model, m, model.symmetry.group).entries
+        assert np.abs(block - ref).max() <= 1e-15
 
 
 class _ServedByRows:
@@ -112,12 +115,12 @@ class TestGramRows:
     def test_rows_at_representatives_are_the_builders_rows(self, model4, n, max_degree):
         model = model4 if n == 4 else _fourier_model(n)
         for m in range(1, max_degree + 1):
-            layouts = [False] if n == 4 else [True] + ([False] if n ** m <= 1296 else [])
+            layouts = [None, "xor"] if n == 4 else ["shift"] + ([None] if n ** m <= 1296 else [])
             for shift in layouts:
                 T = cp.trace_state(model, m, shift)
                 plan = cp._sector_plan(n, m, shift, m)
                 for reps in (plan.reps, plan.pi[plan.reps]):
-                    rows = cp._cyclic_rows(model, m, T.tuples()[reps], shift)
+                    rows = cp._cyclic_rows(model, m, T.tuples()[reps], bool(shift))
                     if not shift:
                         rows /= n
                     assert np.array_equal(rows, T.entries[reps]), (n, m, shift)
@@ -142,7 +145,7 @@ class TestGramRows:
     @pytest.mark.parametrize("n,m", [(4, 3), (4, 4), (5, 4), (6, 3)])
     def test_row_gate_on_trace_states(self, model4, n, m):
         model = model4 if n == 4 else _fourier_model(n)
-        shift = n != 4
+        shift = model.symmetry.group
         T = cp.trace_state(model, m, shift)
         plan = cp._sector_plan(n, m, shift, m)
         want = np.abs(T.entries[plan.pi[plan.reps]][:, plan.pi]
@@ -154,7 +157,7 @@ class TestGramRows:
     @pytest.mark.parametrize("n,m", [(4, 4), (5, 5), (6, 4)])
     def test_batches_of_rows_agree_with_one_batch(self, model4, monkeypatch, n, m):
         model = model4 if n == 4 else _fourier_model(n)
-        T = cp.gram_state(model, m, n != 4)
+        T = cp.gram_state(model, m, model.symmetry.group)
         whole = cp.cesaro_limit(T)
         side = T.entries.shape[0]
         for rows in (1, 2, 7):                 # batches of 1, 2 and 7 rows
@@ -189,7 +192,7 @@ class TestRowWorkspace:
     @pytest.mark.parametrize("n,m", [(4, 3), (4, 4), (5, 5), (6, 4)])
     def test_sector_rows_match_the_direct_product(self, model4, monkeypatch, n, m):
         model = model4 if n == 4 else _fourier_model(n)
-        shift = n != 4
+        shift = model.symmetry.group
         plan = cp._sector_plan(n, m, shift, m)
         T = cp.gram_state(model, m, shift)
         D = cp.trace_state(model, m, shift).entries
@@ -216,10 +219,10 @@ class TestRowWorkspace:
         # the Gram table adds the last product's two factors (1/n of the
         # rows each) and numpy's buffers for its broadcast operands
         n, m = 6, 4
-        plan = cp._sector_plan(n, m, True, m)
-        T = cp.gram_state(_fourier_model(n), m, True)
+        plan = cp._sector_plan(n, m, "shift", m)
+        T = cp.gram_state(_fourier_model(n), m, "shift")
         side, R = T.entries.shape[0], plan.reps.size
-        dense = cp.trace_state(_fourier_model(n), m, True).entries
+        dense = cp.trace_state(_fourier_model(n), m, "shift").entries
         for rows in (None, 7):
             if rows:
                 monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
@@ -300,6 +303,19 @@ class TestCesaroLimit:
         rot = [(t + 1) % m for t in range(m)]
         arr = arr.transpose(tuple(rot) + tuple(m + t for t in rot))
         assert np.array_equal(T.rotated().entries, arr.reshape(T.entries.shape))
+
+    def test_empty_sector(self, model4):
+        # n = 1 at degree 2: the rotation fixes the one stored row, so sector
+        # 1 has no member; every reduction over it must take the empty case
+        model = fm.FlatModel(None, 1, np.ones((1,) * 4))
+        res = cp.cesaro_limit(cp.gram_state(model, 2))
+        assert (res.sectors, res.fixed_dim, res.converged, res.gap) == ([1, 0], 1, True, None)
+        assert res.theta_residual == res.mirror_residual == 0.0
+        assert res.invariance_residual < 1e-15
+        # on XOR blocks at degree 2, pi fixes every stored row
+        res = cp.cesaro_limit(cp.gram_state(model4, 2, "xor"))
+        assert (res.sectors, res.fixed_dim, res.converged) == ([4, 0], 2, True)
+        assert abs(res.gap - 2 / 3) < 1e-15
 
     def test_iteration_cap_reports_not_converged(self):
         # an eigenvalue 1e-7 below 1 is kept (within sqrt(tol)) but not
@@ -542,16 +558,24 @@ def _fourier_model(n):
     return _FOURIER_MODELS[n]
 
 
+def _symmetry_without_graph(mp):
+    """Every model's label group as the gate finds it, but no label graph:
+    the Fourier grids take the rotation-sector path, the oracle of the orbit
+    path (``TestOrbitPath``).  A property, so no cached symmetry is read."""
+    gate = fm.FlatModel.symmetry.func
+    mp.setattr(fm.FlatModel, "symmetry",
+               property(lambda model: gate(model)._replace(graph=None)))
+
+
 @pytest.fixture
 def sector_path(monkeypatch):
-    """No grid passes the orbit path's gate: the Fourier grids take the
-    rotation-sector path, the oracle of the orbit path (``TestOrbitPath``)."""
-    monkeypatch.setattr(cp, "label_graph", lambda gram: None)
+    _symmetry_without_graph(monkeypatch)
 
 
 def _full_path_report(model, cfg):
+    """The report with no label group: the full n^m tensors."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "shift_invariant", lambda gram: False)
+        mp.setattr(fm.FlatModel, "symmetry", property(lambda model: lo.LabelSymmetry(None, None)))
         return cp.inner_faithfulness_report(model, cfg)
 
 
@@ -593,17 +617,22 @@ def _assert_fields_match_limit(degree, T):
         assert abs(est - complex(*info["estimate"])) < 1e-12, tag
 
 
+def _layout(reduction):
+    """The ``StateTensor`` layout of a report's ``reduction`` on the sector path."""
+    return None if reduction == "none" else reduction
+
+
 def _check_fields_match_the_limit(model, max_degree):
     report = cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=max_degree))
     for degree in report.degrees:
-        T = cp.trace_state(model, degree.m, degree.reduction == "shift")
+        T = cp.trace_state(model, degree.m, _layout(degree.reduction))
         _assert_fields_match_limit(degree, T)
 
 
-def _assert_reports_agree(reduced, full):
+def _assert_reports_agree(reduced, full, reduction="shift"):
     assert reduced.verdict == full.verdict
     for r, f in zip(reduced.degrees, full.degrees, strict=True):
-        assert (r.reduction, f.reduction) == ("shift", "none")
+        assert (r.reduction, f.reduction) == (reduction, "none")
         _assert_degrees_agree(r, f, differ=("reduction", "block_size", "sectors"))
 
 
@@ -612,13 +641,26 @@ class TestShiftReduction:
     """Shift-invariant Gram tables are probed on blocks of side n^(m-1)."""
 
     def test_gate(self, model4):
-        assert not cp.shift_invariant(model4.gram)
+        assert not lo.shift_invariant(model4.gram)
+        assert model4.symmetry.group == "xor"
         for n in (5, 6, 7, 8):
-            assert cp.shift_invariant(_fourier_model(n).gram)
+            assert lo.shift_invariant(_fourier_model(n).gram)
+            assert _fourier_model(n).symmetry.group == "shift"
 
-    def test_4x4_grid_keeps_full_path(self, report4):
-        assert [d.reduction for d in report4.degrees] == ["none"] * 4
-        assert [d.block_size for d in report4.degrees] == [4, 16, 64, 256]
+    def test_4x4_grid_takes_xor_blocks(self, report4):
+        # its Gram table is not shift-invariant, but XOR-invariant up to a
+        # sign gauge: blocks of side 4^(m-1)
+        assert [d.reduction for d in report4.degrees] == ["xor"] * 4
+        assert [d.block_size for d in report4.degrees] == [1, 4, 16, 64]
+
+    def test_xor_blocks_match_the_full_tensor(self, model4):
+        # at degrees 1-6, every field that keeps its meaning, to 1e-12, and the verdict
+        cfg = cp.ProbeConfig(max_degree=6)
+        reduced = cp.inner_faithfulness_report(model4, cfg)
+        full = _full_path_report(model4, cfg)
+        assert [d.block_size for d in full.degrees] == [4 ** m for m in range(1, 7)]
+        assert [d.fixed_space_dim for d in reduced.degrees] == [1, 2, 5, 14, 42, 132]
+        _assert_reports_agree(reduced, full, "xor")
 
     def test_gate_declines_perturbed_grid(self):
         xi = mb.build_fourier_basis(5).xi.copy()
@@ -626,7 +668,7 @@ class TestShiftReduction:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mb, "TOL_CONSTRUCT", 1e-8)
             model = fm.model_from_basis(mb.MagicBasis(n=5, xi=xi))
-        assert not cp.shift_invariant(model.gram)
+        assert not lo.shift_invariant(model.gram) and model.symmetry.group is None
         report = cp.inner_faithfulness_report(
             model, cp.ProbeConfig(max_degree=4, tol_converge=1e-8))
         assert [d.reduction for d in report.degrees] == ["none"] * 4
@@ -651,7 +693,7 @@ class TestShiftReduction:
         n, m = 5, 2
         E = np.random.default_rng(1).standard_normal((n, n))
         block = np.full((n, n), 1 / n) + 1e-3 * (E - E.mean(axis=1, keepdims=True))
-        B = cp.StateTensor(n, m, block.astype(complex), shift=True)
+        B = cp.StateTensor(n, m, block.astype(complex), shift="shift")
         rows = B.index(cp.trace_state(model5, m).tuples())
         T = cp.StateTensor(n, m, B.entries[np.ix_(rows, rows)] / n)
         real_gram_state = cp.gram_state
@@ -693,12 +735,12 @@ class TestShiftReduction:
         # rows at their images under pi (b x side each), the orbit gather
         # and the character blocks (m x b x R each); one batch, then three
         # rows a batch
-        for model, m, side, rows in ((_fourier_model(5), 3, 25, None), (model4, 2, 16, None),
+        for model, m, side, rows in ((_fourier_model(5), 3, 25, None), (model4, 2, 4, None),
                                      (_fourier_model(6), 4, 216, None),
-                                     (model4, 5, 1024, None), (_fourier_model(6), 4, 216, 3)):
+                                     (model4, 5, 256, None), (_fourier_model(6), 4, 216, 3)):
             if rows:
                 monkeypatch.setattr(cp, "ROW_BATCH", rows * side)
-            R = cp._sector_plan(model.n, m, side < model.n ** m, m).reps.size
+            R = cp._sector_plan(model.n, m, model.symmetry.group, m).reps.size
             b = min(R, max(1, cp.ROW_BATCH // side))
             need = 16 * ((m + cp.SOLVE_SET) * R ** 2 + 2 * b * side + 2 * m * b * R)
             with pytest.raises(MemoryCap):
@@ -708,13 +750,22 @@ class TestShiftReduction:
                 model, cp.ProbeConfig(max_degree=m, memory_cap=need))
             assert report.degrees[-1].block_size == side
 
-    @pytest.mark.parametrize("shift", [False, True])
-    def test_orbit_count_matches_the_plan(self, shift):
-        for n in range(1, 9):
-            for m in range(1, 8):
-                if n ** (m - shift) <= 20000:
-                    assert cp._orbit_count(n, m, shift) == \
-                        cp._sector_plan(n, m, shift, m).reps.size, (n, m)
+    @pytest.mark.parametrize("block", [False, True])
+    def test_orbit_count_matches_the_plan(self, block):
+        # every stored layout: the full tensor, and translation and XOR blocks
+        for shift in ("shift", "xor") if block else (None,):
+            for n in range(1, 9):
+                if shift == "xor" and n & (n - 1):     # XOR moves need a power of two
+                    continue
+                for m in range(1, 9):
+                    if n ** (m - block) <= 2 ** 16:
+                        assert cp._orbit_count(n, m, shift) == \
+                            cp._sector_plan(n, m, shift, m).reps.size, (n, m, shift)
+
+    def test_xor_orbit_counts(self):
+        # a rotation with cycles of even length fixes tuples moved by any c
+        assert [cp._orbit_count(4, m, "xor") for m in (2, 4, 6, 8)] == [4, 22, 184, 2086]
+        assert [cp._orbit_count(4, m, "shift") for m in (2, 4, 6, 8)] == [3, 20, 178, 2070]
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=5, max_value=7), st.integers(min_value=1, max_value=3))
@@ -723,6 +774,47 @@ class TestShiftReduction:
         model = _fourier_model(n)
         _assert_reports_agree(cp.inner_faithfulness_report(model, cfg),
                               _full_path_report(model, cfg))
+
+
+class TestLabelSymmetry:
+    """Each model's label group, decided once from its Gram table alone."""
+
+    def test_xor_moves_need_a_sign_gauge_on_the_4x4_grid(self, model4):
+        G, labels = model4.gram, np.arange(4)
+        for c in (1, 2, 3):
+            for moved in (G[labels ^ c][:, :, labels ^ c], G[:, labels ^ c][..., labels ^ c]):
+                assert np.abs(moved - G).max() > 1             # not invariant as it stands,
+                assert lo.gauge_residual(G, moved) == 0.0      # but exactly up to signs
+        # no gauge makes the cyclic shift a symmetry: a correct refusal
+        shifted = G[(labels + 1) % 4][:, :, (labels + 1) % 4]
+        assert lo.gauge_residual(G, shifted) > 1
+        assert model4.symmetry == ("xor", None)
+
+    def test_gauge_undoes_random_phases(self, model5):
+        phases = np.exp(2j * np.pi * np.random.default_rng(3).random(25))
+        rephased = (phases.conj()[:, None] * model5.gram.reshape(25, 25)
+                    * phases).reshape(model5.gram.shape)
+        assert lo.gauge_residual(model5.gram, rephased) <= 1e-15
+        assert lo.gauge_residual(rephased, model5.gram) <= 1e-15
+
+    def test_gauge_declines_what_it_cannot_reach(self):
+        # no nonzero entry joins the pair (1, 1) to the others
+        gram = np.eye(16).reshape(4, 4, 4, 4)
+        assert lo.gauge_residual(gram, gram) == math.inf
+
+    def test_gate_reads_the_table_alone(self, model4, model5):
+        # no basis and no kind: the Gram table decides
+        assert fm.FlatModel(None, 4, model4.gram).symmetry == ("xor", None)
+        assert fm.FlatModel(None, 5, model5.gram).symmetry == model5.symmetry
+        assert model5.symmetry == ("shift", _graph(5))
+
+    def test_decided_once_per_model(self, model4, monkeypatch):
+        calls, gate = [], lo.label_symmetry
+        monkeypatch.setattr(lo, "label_symmetry", lambda gram: calls.append(1) or gate(gram))
+        model = fm.FlatModel(model4.basis, 4, model4.gram)
+        for m in (1, 2, 3):
+            cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=m))
+        assert calls == [1]
 
 
 def _unsplit_report(model, cfg):
@@ -748,8 +840,11 @@ class TestRotationSectors:
             assert w.sectors == [w.block_size]
             _assert_degrees_agree(s, w, differ=("sectors",))
 
-    def test_sector_sides(self, report4):
-        assert report4.degrees[3].sectors == [70, 60, 66, 60]
+    def test_sector_sides(self, model4, report4):
+        # the 4x4 grid's XOR blocks, and its full tensor
+        assert report4.degrees[3].sectors == [22, 12, 18, 12]
+        full = _full_path_report(model4, cp.ProbeConfig(max_degree=4))
+        assert full.degrees[3].sectors == [70, 60, 66, 60]
         report6 = cp.inner_faithfulness_report(_fourier_model(6))
         assert report6.degrees[3].sectors == [58, 51, 56, 51]
         assert report6.degrees[3].fixed_space_dim == 15
@@ -779,12 +874,14 @@ class TestRotationSectors:
     def test_report_fields_match_the_limit_at_degree_five(self, model4, n):
         _check_fields_match_the_limit(model4 if n == 4 else _fourier_model(n), 5)
 
-    @pytest.mark.parametrize("n,m,shift", [(4, 3, False), (5, 4, True), (6, 1, True)])
-    def test_plan_is_cached_and_read_only(self, n, m, shift):
+    @pytest.mark.parametrize("n,m,block", [(4, 3, False), (5, 4, True), (6, 1, True),
+                                           (4, 4, True)])
+    def test_plan_is_cached_and_read_only(self, n, m, block):
+        shift = _model(n).symmetry.group if block else None     # XOR blocks at n = 4
         for order in (m, 1):
             plan = cp._sector_plan(n, m, shift, order)
             assert cp._sector_plan(n, m, shift, order) is plan
-            layout = cp.StateTensor(n, m, np.zeros((n ** (m - shift),) * 2), shift)
+            layout = cp.StateTensor(n, m, np.zeros((n ** (m - block),) * 2), shift)
             assert np.array_equal(plan.pi, layout.rotation())
             assert len(plan.sectors) == order
             arrays = [*plan[:-1], *(a for sector in plan.sectors for a in sector
@@ -852,7 +949,7 @@ class TestDihedralSectors:
             assert s.theta_residual <= 1e-15 and s.mirror_residual <= 1e-15
             _assert_degrees_agree(s, w, differ=("sectors",))
             # the projectors themselves, which the report fields need not pin
-            T = cp.trace_state(model, s.m, n != 4)
+            T = cp.trace_state(model, s.m, model.symmetry.group)
             limits = [tensor_ops.limit_of(solve(T)).entries
                       for solve in (cp.cesaro_limit, cesaro_oracle.unsplit_limit)]
             assert np.abs(limits[0] - limits[1]).max() < 1e-12, s.m
@@ -870,8 +967,8 @@ class TestDihedralSectors:
         # a tracial block that reversal does not conjugate: the Theta gate and
         # the mirror gate both decline, and every sector gets a complex solve
         m = 3
-        B = cp.trace_state(model5, m, True)
-        B = cp.StateTensor(5, m, B.entries + 1e-9 * _tracial_noise(B, 3), shift=True)
+        B = cp.trace_state(model5, m, "shift")
+        B = cp.StateTensor(5, m, B.entries + 1e-9 * _tracial_noise(B, 3), shift="shift")
         real_gram_state = cp.gram_state
         monkeypatch.setattr(cp, "gram_state", lambda model, d, shift:
                             B if d == m else real_gram_state(model, d, shift))
@@ -918,7 +1015,7 @@ class TestDihedralSectors:
     def test_mirror_gate_reads_the_rows_at_the_representatives(self, n, m):
         # 2 max |Im M[reps]| is max |M[reps] - conj M[reps]| bit for bit, on
         # every way of handing the probe its matrix, real or not, split or not
-        shift = n != 4
+        shift = _model(n).symmetry.group
         T = cp.gram_state(_model(n), m, shift)
         D = cp.trace_state(_model(n), m, shift).entries
         noisy = D + 1e-9 * _tracial_noise(T, 3)
@@ -943,7 +1040,7 @@ class TestDihedralSectors:
     def test_mirror_gate_matches_the_unsplit_oracle(self, n, m):
         # every entry of a tracial T is an entry of its rows at the
         # representatives, so the rows' distance from real is T's
-        shift = n != 4
+        shift = _model(n).symmetry.group
         T = cp.gram_state(_model(n), m, shift)
         D = cp.trace_state(_model(n), m, shift).entries
         noisy = cp.StateTensor(n, m, D + 1e-9 * _tracial_noise(T, 3), shift)
@@ -957,7 +1054,7 @@ class TestDihedralSectors:
         # at tol_converge 0.5 the kept vectors are far from fixed, so the
         # residual is O(1) and a mirrored sector's share of it shows
         cfg = cp.ProbeConfig(tol_converge=0.5)
-        T = cp.gram_state(_model(n), m, n != 4)
+        T = cp.gram_state(_model(n), m, _model(n).symmetry.group)
         got, want = cp.cesaro_limit(T, cfg), cesaro_oracle.unsplit_limit(T, cfg)
         assert got.fixed_dim == want.fixed_dim
         assert got.invariance_residual > 1
@@ -967,7 +1064,7 @@ class TestDihedralSectors:
         # Q* T_s Q is real to rounding on every solved sector of both grids
         for n, m in ((4, 5), (5, 5), (6, 3)):
             model = _model(n)
-            T = cp.trace_state(model, m, n != 4)
+            T = cp.trace_state(model, m, model.symmetry.group)
             assert cp.cesaro_limit(T).theta_residual <= 1e-15
 
 
@@ -987,7 +1084,7 @@ class TestReportOutput:
         model = _model(n)
         report = cp.inner_faithfulness_report(model, cp.ProbeConfig(max_degree=max_degree))
         for degree in report.degrees:
-            T = cp.gram_state(model, degree.m, n != 4)
+            T = cp.gram_state(model, degree.m, model.symmetry.group)
             got = degree.class_residuals
             ref = tensor_ops.class_residuals_per_tag(T, cp.cesaro_limit(T).vectors)
             assert list(got) == list(ref)
@@ -997,8 +1094,8 @@ class TestReportOutput:
                 assert abs(info["residual"] - ref[tag]["residual"]) <= 1e-15
 
     def test_class_plan_is_cached_and_read_only(self):
-        plan = cp._class_plan(6, 4, True)
-        assert cp._class_plan(6, 4, True) is plan
+        plan = cp._class_plan(6, 4, "shift")
+        assert cp._class_plan(6, 4, "shift") is plan
         assert plan.tags == hx.DEGREE_CLASS_TAGS[4]
         assert plan.pairs[3] == ((0, 1, 0, 1), (0, 1, 2, 3))      # a4 = u11 u22 u13 u24
         for array in (plan.rows, plan.cols, plan.values):
@@ -1037,7 +1134,7 @@ def _orbit_oracle(P):
 
 
 def _graph(n):
-    return cp.label_graph(_fourier_model(n).gram)
+    return lo.label_graph(_fourier_model(n).gram)
 
 
 # (n, the highest degree <= 6 that the rotation-sector path admits under the
@@ -1064,13 +1161,14 @@ class TestOrbitPath:
         assert np.abs(ghat).max() <= 1e-13
 
     def test_gate_declines_the_4x4_grid(self, model4):
-        assert cp.label_graph(model4.gram) is None
+        assert lo.label_graph(model4.gram) is None
+        assert model4.symmetry.graph is None
 
     @pytest.mark.parametrize("n,m", [(5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 3), (8, 3)])
     def test_shift_block_is_the_mixture_of_label_permutations(self, n, m):
         # in the labels a (sum 0, numbered by a_2..a_m), B's Fourier block is
         # (1/n) sum_alpha P_alpha: the claim the orbit path rests on
-        B = cp.trace_state(_fourier_model(n), m, True).entries
+        B = cp.trace_state(_fourier_model(n), m, "shift").entries
         side = n ** (m - 1)
         labels = np.array(list(itertools.product(range(n), repeat=m - 1))).reshape(side, m - 1)
         Phi = np.exp(2j * np.pi / n * (labels @ labels.T)) / n ** ((m - 1) / 2)
@@ -1141,11 +1239,11 @@ class TestOrbitPath:
     def test_matches_the_sector_path(self, n, max_degree):
         model = _fourier_model(n)
         cfg = cp.ProbeConfig(max_degree=max_degree)
-        assert cp._working_set(n, max_degree, True) <= cfg.memory_cap
-        assert max_degree == 6 or cp._working_set(n, max_degree + 1, True) > cfg.memory_cap
+        assert cp._working_set(n, max_degree, "shift") <= cfg.memory_cap
+        assert max_degree == 6 or cp._working_set(n, max_degree + 1, "shift") > cfg.memory_cap
         orbits = cp.inner_faithfulness_report(model, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cp, "label_graph", lambda gram: None)
+            _symmetry_without_graph(mp)
             sectors = cp.inner_faithfulness_report(model, cfg)
         assert orbits.verdict == sectors.verdict
         graph = _graph(n)
@@ -1164,7 +1262,7 @@ class TestOrbitPath:
     def test_vectors_are_the_sector_paths_fixed_space(self, n, m):
         # the closed form L[x, y] at every entry of the shift block, against
         # the projector onto the sector path's fixed space
-        ref = tensor_ops.limit_of(cp.cesaro_limit(cp.gram_state(_fourier_model(n), m, True)))
+        ref = tensor_ops.limit_of(cp.cesaro_limit(cp.gram_state(_fourier_model(n), m, "shift")))
         tuples = ref.tuples().tolist()
         pairs = tuple((tuple(x), tuple(y)) for x in tuples for y in tuples)
         L = lo.limit_entries(n, m, _graph(n).f, pairs).reshape(ref.entries.shape)
@@ -1195,7 +1293,7 @@ class TestOrbitPath:
             assert lo.orbit_plan(6, m, f) is plan
             arrays = [plan.orbit]
             if m <= 4:                             # the cached class entries
-                pairs = cp._class_plan(6, m, True).pairs
+                pairs = cp._class_plan(6, m, "shift").pairs
                 arrays.append(lo.limit_entries(6, m, f, pairs))
                 assert lo.limit_entries(6, m, f, pairs) is arrays[-1]
             for array in arrays:
@@ -1210,31 +1308,55 @@ class TestOrbitPath:
         n = 5
         i, j, k, l = np.ogrid[:n, :n, :n, :n]
         gram = model5.gram + 1e-9 * (((k - i) % n == 1) & ((l - j) % n == 2))
-        assert cp.shift_invariant(gram) and cp.label_graph(gram) is None
+        assert lo.shift_invariant(gram) and lo.label_graph(gram) is None
         model = fm.FlatModel(basis=model5.basis, n=n, gram=gram)
+        assert model.symmetry == ("shift", None)
         report = cp.inner_faithfulness_report(
             model, cp.ProbeConfig(max_degree=4, tol_converge=1e-8))
         assert [d.reduction for d in report.degrees] == ["shift"] * 4
         assert [d.fixed_space_dim for d in report.degrees] == [1, 2, 5, 15]
 
-    def test_perturbed_and_rephased_grids_fall_back(self, model5):
+    def test_perturbed_grid_falls_back(self, model5):
+        # one coordinate off by 1e-9: no gauge restores the moduli, so the
+        # probe solves the full tensor
         cfg = cp.ProbeConfig(max_degree=4, tol_converge=1e-8)
         plain = cp.inner_faithfulness_report(model5, cfg)
-        xi = mb.build_fourier_basis(5).xi
-        perturbed = xi.copy()
+        perturbed = mb.build_fourier_basis(5).xi.copy()
         perturbed[0, 1, 2] += 1e-9
-        phases = np.exp(2j * np.pi * np.random.default_rng(5).random((5, 5)))
-        for grid in (perturbed, xi * phases[:, :, None]):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mb, "TOL_CONSTRUCT", 1e-8)
-                model = fm.model_from_basis(mb.MagicBasis(n=5, xi=grid))
-            report = cp.inner_faithfulness_report(model, cfg)
-            assert [d.reduction for d in report.degrees] == ["none"] * 4
-            assert report.verdict == plain.verdict
-            for d, p in zip(report.degrees, plain.degrees, strict=True):
-                assert d.fixed_space_dim == p.fixed_space_dim
-                assert abs(d.fix_moment_estimate - p.fix_moment_estimate) < 1e-8
-                assert abs(d.spectral_gap - p.spectral_gap) < 1e-8
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mb, "TOL_CONSTRUCT", 1e-8)
+            model = fm.model_from_basis(mb.MagicBasis(n=5, xi=perturbed))
+        report = cp.inner_faithfulness_report(model, cfg)
+        assert [d.reduction for d in report.degrees] == ["none"] * 4
+        assert report.verdict == plain.verdict
+        for d, p in zip(report.degrees, plain.degrees, strict=True):
+            assert d.fixed_space_dim == p.fixed_space_dim
+            assert abs(d.fix_moment_estimate - p.fix_moment_estimate) < 1e-8
+            assert abs(d.spectral_gap - p.spectral_gap) < 1e-8
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_rephased_grids_take_shift_blocks(self, model4, n):
+        # a phase on each xi_ij leaves the model's projections as they are
+        # but breaks the plain gates: the gauge restores the label group, and
+        # the report matches the plain grid's (the orbit path at n >= 5)
+        plain = model4 if n == 4 else _fourier_model(n)
+        phases = np.exp(2j * np.pi * np.random.default_rng(n).random((n, n)))
+        model = fm.model_from_basis(mb.MagicBasis(n=n, xi=plain.basis.xi * phases[:, :, None]))
+        assert not lo.shift_invariant(model.gram)
+        group = "xor" if n == 4 else "shift"
+        assert model.symmetry == (group, None)
+        cfg = cp.ProbeConfig(max_degree=4)
+        report, want = (cp.inner_faithfulness_report(m, cfg) for m in (model, plain))
+        assert [d.reduction for d in report.degrees] == [group] * 4
+        assert report.verdict == want.verdict
+        for d, p in zip(report.degrees, want.degrees, strict=True):
+            assert d.fixed_space_dim == p.fixed_space_dim
+            assert abs(d.fix_moment_estimate - p.fix_moment_estimate) < 1e-12
+            assert abs(d.spectral_gap - p.spectral_gap) < 1e-12
+            assert d.class_residuals.keys() == p.class_residuals.keys()
+            for tag, info in d.class_residuals.items():
+                assert abs(complex(*info["estimate"])
+                           - complex(*p.class_residuals[tag]["estimate"])) < 1e-12, tag
 
     @pytest.mark.parametrize("n,m", [(5, 4), (5, 6), (6, 5), (7, 6), (8, 4), (10, 4)])
     def test_largest_orbit_meets_the_bound(self, n, m):
@@ -1251,9 +1373,10 @@ class TestOrbitPath:
     ])
     def test_path_choice(self, n, m, orbits):
         assert cp._takes_orbits(n, m, cp.ProbeConfig().memory_cap) is orbits
-        bound, R = lo.orbit_bound(n, m), cp._orbit_count(n, m, True)
+        bound, R = lo.orbit_bound(n, m), cp._orbit_count(n, m, "shift")
         cap = cp.ProbeConfig().memory_cap
-        fits = (cp._working_set(n, m, True, True) <= cap, cp._working_set(n, m, True) <= cap)
+        fits = (cp._working_set(n, m, "shift", True) <= cap,
+                cp._working_set(n, m, "shift") <= cap)
         assert orbits == (fits[0] and (not fits[1] or bound <= 2.5 * R))
 
     def test_neither_path_fits_reports_the_smaller(self):
@@ -1273,7 +1396,7 @@ class TestOrbitPath:
         # f = -id: every label is its own orbit, so the class entries sum
         # over side orbits
         f = tuple(-a % n for a in range(n)) if commutative else _graph(n).f
-        pairs = cp._class_plan(n, m, True).pairs
+        pairs = cp._class_plan(n, m, "shift").pairs
         lo.orbit_plan.cache_clear()
         lo.limit_entries.cache_clear()
         for d in range(1, m):
@@ -1289,4 +1412,4 @@ class TestOrbitPath:
         lo.orbit_plan.cache_clear()
         lo.limit_entries.cache_clear()
         assert plan.fixed == (n ** (m - 1) if commutative else _sn_count(n, m))
-        assert peak <= cp._working_set(n, m, True, True), (peak, n, m)
+        assert peak <= cp._working_set(n, m, "shift", True), (peak, n, m)
